@@ -57,6 +57,8 @@ from .verify import (
     monomial_facets_oracle,
 )
 from .systems import SystemFile, gen_ps, gen_sos, parse_system
+# unused by the package; loaded only because perfbench still traces its layer
+from . import fastred  # noqa: F401
 
 __all__ = [
     "AffineCell",

@@ -34,7 +34,6 @@ from .groebner import (
     quotient_degree,
     radical_member,
     saturate,
-    saturate_seq,
 )
 
 GB_BACKEND = "gb"
@@ -173,28 +172,17 @@ def make_witness(
     G: Sequence[Polynomial],
     d: int,
     rng,
-    seed: GroebnerBasis | None = None,
-    seed_len: int = 0,
 ) -> tuple[GroebnerBasis, tuple[Polynomial, ...]]:
     """Witness basis for (F, G) at dimension d.
 
     Draws d random affine forms J, computes a basis of <F union J> and
     saturates it successively by the factors in G.  Returns the basis
     and the forms; identical seeds give identical output.
-
-    When a basis for the ideal of the first ``seed_len`` entries of F
-    (possibly already saturated by G) is known, passing it as ``seed``
-    turns the slice computation into an incremental extension instead
-    of a from-scratch run; saturating by G afterwards yields the same
-    reduced basis either way.
     """
     if d < 0:
         raise ContractViolation("witness dimension must be nonnegative")
     forms = tuple(random_affine_forms(ring, d, rng))
-    if seed is not None and not seed.is_unit:
-        basis = extend_basis(seed, list(F[seed_len:]) + list(forms))
-    else:
-        basis = _slice_basis(ring, F, forms)
+    basis = _slice_basis(ring, F, forms)
     for g in G:
         if basis.is_unit:
             break
@@ -348,24 +336,6 @@ class AffineCell:
         W, _ = make_witness(self.ring, self.F.gens, self.G, d, rng)
         return d, quotient_degree(W)
 
-
-    def _seed_hint(self):
-        """Nearest ancestor with a materialized ideal basis, if any.
-
-        Equations only ever get appended along the operation chain, so
-        an ancestor's basis generates a subideal of this cell's; using
-        it as an incremental seed is sound because the final witness is
-        re-saturated by this cell's factors anyway.
-        """
-        node = self
-        while node is not None:
-            if node._basis is not None and not node._basis.is_unit:
-                if node.backend == WITNESS_BACKEND:
-                    return node._basis, len(node.F)
-                return node._basis, 0
-            node = node._parent
-        return None, 0
-
     # -- primitive operations ----------------------------------------------
 
     def intersect_proper(self, f: Polynomial, rng=None) -> "AffineCell":
@@ -374,9 +344,7 @@ class AffineCell:
             if self.d == 0:
                 raise ContractViolation("cannot properly intersect a zero-dimensional cell")
             F2 = self.F + (f,)
-            _seed, _seed_len = self._seed_hint()
-            W2, forms = make_witness(self.ring, F2, self.G, self.d - 1, rng,
-                                     seed=_seed, seed_len=_seed_len)
+            W2, forms = make_witness(self.ring, F2, self.G, self.d - 1, rng)
             cell = AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d - 1, forms)
             cell._parent = self
             cell._delta = ("add", (f,))

@@ -77,7 +77,6 @@ def _run(args) -> int:
         backend=args.backend,
         order_strategy=args.order,
         seed=args.seed,
-        char=system.characteristic,
         use_classic_remove=args.classic_remove,
     )
     result = equidim(polys, ring, config)

@@ -20,11 +20,11 @@ across different input equations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import zerodim
-from .gf import ContractViolation, PrimeField
+from .gf import ContractViolation
 from .rings import PolyRing, Polynomial
 from .cells import AffineCell, GB_BACKEND, WITNESS_BACKEND
 
@@ -36,7 +36,6 @@ class DecompConfig:
     backend: str = WITNESS_BACKEND
     order_strategy: str = "degree"  # degree | support | asis
     seed: int = 0
-    char: int = 65521
     use_classic_remove: bool = False
 
 
@@ -152,11 +151,6 @@ def _split(X: AffineCell, f: Polynomial, cache: GCache, ctx: _Ctx) -> list[Affin
     Xg = X.intersect_components([g])  # purely improper, pretending equidimensional
     if ctx.trace is not None:
         ctx.trace.record_improper(X, g, Xg)
-    if Xg.backend == WITNESS_BACKEND and not Xg.is_empty():
-        # materialize the pretend cell's ideal once: proper cuts inside
-        # the removal then extend this basis by a single polynomial
-        # instead of recomputing their slices from scratch
-        Xg.basis()
     # any order of H is valid; small elements first keeps the removal's
     # intersections and subtractions cheap
     for Y in _remove(Xg, _pick_order(H.gens), ctx):

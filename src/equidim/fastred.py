@@ -11,6 +11,11 @@ kernels and typically runs an order of magnitude faster.
 
 The packing width is chosen per computation; any overflow of the packed
 fields raises, and callers fall back to the exact big-int path.
+
+Nothing in the package calls this module any more: on the benchmark
+families, packing every new reducer cost more than the array branch
+saved, so Buchberger reduces with ``groebner._reduce_terms`` only.  It
+stays importable until the benchmark stops tracing its functions.
 """
 
 from __future__ import annotations

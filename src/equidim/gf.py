@@ -93,10 +93,6 @@ class PrimeField:
         assert g == 1
         return u % self.p
 
-    def elements(self):
-        """Iterate all residues as raw ints (only sensible for tiny p)."""
-        return range(self.p)
-
 
 class FieldElement:
     """A residue in [0, p), tied to its ``PrimeField`` context."""

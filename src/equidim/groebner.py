@@ -17,10 +17,7 @@ from __future__ import annotations
 from heapq import heappush, heappop
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .gf import ContractViolation
-from .fastred import ArrayReducers, Packer, PackOverflow
 from .rings import MonomialOrder, PolyRing, Polynomial
 
 
@@ -78,9 +75,6 @@ class GroebnerBasis:
 
     def contains(self, f: Polynomial) -> bool:
         return ideal_member(f, self)
-
-    def contains_ideal(self, other: "GroebnerBasis") -> bool:
-        return all(ideal_member(g, self) for g in other.gens)
 
 
 def _prep_reducers(gens: Sequence[Polynomial]):
@@ -254,25 +248,7 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
     pairs: list[tuple[int, int, int, int]] = []  # (lcm_key, i, j, lcm_ev)
     reducers: list = []
 
-    # vectorized reduction when the monomials fit a narrow int64 packing
-    fast: list = [None]
-    width = 63 // ring.nvars
-    if width >= 4:
-        cap = (1 << (width - 1)) - 1
-        maxdeg = max(f.total_degree() for f in seed + inputs)
-        if maxdeg + 2 <= cap:
-            fast[0] = ArrayReducers(Packer(ring, cap))
-
     def full_reduce(stream) -> Polynomial:
-        areds = fast[0]
-        # arrays win on bulky reductions; tiny ones stay on the dict path
-        if areds is not None and len(stream) >= 150:
-            try:
-                ks, es, cs = areds.packer.stream_in(stream)
-                rk, re_, rc = areds.reduce(ks, es, cs)
-                return areds.packer.poly_out(rk, re_, rc)
-            except PackOverflow:
-                fast[0] = None  # leave the envelope: exact wide path from here
         return _dict_to_poly(ring, _reduce_terms(ring, stream, reducers))
 
     def add_reducer(g: Polynomial):
@@ -286,11 +262,6 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
             else:
                 hi = mid
         reducers.insert(lo, entry)
-        if fast[0] is not None:
-            try:
-                fast[0].insert(g)
-            except PackOverflow:
-                fast[0] = None
 
     def replace_reducer(old: Polynomial, new: Polynomial):
         k = old.terms[0][0]
@@ -303,14 +274,6 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
                 hi = mid
         assert reducers[lo][0] == k
         reducers[lo] = (k, new.terms[0][1], new.terms[1:])
-        areds = fast[0]
-        if areds is not None:
-            try:
-                ks, es, cs = areds.packer.poly_in(new)
-                pos = int(np.searchsorted(areds.lead_keys, int(ks[-1])))
-                areds.tails[pos] = (ks[:-1], es[:-1], cs[:-1])
-            except PackOverflow:
-                fast[0] = None
 
     def retro_reduce(he: int):
         """Tail-reduce existing generators against the new lead monomial.
@@ -515,69 +478,6 @@ def saturate_seq(F: "GroebnerBasis | Sequence[Polynomial]",
             return current
         current = saturate(current, g)
     return current
-
-
-def colon_basis(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
-    """Reduced basis of the colon ideal (<basis> : f).
-
-    Works in the pair module {(h, c) : h = c*f mod <basis>}, encoded as
-    the Z-graded ideal generated by f*Z0 + Z1, the basis times Z0, and
-    the quadratic tag relations, under the block order Z0 > Z1 > rest.
-    The Z0-free, Z1-linear part of its basis is the colon ideal.  This
-    avoids the power-of-t certificate tower the Rabinowitsch-style
-    elimination drags along.
-    """
-    ring = basis.ring
-    if f.ring != ring:
-        raise ContractViolation("polynomial and ideal from different rings")
-    if f.is_zero():
-        raise ContractViolation("colon by the zero polynomial")
-    if basis.is_unit or f.is_constant():
-        return basis
-    if basis.is_zero_ideal:
-        return basis
-    n = ring.nvars
-    names = ring.names + ("@z0", "@z1")
-    order = MonomialOrder.block_order([(n,), (n + 1,), tuple(range(n))])
-    ext = PolyRing(ring.field, names, order, ring.cap)
-    vmap = list(range(n))
-    z0 = ext.var(n)
-    z1 = ext.var(n + 1)
-    # pairs (h, c) are only meaningful modulo the ideal in both slots,
-    # so the basis rides along in both tags to keep cofactors reduced
-    lifted = [g.convert(ext, vmap) for g in basis.gens]
-    seed = [g * z0 for g in lifted] + [g * z1 for g in lifted]
-    seed += [z0 * z0, z0 * z1, z1 * z1]
-    eb = buchberger([f.convert(ext, vmap) * z0 + z1], ring=ext, known_basis=seed)
-    w = ext.width
-    kept = []
-    for g in eb.gens:
-        lead = g.terms[0][1]
-        if (lead >> (n * w)) & ((1 << w) - 1):
-            continue  # contains Z0
-        if ((lead >> ((n + 1) * w)) & ((1 << w) - 1)) != 1:
-            continue  # Z1-quadratic junk
-        # strip the Z1 tag; Z-grading keeps every term Z1-linear
-        unit_z1 = ext.pack_evec([0] * n + [0, 1])
-        stripped = [(ev - unit_z1, c) for _, ev, c in g.terms]
-        kept.append(ring.from_terms(
-            (ring.pack_evec(ext.unpack_evec(ev)[:n]), c) for ev, c in stripped
-        ))
-    if not kept:
-        return basis
-    if any(h.is_constant() and not h.is_zero() for h in kept):
-        return GroebnerBasis(ring, (ring.one(),))
-    return GroebnerBasis(ring, _interreduce(ring, kept))
-
-
-def saturate_iterated(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
-    """Saturation as a stabilized chain of colon ideals."""
-    current = basis
-    while True:
-        nxt = colon_basis(current, f)
-        if nxt == current:
-            return current
-        current = nxt
 
 
 def radical_member(f: Polynomial, basis: GroebnerBasis) -> bool:

@@ -80,6 +80,8 @@ class MonomialOrder:
     def __repr__(self) -> str:
         if self.kind == "grevlex":
             return "grevlex"
+        if self.kind == "blocks":
+            return f"block_order({self.block})"
         return f"elim_block({self.block_size}, block={self.block})"
 
 
@@ -196,12 +198,6 @@ class PolyRing:
         xa = self.unpack_evec(ea)
         xb = self.unpack_evec(eb)
         return self.pack_evec(tuple(max(p, q) for p, q in zip(xa, xb)))
-
-    def check_mul(self, key: int) -> int:
-        """Degree-cap assertion for a product key; returns the key."""
-        if self.degree_of_key(key) > self.cap:
-            raise DegreeOverflow(f"product degree exceeds cap {self.cap}")
-        return key
 
     # -- construction ----------------------------------------------------
 
@@ -359,15 +355,6 @@ class Polynomial:
     def monomials(self) -> list[tuple[int, ...]]:
         return [self.ring.unpack_evec(ev) for _, ev, _ in self.terms]
 
-    def support_size(self) -> int:
-        """Number of variables that actually occur."""
-        seen = 0
-        for _, ev, _ in self.terms:
-            seen |= ev
-        w = self.ring.width
-        mask = (1 << w) - 1
-        return sum(1 for i in range(self.ring.nvars) if (seen >> (i * w)) & mask)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -466,14 +453,6 @@ class Polynomial:
         p = self.ring.field.p
         return Polynomial(self.ring, tuple((k, ev, cc * inv % p) for k, ev, cc in self.terms))
 
-    def mul_term(self, key: int, evec: int, coeff: int) -> "Polynomial":
-        """Multiply by a single term given in packed form."""
-        p = self.ring.field.p
-        return Polynomial(
-            self.ring,
-            tuple((k + key, ev + evec, c * coeff % p) for k, ev, c in self.terms),
-        )
-
     # -- structural --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -486,7 +465,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ring.field), self.ring.names, self.terms))
+        return hash((self.ring.field.p, self.ring.names, self.terms))
 
     # -- calculus / maps ----------------------------------------------------
 

@@ -227,6 +227,49 @@ def test_criterion_4_partition_suite(partition_suite):
     print(f"\nACCEPTANCE 4: PASS - 50 partition checks + tiny-field point equality [{elapsed:.1f}s]")
 
 
+# -- criterion 5: benchmark families on both backends -------------------------------
+
+BENCH_TRACES = []  # (ring, trace) of every benchmark-family run, for criterion 7
+BENCH_RUNS = []  # (label, ring, F, DecompositionOutput)
+BENCH_TOP = (1, 4)  # (top dimension, degree there) of ps(3) and sos(2,3)
+
+
+@pytest.fixture(scope="module")
+def bench_suite():
+    if BENCH_RUNS:
+        return BENCH_RUNS
+    for seed in range(3):
+        for label, make in (("ps(3)", lambda rng: gen_ps(3, rng)),
+                            ("sos(2,3)", lambda rng: gen_sos(2, 3, rng))):
+            system = make(random.Random(seed))
+            ring = system.ring()
+            F = system.polynomials(ring)
+            for backend in ("gb", "witness"):
+                trace = DecompTrace()
+                out = equidim(F, ring, DecompConfig(backend=backend, seed=seed), trace=trace)
+                BENCH_TRACES.append((ring, trace))
+                BENCH_RUNS.append((f"{label} seed={seed} {backend}", ring, F, out))
+    return BENCH_RUNS
+
+
+def test_criterion_5_benchmark_families(bench_suite):
+    start = time.time()
+    failures = []
+    for label, ring, F, out in bench_suite:
+        rep = check_partition(out.cells, F, ring, with_points=False)
+        if not rep.passed:
+            failures.append((label, rep.as_dict()))
+            continue
+        degrees = out.degrees_by_dimension()
+        top = max(degrees)
+        if (top, degrees[top]) != BENCH_TOP:
+            failures.append((label, (top, degrees[top])))
+    elapsed = time.time() - start
+    assert not failures, f"{len(failures)} failures: {failures[:2]}"
+    print(f"\nACCEPTANCE 5: PASS - {len(bench_suite)} ps(3)/sos(2,3) runs partition V(F) "
+          f"with top (dimension, degree) = {BENCH_TOP} [{elapsed:.1f}s]")
+
+
 # -- criterion 6: probabilistic/deterministic properness agreement -------------------
 
 def test_criterion_6_properness_agreement(partition_suite):
@@ -292,9 +335,10 @@ def _check_trace(ring, trace, rng, verify_dims=True):
     return proper_fail, improper_fail
 
 
-def test_criterion_7_lemma_checks(partition_suite):
+def test_criterion_7_lemma_checks(partition_suite, bench_suite):
     start = time.time()
     rng = random.Random(1313)
+    assert BENCH_TRACES, "criterion 5's benchmark runs left no traces"
     proper_fail = []
     improper_fail = []
     n_proper = n_improper = 0
@@ -331,6 +375,3 @@ def test_criterion_8_stated_exclusion():
     # property-based acceptance floor.  Nothing to execute.
     print("\nACCEPTANCE 8: PASS - external CAS timing comparisons excluded by design; "
           "criteria 3-4 are the acceptance floor")
-
-
-BENCH_TRACES = []

@@ -316,3 +316,10 @@ def test_gcache_selection_order(R3):
     cands = cache.candidates()
     # smallest degree first, then fewer terms, then insertion position
     assert [str(f) for f in cands] == ["x", "z^2", "x*y + z"]
+
+
+def test_config_has_no_char_field():
+    # the field comes from the ring; a separate characteristic knob
+    # could only disagree with it
+    with pytest.raises(TypeError):
+        DecompConfig(char=65521)

@@ -70,12 +70,29 @@ def test_elim_block_eliminates(gf5):
     assert mono_cmp(ring, (0, 2, 0), (0, 1, 1), MonomialOrder.elim_block(1)) > 0
 
 
+def test_order_repr_names_each_kind():
+    assert repr(MonomialOrder.grevlex()) == "grevlex"
+    assert repr(MonomialOrder.elim_block(1, block=(2,))) == "elim_block(1, block=(2,))"
+    blocks = MonomialOrder.block_order([(2,), (0, 1)])
+    assert repr(blocks) == "block_order(((2,), (0, 1)))"
+    ring = PolyRing(PrimeField(5), ("x", "y", "t"), blocks)
+    assert repr(ring) == "GF(5)[x, y, t; block_order(((2,), (0, 1)))]"
+
+
 def test_mono_cmp_length_mismatch(ring_xy):
     with pytest.raises(ContractViolation):
         mono_cmp(ring_xy, (1,), (1, 0))
 
 
 # -- polynomial arithmetic ----------------------------------------------------
+
+def test_hash_agrees_with_equality_across_field_objects():
+    # equal polynomials over separately built but equal fields
+    a = PolyRing(PrimeField(7), ("x", "y")).gens()[0] + 1
+    b = PolyRing(PrimeField(7), ("x", "y")).gens()[0] + 1
+    assert a == b
+    assert len({a, b}) == 1
+
 
 def test_add_sub_examples(ring_xy):
     x, y = ring_xy.gens()

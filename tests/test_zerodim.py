@@ -16,7 +16,7 @@ from equidim import (
     saturate,
     standard_monomials,
 )
-from equidim.groebner import extend_basis, colon_basis, saturate_iterated
+from equidim.groebner import extend_basis
 from equidim import zerodim
 
 
@@ -112,40 +112,3 @@ def test_extension_matches_buchberger(ring):
             fast = zerodim.extended(gb, extra)
             slow = groebner_of(ring, list(gb.gens) + extra)
             assert fast == slow, (gb, extra)
-
-
-def test_colon_saturation_chain_matches(ring):
-    # positive-dimensional: the iterated tag-module colon equals the
-    # elimination saturation
-    rng = random.Random(17)
-    x, y, z = ring.gens()
-    cases = [
-        ([x * y, y * z], x),
-        ([x * y * z], z),
-        ([x**2 * y], x),
-        ([(x + y) * (x - z), (x + y) * (y + 1)], x + y),
-    ]
-    for F, g in cases:
-        gb = groebner_of(ring, F)
-        assert saturate_iterated(gb, g) == saturate(gb, g), (F, g)
-    for _ in range(10):
-        F = [
-            ring.monomial([rng.randrange(2) for _ in range(3)], rng.randrange(1, 7))
-            + ring.monomial([rng.randrange(2) for _ in range(3)], rng.randrange(7)),
-        ]
-        g = [x, y, z][rng.randrange(3)] + rng.randrange(3)
-        gb = groebner_of(ring, [f for f in F if not f.is_zero()])
-        if gb.is_unit:
-            continue
-        assert saturate_iterated(gb, g) == saturate(gb, g)
-
-
-def test_colon_basis_simple_values(ring):
-    x, y, z = ring.gens()
-    gb = groebner_of(ring, [x * y])
-    # (xy : x) = <y>
-    assert [str(g) for g in colon_basis(gb, x)] == ["y"]
-    # (x^2 : x) = <x>: one colon is not yet the saturation
-    gb2 = groebner_of(ring, [x**2])
-    assert [str(g) for g in colon_basis(gb2, x)] == ["x"]
-    assert saturate_iterated(gb2, x).is_unit
