@@ -25,6 +25,7 @@ from typing import Sequence
 
 from . import zerodim
 from .gf import ContractViolation
+from .groebner import memo_scope
 from .rings import PolyRing, Polynomial
 from .cells import AffineCell, GB_BACKEND, WITNESS_BACKEND
 
@@ -302,13 +303,15 @@ def equidim(
     rng = random.Random(config.seed)
     ctx = _Ctx(rng, config.use_classic_remove, trace)
     ordered, perm = order_input(list(F), config.order_strategy)
-    cells = [AffineCell.full_space(ring, config.backend, rng)]
-    for f in ordered:
-        if f.is_zero():
-            continue  # V(0) cuts nothing
-        nxt: list[AffineCell] = []
-        for X in cells:
-            nxt.extend(_split(X, f, GCache(), ctx))
-        cells = nxt
-    anns = tuple(X.dim_degree(rng) for X in cells)
+    # the recursion asks one cell the same question several times
+    with memo_scope():
+        cells = [AffineCell.full_space(ring, config.backend, rng)]
+        for f in ordered:
+            if f.is_zero():
+                continue  # V(0) cuts nothing
+            nxt: list[AffineCell] = []
+            for X in cells:
+                nxt.extend(_split(X, f, GCache(), ctx))
+            cells = nxt
+        anns = tuple(X.dim_degree(rng) for X in cells)
     return DecompositionOutput(tuple(cells), anns, perm, config.seed, config.backend)

@@ -10,12 +10,20 @@ Krull dimension and zero-dimensional degree.
 Unit ideals short-circuit everywhere: as soon as a nonzero constant is
 produced the basis {1} is returned, since empty cells arise constantly
 during decomposition.
+
+Inside ``memo_scope()`` (one ``decomp.equidim`` call) ``groebner_of``,
+``extend_basis`` and the Rabinowitsch elimination shared by ``saturate``
+and ``radical_member`` are computed once per distinct input value; the
+memo is dropped when the scope ends, and it cannot change a result
+because a reduced basis is unique for its ideal and order.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from heapq import heappush, heappop
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf import ContractViolation
 from .rings import MonomialOrder, PolyRing, Polynomial
@@ -284,9 +292,8 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
         for idx in range(len(gens)):
             g = gens[idx]
             if any(divides(he, ev) for _, ev, _ in g.terms[1:]):
-                lead = Polynomial(ring, g.terms[:1])
-                rest = full_reduce(g.terms[1:])
-                newg = lead + rest
+                # the reduced tail stays below the lead, so keep its keys
+                newg = Polynomial(ring, g.terms[:1] + full_reduce(g.terms[1:]).terms)
                 replace_reducer(g, newg)
                 gens[idx] = newg
 
@@ -383,22 +390,46 @@ def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ..
     return tuple(reduced)
 
 
+_MEMO: ContextVar[dict | None] = ContextVar("equidim_groebner_memo", default=None)
+
+
+@contextmanager
+def memo_scope() -> Iterator[None]:
+    """Compute each ideal operation once per distinct input until exit."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(key: tuple, compute: Callable[[], GroebnerBasis]) -> GroebnerBasis:
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = compute()
+    return hit
+
+
 def groebner_of(ring: PolyRing, polys: Iterable[Polynomial]) -> GroebnerBasis:
     """Like ``buchberger`` but usable with an empty generator list."""
-    polys = list(polys)
+    polys = tuple(polys)
     if not polys:
         return GroebnerBasis(ring, ())
-    return buchberger(polys, ring=ring)
+    return _memoized(("gb", ring, polys), lambda: buchberger(polys, ring=ring))
 
 
 def extend_basis(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis:
     """Reduced basis of <basis> + <extra>, reusing the known basis."""
-    extra = [f for f in extra if not f.is_zero()]
+    extra = tuple(f for f in extra if not f.is_zero())
     if not extra:
         return basis
     if basis.is_unit:
         return basis
-    return buchberger(extra, ring=basis.ring, known_basis=basis.gens)
+    return _memoized(("extend", basis, extra),
+                     lambda: buchberger(extra, ring=basis.ring, known_basis=basis.gens))
 
 
 def ideal_member(f: Polynomial, basis: GroebnerBasis) -> bool:
@@ -418,15 +449,32 @@ def _restrict_tfree(ring: PolyRing, ext: PolyRing, basis: GroebnerBasis) -> Groe
     w = ext.width
     tslot = ext.nvars - 1
     kept = []
+    # the order eliminates t, so t-freeness of the lead term is enough;
+    # the t-free part of a reduced basis is the reduced basis of the
+    # elimination ideal, already in descending order
     for g in basis.gens:
-        # the order eliminates t, so t-freeness of the lead term is enough
         if (g.terms[0][1] >> (tslot * w)) == 0:
             kept.append(g.convert(ring, list(range(ring.nvars)) + [0]))
-    if not kept:
-        return GroebnerBasis(ring, ())
-    if len(kept) == 1 and kept[0].is_constant():
-        return GroebnerBasis(ring, (ring.one(),))
-    return GroebnerBasis(ring, _interreduce(ring, kept))
+    return GroebnerBasis(ring, tuple(kept))
+
+
+def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
+    """(<basis> : g^inf) by Rabinowitsch elimination; {1} iff g is in the radical."""
+    ring = basis.ring
+
+    def compute() -> GroebnerBasis:
+        ext = ring.extend_elim()
+        ext_gens = _embed(ring, ext, basis.gens)
+        t = ext.var(ext.nvars - 1)
+        rab = t * g.convert(ext, list(range(ring.nvars))) - 1
+        # t-free generators of a grevlex basis stay a basis under the
+        # elimination order, so their mutual pairs can be skipped
+        eb = buchberger([rab], ring=ext, known_basis=ext_gens)
+        if eb.is_unit:
+            return GroebnerBasis(ring, (ring.one(),))
+        return _restrict_tfree(ring, ext, eb)
+
+    return _memoized(("saturation", basis, g), compute)
 
 
 def saturate(F: "GroebnerBasis | Sequence[Polynomial]", g: Polynomial) -> GroebnerBasis:
@@ -436,32 +484,15 @@ def saturate(F: "GroebnerBasis | Sequence[Polynomial]", g: Polynomial) -> Groebn
     the basis of <F> + <t*g - 1> is computed under that order and the
     elements containing t are discarded.
     """
-    gens = tuple(F.gens) if isinstance(F, GroebnerBasis) else tuple(F)
     ring = F.ring if isinstance(F, GroebnerBasis) else g.ring
     if g.ring != ring:
         raise ContractViolation("polynomial and ideal from different rings")
     if g.is_zero():
         raise ContractViolation("saturation by the zero polynomial")
-    gens = [f for f in gens if not f.is_zero()]
-    if any(f.is_constant() for f in gens):
-        return GroebnerBasis(ring, (ring.one(),))
-    if g.is_constant():
-        return groebner_of(ring, gens)
-    if not gens:
-        return GroebnerBasis(ring, ())
-    ext = ring.extend_elim()
-    ext_gens = _embed(ring, ext, gens)
-    t = ext.var(ext.nvars - 1)
-    rab = t * g.convert(ext, list(range(ring.nvars))) - 1
-    if isinstance(F, GroebnerBasis):
-        # t-free generators of a grevlex basis stay a basis under the
-        # elimination order, so their mutual pairs can be skipped
-        eb = buchberger([rab], ring=ext, known_basis=ext_gens)
-    else:
-        eb = buchberger(ext_gens + [rab], ring=ext)
-    if eb.is_unit:
-        return GroebnerBasis(ring, (ring.one(),))
-    return _restrict_tfree(ring, ext, eb)
+    basis = F if isinstance(F, GroebnerBasis) else groebner_of(ring, F)
+    if basis.is_unit or basis.is_zero_ideal or g.is_constant():
+        return basis
+    return _saturation(basis, g)
 
 
 def saturate_seq(F: "GroebnerBasis | Sequence[Polynomial]",
@@ -493,11 +524,7 @@ def radical_member(f: Polynomial, basis: GroebnerBasis) -> bool:
         return True
     if f.is_constant():
         return False  # nonzero constant vanishes nowhere; V is nonempty here
-    ext = ring.extend_elim()
-    ext_gens = _embed(ring, ext, basis.gens)
-    t = ext.var(ext.nvars - 1)
-    rab = t * f.convert(ext, list(range(ring.nvars))) - 1
-    return buchberger([rab], ring=ext, known_basis=ext_gens).is_unit
+    return _saturation(basis, f).is_unit
 
 
 def ideal_intersect(G1: GroebnerBasis, G2: GroebnerBasis) -> GroebnerBasis:

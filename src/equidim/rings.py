@@ -60,12 +60,6 @@ class MonomialOrder:
             raise ContractViolation("block size mismatch")
         return MonomialOrder("elim", k, blk)
 
-    @staticmethod
-    def block_order(groups: Sequence[Sequence[int]]) -> "MonomialOrder":
-        """Compare grevlex group by group, most significant first."""
-        blk = tuple(tuple(g) for g in groups)
-        return MonomialOrder("blocks", len(blk), blk)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MonomialOrder)
@@ -80,8 +74,6 @@ class MonomialOrder:
     def __repr__(self) -> str:
         if self.kind == "grevlex":
             return "grevlex"
-        if self.kind == "blocks":
-            return f"block_order({self.block})"
         return f"elim_block({self.block_size}, block={self.block})"
 
 
@@ -130,13 +122,6 @@ class PolyRing:
             if not rest:
                 raise ContractViolation("elimination block must be proper")
             groups = [blk, rest]
-        elif self.order.kind == "blocks":
-            seen: list[int] = []
-            for g in self.order.block:
-                seen.extend(g)
-            if sorted(seen) != list(range(n)):
-                raise ContractViolation("block order must partition the variables")
-            groups = [tuple(g) for g in self.order.block]
         else:
             raise ContractViolation(f"unknown order kind {self.order.kind!r}")
         self._key_groups = groups
@@ -368,14 +353,18 @@ class Polynomial:
             return NotImplemented
         self._check(other)
         p = self.ring.field.p
-        acc = {ev: c for _, ev, c in self.terms}
-        for _, ev, c in other.terms:
-            v = (acc.get(ev, 0) + c) % p
+        # order keys are per monomial, so both operands' keys carry over
+        acc = {ev: (k, c) for k, ev, c in self.terms}
+        for k, ev, c in other.terms:
+            old = acc.get(ev)
+            v = (c if old is None else old[1] + c) % p
             if v:
-                acc[ev] = v
-            elif ev in acc:
+                acc[ev] = (k, v)
+            elif old is not None:
                 del acc[ev]
-        return self.ring._from_dict(acc)
+        items = [(k, ev, c) for ev, (k, c) in acc.items() if c]
+        items.sort(reverse=True)
+        return Polynomial(self.ring, tuple(items))
 
     __radd__ = __add__
 

@@ -16,14 +16,7 @@ from typing import Sequence
 
 from .gf import ContractViolation
 from .rings import PolyRing, Polynomial
-from .groebner import (
-    GroebnerBasis,
-    dimension,
-    groebner_of,
-    quotient_degree,
-    radical_member,
-    saturate_seq,
-)
+from .groebner import dimension, groebner_of, radical_member, saturate_seq
 from .cells import AffineCell, make_witness
 
 

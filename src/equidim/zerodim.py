@@ -27,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import ContractViolation
-from .rings import PolyRing, Polynomial
+from .rings import Polynomial
 from .groebner import GroebnerBasis, normal_form, standard_monomials
 
 

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import equidim
+from equidim import cli
 from equidim.cli import main
 
 
@@ -132,10 +136,29 @@ def test_classic_remove_flag(tmp_path):
     assert doc["cell_count"] == 2
 
 
+@pytest.mark.parametrize("debug", [False, True])
+def test_internal_error_exit_code_and_debug_traceback(tmp_path, monkeypatch, debug):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "equidim", boom)
+    path = tmp_path / "sys.txt"
+    path.write_text(EXAMPLE)
+    code, out, err = run_cli(["run", str(path)] + (["--debug"] if debug else []))
+    assert code == 2 and out == ""
+    assert "internal error: boom" in err
+    assert ("Traceback (most recent call last)" in err) == debug
+    assert ("RuntimeError: boom" in err) == debug
+
+
 def test_console_script_entry_point():
+    # the package need not be installed: point the child at the imported copy
+    src = str(Path(equidim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "equidim.cli", "gen-ps", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("vars ")

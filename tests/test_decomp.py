@@ -5,6 +5,7 @@ import pytest
 
 from equidim import (
     AffineCell,
+    ContractViolation,
     DecompConfig,
     DecompTrace,
     GCache,
@@ -21,8 +22,10 @@ from equidim import (
     remove,
     remove_prime,
     saturate_seq,
+    parse_system,
     split,
 )
+from equidim import groebner
 from equidim.cells import make_witness
 
 
@@ -261,6 +264,44 @@ def test_equidim_deterministic(R4):
     assert cells_signature(a.cells) == cells_signature(b.cells)
     assert a.annotations == b.annotations
     assert [c.witness_forms for c in a.cells] == [c.witness_forms for c in b.cells]
+
+
+def _count_buchberger(monkeypatch):
+    calls = []
+    original = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["gb", "witness"])
+def test_equidim_memo_lives_for_one_call(R4, monkeypatch, backend):
+    x, y, z, w = R4.gens()
+    F = [x * y + z, z * w - x, x * z + y * w]
+    calls = _count_buchberger(monkeypatch)
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        equidim(F, R4, DecompConfig(backend=backend, seed=5))
+        counts.append(len(calls) - before)
+    assert counts[0] > 0 and counts[0] == counts[1]
+    assert groebner._MEMO.get() is None
+
+
+def test_equidim_drops_memo_when_it_raises():
+    # a tiny-field case where the witness backend raises
+    system = parse_system(
+        "vars x0, x1, x2\nchar 5\n"
+        "x0^2 + x1^2 + 2*x0*x2 + x1*x2 + x2^2 + 4*x0 + 2*x1 + 3*x2 + 3\n"
+    )
+    ring = system.ring()
+    with pytest.raises(ContractViolation):
+        equidim(system.polynomials(ring), ring, DecompConfig(seed=117))
+    assert groebner._MEMO.get() is None
 
 
 def test_equidim_classic_remove_agrees(R4):

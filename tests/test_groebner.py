@@ -20,7 +20,14 @@ from equidim import (
     saturate_seq,
     standard_monomials,
 )
-from equidim.groebner import _spoly_terms, _dict_to_poly, _reduce_terms, extend_basis
+from equidim.groebner import (
+    _dict_to_poly,
+    _interreduce,
+    _reduce_terms,
+    _spoly_terms,
+    extend_basis,
+    memo_scope,
+)
 
 from conftest import random_poly
 
@@ -182,6 +189,21 @@ def test_saturate_seq_factors(ring_xyz):
     assert saturate_seq(groebner_of(ring_xyz, F), [x, y]) == saturate(F, x * y)
 
 
+def test_saturate_output_needs_no_interreduction(ring_xyz, rng):
+    """The t-free part of the reduced elimination basis is already reduced."""
+    proper = 0
+    for _ in range(20):
+        F = [random_poly(ring_xyz, rng) for _ in range(rng.randrange(1, 3))]
+        g = random_poly(ring_xyz, rng)
+        if g.is_zero():
+            continue
+        for source in (F, groebner_of(ring_xyz, F)):
+            sat = saturate(source, g)
+            assert sat.gens == _interreduce(ring_xyz, list(sat.gens))
+            proper += len(sat.gens) > 1
+    assert proper
+
+
 # -- membership -------------------------------------------------------------------
 
 def test_ideal_member_examples(ring_xy):
@@ -206,6 +228,23 @@ def test_ideal_member_implies_radical_member(ring_xyz, rng):
         f = random_poly(ring_xyz, rng)
         if ideal_member(f, G):
             assert radical_member(f, G)
+
+
+def test_memo_scope_keeps_saturate_and_radical_member(ring_xyz, rng):
+    cases = []
+    for _ in range(20):
+        G = groebner_of(ring_xyz, [random_poly(ring_xyz, rng) for _ in range(2)])
+        f = random_poly(ring_xyz, rng)
+        if not (G.is_unit or f.is_zero()):
+            cases.append((G, f))
+    outside = [(saturate(G, f), radical_member(f, G)) for G, f in cases]
+    assert any(not sat.is_unit for sat, _ in outside)
+    with memo_scope():
+        # the elimination is shared, so ask in both orders; the second
+        # round is answered from the memo
+        first = [(radical_member(f, G), saturate(G, f)) for G, f in cases]
+        assert [(sat, rm) for rm, sat in first] == outside
+        assert [(saturate(G, f), radical_member(f, G)) for G, f in cases] == outside
 
 
 # -- intersection ------------------------------------------------------------------

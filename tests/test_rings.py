@@ -73,10 +73,8 @@ def test_elim_block_eliminates(gf5):
 def test_order_repr_names_each_kind():
     assert repr(MonomialOrder.grevlex()) == "grevlex"
     assert repr(MonomialOrder.elim_block(1, block=(2,))) == "elim_block(1, block=(2,))"
-    blocks = MonomialOrder.block_order([(2,), (0, 1)])
-    assert repr(blocks) == "block_order(((2,), (0, 1)))"
-    ring = PolyRing(PrimeField(5), ("x", "y", "t"), blocks)
-    assert repr(ring) == "GF(5)[x, y, t; block_order(((2,), (0, 1)))]"
+    ring = PolyRing(PrimeField(5), ("x", "y", "t"), MonomialOrder.elim_block(1, block=(2,)))
+    assert repr(ring) == "GF(5)[x, y, t; elim_block(1, block=(2,))]"
 
 
 def test_mono_cmp_length_mismatch(ring_xy):
