@@ -4,15 +4,15 @@ Subcommands::
 
     equidim run SYSTEM.txt [--backend witness|gb] [--order degree|support|asis]
                            [--seed N] [--char P] [--verify none|fast|full]
-                           [--classic-remove] [--debug]
+                           [--classic-remove]
     equidim gen-ps N [--seed N] [--char P]
     equidim gen-sos S N [--seed N] [--char P]
 
 ``run`` emits a single JSON document on stdout with the input echo, the
 configuration, every cell (basis generators, inequation factors,
 dimension, degree) and the optional verification report.  Exit codes:
-0 success, 1 input error, 2 internal error; ``--debug`` adds the
-traceback of an internal error to stderr.
+0 success, 1 input error, 2 internal error; an internal error also
+prints its traceback to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .systems import SystemFile, gen_ps, gen_sos, parse_system
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="equidim",
                                  description="equidimensional decomposition over GF(p)")
-    ap.set_defaults(debug=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="decompose a polynomial system file")
@@ -46,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verify", choices=("none", "fast", "full"), default="none")
     run.add_argument("--classic-remove", action="store_true",
                      help="use the plain remove recursion instead of remove'")
-    run.add_argument("--debug", action="store_true",
-                     help="print the traceback of an internal error")
 
     ps = sub.add_parser("gen-ps", help="emit a pseudo-singularity system")
     ps.add_argument("n", type=int)
@@ -147,8 +144,7 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        if args.debug:
-            traceback.print_exc()
+        traceback.print_exc()
         return 2
 
 

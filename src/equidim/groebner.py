@@ -149,12 +149,6 @@ def _reduce_terms(ring: PolyRing, terms, reducers) -> dict[int, tuple[int, int]]
     return out
 
 
-def _dict_to_poly(ring: PolyRing, d: dict[int, tuple[int, int]]) -> Polynomial:
-    items = [(k, ev, c) for ev, (k, c) in d.items() if c]
-    items.sort(reverse=True)
-    return Polynomial(ring, tuple(items))
-
-
 def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") -> Polynomial:
     """Remainder of f modulo the basis; unique for a reduced basis."""
     if isinstance(basis, GroebnerBasis):
@@ -167,7 +161,7 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") ->
         reducers = _prep_reducers([g.monic() for g in basis if not g.is_zero()])
     if f.is_zero() or not reducers:
         return f
-    return _dict_to_poly(ring, _reduce_terms(ring, f.terms, reducers))
+    return ring._from_keyed(_reduce_terms(ring, f.terms, reducers))
 
 
 def _spoly_terms(ring: PolyRing, f: Polynomial, g: Polynomial, lcm_ev: int):
@@ -257,7 +251,7 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
     reducers: list = []
 
     def full_reduce(stream) -> Polynomial:
-        return _dict_to_poly(ring, _reduce_terms(ring, stream, reducers))
+        return ring._from_keyed(_reduce_terms(ring, stream, reducers))
 
     def add_reducer(g: Polynomial):
         k, ev, _ = g.terms[0]
@@ -384,7 +378,7 @@ def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ..
     reduced = []
     for i, g in enumerate(minimal):
         others = _prep_reducers([h for j, h in enumerate(minimal) if j != i])
-        r = _dict_to_poly(ring, _reduce_terms(ring, g.terms, others))
+        r = ring._from_keyed(_reduce_terms(ring, g.terms, others))
         reduced.append(r.monic())
     reduced.sort(key=lambda f: f.terms[0][0], reverse=True)
     return tuple(reduced)

@@ -225,6 +225,12 @@ class PolyRing:
         items.sort(reverse=True)
         return Polynomial(self, tuple(items))
 
+    def _from_keyed(self, acc: dict[int, tuple[int, int]]) -> "Polynomial":
+        """Build from evec -> (key, coeff) with keys already computed."""
+        items = [(k, ev, c) for ev, (k, c) in acc.items() if c]
+        items.sort(reverse=True)
+        return Polynomial(self, tuple(items))
+
     def linear_form(self, coeffs: Sequence[int], const: int = 0) -> "Polynomial":
         """c_1*x_1 + ... + c_n*x_n + const."""
         if len(coeffs) != self.nvars:
@@ -362,9 +368,7 @@ class Polynomial:
                 acc[ev] = (k, v)
             elif old is not None:
                 del acc[ev]
-        items = [(k, ev, c) for ev, (k, c) in acc.items() if c]
-        items.sort(reverse=True)
-        return Polynomial(self.ring, tuple(items))
+        return self.ring._from_keyed(acc)
 
     __radd__ = __add__
 

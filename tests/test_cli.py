@@ -136,19 +136,18 @@ def test_classic_remove_flag(tmp_path):
     assert doc["cell_count"] == 2
 
 
-@pytest.mark.parametrize("debug", [False, True])
-def test_internal_error_exit_code_and_debug_traceback(tmp_path, monkeypatch, debug):
+def test_internal_error_exit_code_and_traceback(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "equidim", boom)
     path = tmp_path / "sys.txt"
     path.write_text(EXAMPLE)
-    code, out, err = run_cli(["run", str(path)] + (["--debug"] if debug else []))
+    code, out, err = run_cli(["run", str(path)])
     assert code == 2 and out == ""
     assert "internal error: boom" in err
-    assert ("Traceback (most recent call last)" in err) == debug
-    assert ("RuntimeError: boom" in err) == debug
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: boom" in err
 
 
 def test_console_script_entry_point():

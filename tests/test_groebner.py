@@ -21,7 +21,6 @@ from equidim import (
     standard_monomials,
 )
 from equidim.groebner import (
-    _dict_to_poly,
     _interreduce,
     _reduce_terms,
     _spoly_terms,
@@ -46,7 +45,7 @@ def _is_reduced_gb(gb):
                 assert not ring.divides(h.terms[0][1], g.terms[0][1])
     for f, g in itertools.combinations(gens, 2):
         lcm = ring.lcm_evec(f.terms[0][1], g.terms[0][1])
-        s = _dict_to_poly(ring, _reduce_terms(ring, _spoly_terms(ring, f, g, lcm), gb.reducers()))
+        s = ring._from_keyed(_reduce_terms(ring, _spoly_terms(ring, f, g, lcm), gb.reducers()))
         assert s.is_zero()
     return True
 
