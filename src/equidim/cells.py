@@ -10,7 +10,8 @@ form G, and one of two backends:
   kept for the witness ideal I(X meet L), where L is a random affine
   subspace of complementary dimension d.  Radical membership and
   properness queries run against the witness, so positive-dimensional
-  Groebner bases are only computed when a basis is explicitly forced.
+  Groebner bases are only computed when a basis is explicitly forced;
+  that basis comes from the cell's own F and G, as sat(<F>, g1*...*gr).
 
 Saturation by the inequation is always applied factor by factor, which
 keeps the degrees of the polynomials involved low.  Nonzero constant
@@ -182,21 +183,13 @@ def make_witness(
     if d < 0:
         raise ContractViolation("witness dimension must be nonnegative")
     forms = tuple(random_affine_forms(ring, d, rng))
-    basis = _slice_basis(ring, F, forms)
-    for g in G:
-        if basis.is_unit:
-            break
-        if g.is_constant():
-            continue
-        basis = _sat0(basis, g)
-    return basis, forms
+    return _sat_chain(_slice_basis(ring, F, forms), G), forms
 
 
 class AffineCell:
     """Immutable locally closed set with a gb or witness backend."""
 
-    __slots__ = ("ring", "backend", "F", "G", "W", "d", "witness_forms", "_basis", "_empty",
-                 "_parent", "_delta")
+    __slots__ = ("ring", "backend", "F", "G", "W", "d", "witness_forms", "_basis", "_empty")
 
     def __init__(
         self,
@@ -216,8 +209,6 @@ class AffineCell:
         self.backend = backend
         self.G = tuple(G)
         self._basis = None
-        self._parent = None
-        self._delta = None
         if backend == GB_BACKEND:
             assert isinstance(F, GroebnerBasis)
             self.F = F
@@ -253,45 +244,15 @@ class AffineCell:
         return self._empty
 
     def basis(self) -> GroebnerBasis:
-        """Reduced basis of the distinguished ideal I(X).
+        """Reduced basis of the distinguished ideal I(X) = sat(<F>, g1*...*gr).
 
-        The gb backend stores it; the witness backend derives it on
-        first use from the nearest ancestor whose ideal is known,
-        replaying the operations since then, and memoizes the result.
-        Runs of consecutive intersections collapse into a single basis
-        computation: incremental one-equation-at-a-time bases are far
-        more expensive than a single combined run.
+        The gb backend stores it.  The witness backend computes it on
+        first use as the basis of <F>, saturated factor by factor by G,
+        and keeps it on the cell.
         """
         if self._basis is None:
-            chain: list[AffineCell] = []
-            node = self
-            while node._basis is None and node._parent is not None:
-                chain.append(node)
-                node = node._parent
-            if node._basis is None:
-                node._basis = _sat_chain(
-                    groebner_of(self.ring, [f for f in node.F if not f.is_zero()]),
-                    node.G,
-                )
-            base = node._basis
-            i = len(chain) - 1
-            while i >= 0:
-                kind, data = chain[i]._delta
-                if kind == "subtract":
-                    if not (base.is_unit or data.is_constant()):
-                        base = _sat0(base, data)
-                    chain[i]._basis = base
-                    i -= 1
-                else:
-                    added: list[Polynomial] = []
-                    j = i
-                    while j >= 0 and chain[j]._delta[0] == "add":
-                        added.extend(chain[j]._delta[1])
-                        j -= 1
-                    base = _sat_chain(_extend0(base, added), chain[j + 1].G)
-                    chain[j + 1]._basis = base
-                    i = j
-            self._basis = base
+            F = [f for f in self.F if not f.is_zero()]
+            self._basis = _sat_chain(groebner_of(self.ring, F), self.G)
         return self._basis
 
     def rad_member(self, f: Polynomial) -> bool:
@@ -345,10 +306,7 @@ class AffineCell:
                 raise ContractViolation("cannot properly intersect a zero-dimensional cell")
             F2 = self.F + (f,)
             W2, forms = make_witness(self.ring, F2, self.G, self.d - 1, rng)
-            cell = AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d - 1, forms)
-            cell._parent = self
-            cell._delta = ("add", (f,))
-            return cell
+            return AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d - 1, forms)
         F2 = _sat_chain(extend_basis(self.F, [f]), self.G)
         return AffineCell(self.ring, GB_BACKEND, F2, self.G)
 
@@ -360,10 +318,7 @@ class AffineCell:
         if self.backend == WITNESS_BACKEND:
             F2 = self.F + tuple(H)
             W2 = _extend0(self.W, H)
-            cell = AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d, self.witness_forms)
-            cell._parent = self
-            cell._delta = ("add", tuple(H))
-            return cell
+            return AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d, self.witness_forms)
         F2 = _sat_chain(extend_basis(self.F, H), self.G)
         return AffineCell(self.ring, GB_BACKEND, F2, self.G)
 
@@ -375,19 +330,13 @@ class AffineCell:
         if f.is_constant():
             # no points removed; keep the factor for provenance
             if self.backend == WITNESS_BACKEND:
-                cell = AffineCell(self.ring, WITNESS_BACKEND, self.F, G2, self.W,
+                return AffineCell(self.ring, WITNESS_BACKEND, self.F, G2, self.W,
                                   self.d, self.witness_forms)
-                cell._parent = self
-                cell._delta = ("subtract", f)
-                return cell
             return AffineCell(self.ring, GB_BACKEND, self.F, G2)
         if self.backend == WITNESS_BACKEND:
             W2 = _sat0(self.W, f)
-            cell = AffineCell(self.ring, WITNESS_BACKEND, self.F, G2, W2,
+            return AffineCell(self.ring, WITNESS_BACKEND, self.F, G2, W2,
                               self.d, self.witness_forms)
-            cell._parent = self
-            cell._delta = ("subtract", f)
-            return cell
         F2 = saturate(self.F, f) if not self.F.is_zero_ideal else self.F
         return AffineCell(self.ring, GB_BACKEND, F2, G2)
 

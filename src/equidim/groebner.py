@@ -433,9 +433,9 @@ def ideal_member(f: Polynomial, basis: GroebnerBasis) -> bool:
     return normal_form(f, basis).is_zero()
 
 
-def _embed(ring: PolyRing, ext: PolyRing, polys: Iterable[Polynomial]) -> list[Polynomial]:
-    vmap = list(range(ring.nvars))
-    return [f.convert(ext, vmap) for f in polys]
+def _embed(ext: PolyRing, polys: Iterable[Polynomial]) -> list[Polynomial]:
+    # a t-free term keeps its packed exponents and its key in ext
+    return [Polynomial(ext, f.terms) for f in polys]
 
 
 def _restrict_tfree(ring: PolyRing, ext: PolyRing, basis: GroebnerBasis) -> GroebnerBasis:
@@ -448,7 +448,7 @@ def _restrict_tfree(ring: PolyRing, ext: PolyRing, basis: GroebnerBasis) -> Groe
     # elimination ideal, already in descending order
     for g in basis.gens:
         if (g.terms[0][1] >> (tslot * w)) == 0:
-            kept.append(g.convert(ring, list(range(ring.nvars)) + [0]))
+            kept.append(Polynomial(ring, g.terms))
     return GroebnerBasis(ring, tuple(kept))
 
 
@@ -458,9 +458,9 @@ def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
 
     def compute() -> GroebnerBasis:
         ext = ring.extend_elim()
-        ext_gens = _embed(ring, ext, basis.gens)
+        ext_gens = _embed(ext, basis.gens)
         t = ext.var(ext.nvars - 1)
-        rab = t * g.convert(ext, list(range(ring.nvars))) - 1
+        rab = t * Polynomial(ext, g.terms) - 1
         # t-free generators of a grevlex basis stay a basis under the
         # elimination order, so their mutual pairs can be skipped
         eb = buchberger([rab], ring=ext, known_basis=ext_gens)
@@ -535,8 +535,8 @@ def ideal_intersect(G1: GroebnerBasis, G2: GroebnerBasis) -> GroebnerBasis:
     ext = ring.extend_elim()
     t = ext.var(ext.nvars - 1)
     one_minus_t = ext.one() - t
-    ext_gens = [t * g for g in _embed(ring, ext, G1.gens)]
-    ext_gens += [one_minus_t * g for g in _embed(ring, ext, G2.gens)]
+    ext_gens = [t * g for g in _embed(ext, G1.gens)]
+    ext_gens += [one_minus_t * g for g in _embed(ext, G2.gens)]
     eb = buchberger(ext_gens, ring=ext)
     return _restrict_tfree(ring, ext, eb)
 

@@ -254,7 +254,13 @@ class PolyRing:
         The returned ring carries the block elimination order whose
         leading block is the new variable, with ties broken by grevlex
         on the original variables; user variables keep their slots.
+        Only a grevlex ring may be extended: then the order restricted
+        to monomials free of the new variable is this ring's own order,
+        and such a monomial has the same packed exponents and key in
+        both rings.
         """
+        if self.order.kind != "grevlex":
+            raise ContractViolation("elimination extension needs a grevlex ring")
         name = tname
         while name in self.names:
             name += "_"

@@ -317,3 +317,22 @@ def test_ideal_growth_under_subtract(R2):
     Y = X.subtract(x)
     for f in X.basis():
         assert Y.basis().contains(f)
+
+
+def test_witness_leaf_basis_matches_gb_after_a_chain(R3):
+    # the same chain of operations on both backends; only the leaf's
+    # basis is ever requested
+    x, y, z = R3.gens()
+    F, G = [x * y * (z - 1)], []
+    leaves = []
+    for X in (gb_cell(R3, F, G), wit_cell(R3, F, G, 2, random.Random(41))):
+        X = X.intersect_components([x * (z - 1)])  # the planes x = 0 and z = 1
+        X = X.subtract(x)
+        X = X.subtract(R3.const(3))
+        X = X.intersect_proper(x * (y - 1), random.Random(43))
+        leaves.append(X)
+    gb_leaf, wit_leaf = leaves
+    assert wit_leaf.backend == "witness" and wit_leaf.d == 1
+    assert wit_leaf.G == gb_leaf.G == (x, R3.const(3))
+    assert wit_leaf.basis() == gb_leaf.basis()
+    assert wit_leaf.basis() == groebner_of(R3, [y - 1, z - 1])

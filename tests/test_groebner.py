@@ -6,6 +6,7 @@ import pytest
 from equidim import (
     ContractViolation,
     GroebnerBasis,
+    MonomialOrder,
     PolyRing,
     PrimeField,
     buchberger,
@@ -146,6 +147,16 @@ def test_saturate_by_zero_rejected(ring_xy):
     x, _ = ring_xy.gens()
     with pytest.raises(ContractViolation):
         saturate([x], ring_xy.zero())
+
+
+def test_saturate_over_elimination_order_rejected():
+    # the elimination seeds its basis assuming grevlex on the source
+    # ring; over another order the output would not be a basis
+    R = PolyRing(PrimeField(101), ("x", "y", "z"), MonomialOrder.elim_block(1))
+    x, y, z = R.gens()
+    basis = buchberger([x**2 + y * z + 3, x * y - z**2 + 1], ring=R)
+    with pytest.raises(ContractViolation):
+        saturate(basis, x + y + 1)
 
 
 def test_saturation_soundness(ring_xyz, rng):

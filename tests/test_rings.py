@@ -77,6 +77,19 @@ def test_order_repr_names_each_kind():
     assert repr(ring) == "GF(5)[x, y, t; elim_block(1, block=(2,))]"
 
 
+def test_extend_elim_keeps_tfree_terms(rng):
+    # elimination code moves polynomials between the two rings by their
+    # terms alone, which is valid only because of this
+    ring = PolyRing(PrimeField(65521), ("x", "y", "z"))
+    ext = ring.extend_elim()
+    for _ in range(200):
+        f = random_poly(ring, rng, terms=6, max_deg=5)
+        assert f.convert(ext).terms == f.terms
+        assert f.convert(ext).convert(ring, [0, 1, 2, 0]).terms == f.terms
+    with pytest.raises(ContractViolation):
+        ext.extend_elim()
+
+
 def test_mono_cmp_length_mismatch(ring_xy):
     with pytest.raises(ContractViolation):
         mono_cmp(ring_xy, (1,), (1, 0))
