@@ -1,11 +1,22 @@
-"""Buchberger engine and ideal-theoretic toolkit.
+"""Groebner engines and ideal-theoretic toolkit.
 
-Reduced Groebner bases via Buchberger's algorithm with Gebauer-Moeller
-pair elimination and normal selection (smallest lcm degree first).
-On top of the engine: normal forms, ideal membership, saturation by a
-polynomial (elimination with an auxiliary variable ranked first),
-radical membership (Rabinowitsch), ideal intersection, combinatorial
-Krull dimension and zero-dimensional degree.
+Reduced Groebner bases come from one of two routes:
+
+* ``buchberger`` computes a basis from scratch: Buchberger's algorithm
+  with Gebauer-Moeller pair elimination and normal selection (smallest
+  lcm degree first).  ``groebner_of`` and ``ideal_intersect`` use it.
+* ``_sig_step`` extends a known reduced basis P by one polynomial f
+  with signature criteria (F5C, Eder-Perry 2010; the rewrite criterion
+  of Eder-Roune 2013).  ``extend_basis`` and the Rabinowitsch
+  elimination behind ``saturate`` and ``radical_member`` use it; the
+  Koszul criterion discards every pair whose signature lies in LM(P),
+  which for t*g - 1 (a nonzerodivisor modulo <P>) is every syzygy.
+
+Both reduce with the one heap kernel ``_reduce_terms``.  On top of them:
+normal forms, ideal membership, saturation by a polynomial (elimination
+with an auxiliary variable ranked first), radical membership
+(Rabinowitsch), ideal intersection, combinatorial Krull dimension and
+zero-dimensional degree.
 
 Unit ideals short-circuit everywhere: as soon as a nonzero constant is
 produced the basis {1} is returned, since empty cells arise constantly
@@ -20,6 +31,7 @@ because a reduced basis is unique for its ideal and order.
 
 from __future__ import annotations
 
+from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
 from heapq import heappush, heappop
@@ -96,12 +108,19 @@ def _prep_reducers(gens: Sequence[Polynomial]):
     return reds
 
 
-def _reduce_terms(ring: PolyRing, terms, reducers) -> dict[int, tuple[int, int]]:
+def _reduce_terms(ring: PolyRing, terms, reducers,
+                  bound: int | None = None) -> dict[int, tuple[int, int]]:
     """Fully reduce a term stream; returns {evec: (key, coeff)} remainder.
 
     Heap-driven: monomials are processed in strictly decreasing order,
     so once a monomial is popped no further contributions to it can
     appear and it can be finalized or rewritten on the spot.
+
+    With a signature ``bound`` (a key), each reducer carries its
+    signature key as a fourth entry and may rewrite a term of key k
+    only when (k / lead) * signature < bound, i.e. when
+    ``k - lead_key + sig_key < bound``: the regular reduction of
+    signature-based algorithms.
     """
     p = ring.field.p
     guard = ring._evec_guard
@@ -130,7 +149,8 @@ def _reduce_terms(ring: PolyRing, terms, reducers) -> dict[int, tuple[int, int]]
             if red[0] > k:
                 break
             d = ev - red[1]
-            if d >= 0 and not (d & guard):
+            if d >= 0 and not (d & guard) and (
+                    bound is None or k - red[0] + red[3] < bound):
                 hit = red
                 break
         if hit is None:
@@ -205,16 +225,17 @@ def _min_hitting_set(supports: list[frozenset[int]]) -> int:
 
 
 def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
-               ring: PolyRing | None = None,
-               known_basis: Sequence[Polynomial] = ()) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``polys``.
+               ring: PolyRing | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``polys``, from scratch.
 
     The unit ideal is returned as the single generator {1}.  An empty
     input (or all zeros) yields the zero ideal with no generators.
 
-    ``known_basis`` seeds the computation with generators already known
-    to form a Groebner basis under the target order: their mutual
-    S-polynomials reduce to zero by assumption and are never enqueued.
+    This is the route for bases with no known part; ``extend_basis``
+    adds generators to a basis already known.  Building a basis from
+    scratch by adding the inputs one at a time to the zero ideal with
+    ``_sig_step`` is far slower, because the intermediate ideals can be
+    much harder than the final one.
     """
     polys = [f for f in polys if f is not None]
     if ring is None:
@@ -224,17 +245,15 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
         polys = [f.convert(ring) for f in polys]
-        known_basis = [f.convert(ring) for f in known_basis]
     for f in polys:
         if f.ring != ring:
             raise ContractViolation("all inputs must share one ring")
 
-    seed = [f for f in known_basis if not f.is_zero()]
     inputs = [f for f in polys if not f.is_zero()]
-    for f in seed + inputs:
+    for f in inputs:
         if f.is_constant():
             return GroebnerBasis(ring, (ring.one(),))
-    if not inputs and not seed:
+    if not inputs:
         return GroebnerBasis(ring, ())
 
     lcm_evec = ring.lcm_evec
@@ -291,47 +310,42 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
                 replace_reducer(g, newg)
                 gens[idx] = newg
 
-    def update(h: Polynomial, with_pairs: bool = True):
+    def update(h: Polynomial):
         """Gebauer-Moeller pair update with the new generator h."""
         nonlocal pairs
         t = len(gens)
         he = h.terms[0][1]
         hx = unpack(he)
-        if with_pairs:
-            cand = []
-            for i in range(t):
-                le = pack(tuple(map(max, lm_x[i], hx)))
-                cand.append((keyfn(le), i, le))
-            cand.sort()
-            kept: list[tuple[int, int, int]] = []
-            for lk, i, le in cand:
-                if any(divides(le2, le) for _, _, le2 in kept):
+        cand = []
+        for i in range(t):
+            le = pack(tuple(map(max, lm_x[i], hx)))
+            cand.append((keyfn(le), i, le))
+        cand.sort()
+        kept: list[tuple[int, int, int]] = []
+        for lk, i, le in cand:
+            if any(divides(le2, le) for _, _, le2 in kept):
+                continue
+            kept.append((lk, i, le))
+        # prune old pairs made redundant by h
+        newpairs = []
+        for entry in pairs:
+            _, i, j, le = entry
+            if divides(he, le):
+                if (pack(tuple(map(max, lm_x[i], hx))) != le
+                        and pack(tuple(map(max, lm_x[j], hx))) != le):
                     continue
-                kept.append((lk, i, le))
-            # prune old pairs made redundant by h
-            newpairs = []
-            for entry in pairs:
-                _, i, j, le = entry
-                if divides(he, le):
-                    if (pack(tuple(map(max, lm_x[i], hx))) != le
-                            and pack(tuple(map(max, lm_x[j], hx))) != le):
-                        continue
-                newpairs.append(entry)
-            # drop coprime pairs (product criterion) after they served in pruning
-            for lk, i, le in kept:
-                if le != lm_e[i] + he:
-                    newpairs.append((lk, i, t, le))
-            newpairs.sort()
-            pairs = newpairs
-        if with_pairs:
-            retro_reduce(he)
+            newpairs.append(entry)
+        # drop coprime pairs (product criterion) after they served in pruning
+        for lk, i, le in kept:
+            if le != lm_e[i] + he:
+                newpairs.append((lk, i, t, le))
+        newpairs.sort()
+        pairs = newpairs
+        retro_reduce(he)
         gens.append(h)
         lm_e.append(he)
         lm_x.append(hx)
         add_reducer(h)
-
-    for f in sorted(seed, key=lambda f: f.terms[0][0]):
-        update(f.monic(), with_pairs=False)
 
     # seed with the reduced inputs, smallest leading terms first
     inputs.sort(key=lambda f: f.terms[0][0])
@@ -375,13 +389,103 @@ def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ..
         keep.append(i)
         kept_lms.append(lm)
     minimal = [gens[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = _prep_reducers([h for j, h in enumerate(minimal) if j != i])
-        r = ring._from_keyed(_reduce_terms(ring, g.terms, others))
-        reduced.append(r.monic())
+    reducers = _prep_reducers(minimal)
+    # every term of a tail stays below its own lead, so g never reduces
+    # itself and one reducer list serves all generators
+    reduced = [
+        Polynomial(ring, g.terms[:1]
+                   + ring._from_keyed(_reduce_terms(ring, g.terms[1:], reducers)).terms)
+        for g in minimal
+    ]
     reduced.sort(key=lambda f: f.terms[0][0], reverse=True)
     return tuple(reduced)
+
+
+def _sig_step(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
+    """Reduced basis of <basis> + <f>: one signature-based (F5C) step.
+
+    Every new element carries a monomial signature s, standing for
+    s * e_f; f, reduced by the basis P and made monic, has signature 1.
+    Pair signatures are processed once each, in increasing order.  A
+    signature divisible by a lead of P (Koszul) or by a recorded
+    syzygy is skipped; otherwise the latest-added element whose
+    signature divides it (rewrite criterion) is multiplied up to that
+    signature and regular-reduced: elements of P always reduce, a new
+    element only when its multiplied signature is strictly smaller.
+    """
+    ring = basis.ring
+    unit = GroebnerBasis(ring, (ring.one(),))
+    p_reds = basis.reducers()
+    r = ring._from_keyed(_reduce_terms(ring, f.terms, p_reds))
+    if r.is_zero():
+        return basis
+    if r.is_constant():
+        return unit
+
+    divides = ring.divides
+    unpack = ring.unpack_evec
+    pack = ring.pack_evec
+    keyfn = ring.key_of_evec
+    p_leads = basis.lead_evecs()
+    p_x = [unpack(e) for e in p_leads]
+    # below k - lead_key + sig for every key k: keys have nvars fields
+    floor = -(1 << (ring.nvars * ring.width))
+    reducers = [red + (floor,) for red in p_reds]
+    sigs: list[tuple[int, int]] = []  # (key, evec) of each new element
+    elems: list[Polynomial] = []
+    elem_x: list[tuple[int, ...]] = []
+    syz: list[int] = []
+    heap: list[tuple[int, int]] = []
+
+    def add(sk: int, se: int, h: Polynomial):
+        lk, le, _ = h.terms[0]
+        lx = unpack(le)
+        for px, pe in zip(p_x, p_leads):
+            lam = pack(tuple(map(max, lx, px)))
+            if lam != le + pe:  # coprime pairs lie in LM(P)
+                heappush(heap, (sk + keyfn(lam) - lk, se + lam - le))
+        for (s2k, s2e), h2, x2 in zip(sigs, elems, elem_x):
+            lam = pack(tuple(map(max, lx, x2)))
+            lamk = keyfn(lam)
+            k2, e2, _ = h2.terms[0]
+            a = sk + lamk - lk
+            b = s2k + lamk - k2
+            if a > b:
+                heappush(heap, (a, se + lam - le))
+            elif b > a:
+                heappush(heap, (b, s2e + lam - e2))
+        sigs.append((sk, se))
+        elems.append(h)
+        elem_x.append(lx)
+        insort(reducers, (lk, le, h.terms[1:], sk), key=lambda red: red[0])
+
+    add(0, 0, r.monic())
+    last = None
+    while heap:
+        sk, se = heappop(heap)
+        if sk == last:
+            continue
+        last = sk
+        if any(divides(e, se) for e in p_leads) or any(divides(z, se) for z in syz):
+            continue
+        i = len(sigs) - 1
+        while not divides(sigs[i][1], se):
+            i -= 1
+        dk = sk - sigs[i][0]
+        de = se - sigs[i][1]
+        stream = [(k + dk, ev + de, c) for k, ev, c in elems[i].terms]
+        h = ring._from_keyed(_reduce_terms(ring, stream, reducers, sk))
+        if h.is_zero():
+            syz.append(se)
+            continue
+        if h.is_constant():
+            return unit
+        hk, he, _ = h.terms[0]
+        if any(divides(h2.terms[0][1], he) and hk - h2.terms[0][0] + s2k == sk
+               for (s2k, _), h2 in zip(sigs, elems)):
+            continue  # singular: a multiple of an element with signature sk
+        add(sk, se, h.monic())
+    return GroebnerBasis(ring, _interreduce(ring, list(basis.gens) + elems))
 
 
 _MEMO: ContextVar[dict | None] = ContextVar("equidim_groebner_memo", default=None)
@@ -416,14 +520,24 @@ def groebner_of(ring: PolyRing, polys: Iterable[Polynomial]) -> GroebnerBasis:
 
 
 def extend_basis(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis:
-    """Reduced basis of <basis> + <extra>, reusing the known basis."""
+    """Reduced basis of <basis> + <extra>, reusing the known basis.
+
+    One ``_sig_step`` per extra, smallest leading term first, each on
+    the reduced basis the previous step returned.
+    """
     extra = tuple(f for f in extra if not f.is_zero())
-    if not extra:
+    if any(f.ring != basis.ring for f in extra):
+        raise ContractViolation("polynomial and basis from different rings")
+    if not extra or basis.is_unit:
         return basis
-    if basis.is_unit:
-        return basis
-    return _memoized(("extend", basis, extra),
-                     lambda: buchberger(extra, ring=basis.ring, known_basis=basis.gens))
+
+    def compute() -> GroebnerBasis:
+        out = basis
+        for f in sorted(extra, key=lambda f: f.terms[0][0]):
+            out = _sig_step(out, f)
+        return out
+
+    return _memoized(("extend", basis, extra), compute)
 
 
 def ideal_member(f: Polynomial, basis: GroebnerBasis) -> bool:
@@ -458,12 +572,12 @@ def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
 
     def compute() -> GroebnerBasis:
         ext = ring.extend_elim()
-        ext_gens = _embed(ext, basis.gens)
+        # t-free generators of a grevlex basis stay a reduced basis
+        # under the elimination order
+        ext_basis = GroebnerBasis(ext, tuple(_embed(ext, basis.gens)))
         t = ext.var(ext.nvars - 1)
         rab = t * Polynomial(ext, g.terms) - 1
-        # t-free generators of a grevlex basis stay a basis under the
-        # elimination order, so their mutual pairs can be skipped
-        eb = buchberger([rab], ring=ext, known_basis=ext_gens)
+        eb = _sig_step(ext_basis, rab)
         if eb.is_unit:
             return GroebnerBasis(ring, (ring.one(),))
         return _restrict_tfree(ring, ext, eb)

@@ -21,9 +21,12 @@ from equidim import (
     saturate_seq,
     standard_monomials,
 )
+from equidim import groebner
 from equidim.groebner import (
+    _embed,
     _interreduce,
     _reduce_terms,
+    _restrict_tfree,
     _spoly_terms,
     extend_basis,
     memo_scope,
@@ -132,6 +135,110 @@ def test_extend_basis_agrees_with_full_run(ring_xyz, rng):
         fast = extend_basis(base, [extra])
         slow = groebner_of(ring_xyz, list(base.gens) + [extra])
         assert fast == slow
+
+
+def _count_regular_reductions(monkeypatch):
+    """Count the signature-bounded reductions and those that give zero.
+
+    Also keeps the reducer list of every extension step (the step grows
+    one list in place) under the key "steps".
+    """
+    counts = {"regular": 0, "zero": 0, "steps": {}}
+    original = groebner._reduce_terms
+
+    def counting(ring, terms, reducers, bound=None):
+        out = original(ring, terms, reducers, bound)
+        if bound is not None:
+            counts["regular"] += 1
+            counts["zero"] += not out
+            counts["steps"][id(reducers)] = (ring, reducers)
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce_terms", counting)
+    return counts
+
+
+def _assert_no_singular_element(ring, reducers):
+    """No new element is a multiple of another with the same signature.
+
+    Entries are (lead key, lead evec, tail, signature key); the basis
+    being extended carries a negative signature key.
+    """
+    signed = [red for red in reducers if red[3] >= 0]
+    for lk, le, _, sk in signed:
+        for lk2, le2, _, sk2 in signed:
+            if le2 != le and ring.divides(le, le2):
+                assert lk2 - lk + sk != sk2
+
+
+def _scratch_saturation(base, g):
+    """sat(<base>, g) by Buchberger from scratch on <base, t*g - 1>."""
+    ring = base.ring
+    ext = ring.extend_elim()
+    t = ext.var(ext.nvars - 1)
+    rab = t * _embed(ext, [g])[0] - 1
+    eb = buchberger(_embed(ext, base.gens) + [rab], ring=ext)
+    if eb.is_unit:
+        return GroebnerBasis(ring, (ring.one(),))
+    return _restrict_tfree(ring, ext, eb)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 65521])
+def test_signature_extension_matches_scratch(p, monkeypatch):
+    """extend_basis, saturate and radical_member against from-scratch bases."""
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    rng = random.Random(p)
+    counts = _count_regular_reductions(monkeypatch)
+    units = multi = 0
+    for trial in range(24):
+        a, b = (random_poly(ring, rng, 3, 2) for _ in range(2))
+        if a.is_zero() or b.is_zero():
+            continue
+        gens = [a * b, random_poly(ring, rng, 3, 2)][: 1 + trial % 2]
+        base = groebner_of(ring, [f for f in gens if not f.is_zero()])
+        if base.is_unit:
+            continue
+        c = rng.randrange(p)
+        extra_lists = [
+            [a],  # a zero divisor modulo <a*b> unless b is in the ideal
+            [random_poly(ring, rng, 3, 2), random_poly(ring, rng, 2, 2)],
+            [x - c, y + b, x - c - 1],  # the unit ideal
+            [x - c, y * z - 1],
+        ]
+        for extra in extra_lists:
+            ext = extend_basis(base, extra)
+            assert ext == groebner_of(ring, list(base.gens) + extra)
+            units += ext.is_unit
+            multi += len(extra) > 1 and not ext.is_unit
+        for g in (a, b, x + y + c, random_poly(ring, rng, 3, 2)):
+            if g.is_zero():
+                continue
+            scratch = _scratch_saturation(base, g)
+            if not g.is_constant():
+                assert saturate(base, g) == scratch
+            assert radical_member(g, base) == scratch.is_unit
+    assert counts["zero"] > 0  # some extras were zero divisors
+    assert units > 0 and multi > 0
+    for step_ring, reducers in counts["steps"].values():
+        _assert_no_singular_element(step_ring, reducers)
+
+
+def test_saturation_reduces_no_pair_to_zero(monkeypatch):
+    """t*g - 1 is a nonzerodivisor modulo <P>: the Koszul criterion finds every syzygy."""
+    ring = PolyRing(PrimeField(101), ("x", "y", "z", "w"))
+    rng = random.Random(2024)
+    counts = _count_regular_reductions(monkeypatch)
+    done = 0
+    while done < 20:
+        base = groebner_of(ring, [random_poly(ring, rng, 4, 2) for _ in range(2)])
+        g = random_poly(ring, rng, 3, 2)
+        if base.is_unit or g.is_zero() or g.is_constant() or dimension(base) == 0:
+            continue
+        saturate(base, g)
+        done += 1
+    assert counts["regular"] > 0
+    assert counts["zero"] == 0
 
 
 # -- saturation ------------------------------------------------------------------
