@@ -15,6 +15,23 @@ ideal by scanning monomials in increasing order against the quotient of
 A by the ideal subspace, so their outputs agree bit-for-bit with the
 elimination route (reduced bases are unique).
 
+The separator search ``low_degree_colon`` works for any basis, not only
+zero-dimensional ones.  It looks for low-degree elements of the colon
+ideals <W> : f^k (k <= 2) with a degree-by-degree Macaulay matrix whose
+columns are the normal forms NF(m * f^k) of the monomials m of degree
+<= 4; a kernel vector a has a * f^k in <W>, so NF(a) is a candidate
+unless it is zero.  The column of m = x_i * m' is NF(x_i * NF(m' * f^k)),
+the parent column's terms shifted by one variable (packed exponents and
+order keys both add) and reduced once.  Columns enter a column echelon
+form in order, so each is classified once, as independent or as a
+kernel vector over the columns before it.  That vector is the one the
+free column of a dense RREF of the whole matrix gives, since the RREF
+of [A_old | A_new] restricted to A_old is the RREF of A_old; and the
+kernel vectors of earlier degrees had zero normal forms, or the search
+would have stopped there, so only the new ones are tried.  NF is linear
+and unique for a reduced basis, so the candidates are exactly those of
+the dense construction.
+
 Matrix products run in float64 BLAS when every dot product is exactly
 representable below 2^53, in int64 otherwise, and in exact object
 arithmetic for characteristics too large for either envelope.
@@ -27,8 +44,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .rings import Polynomial
-from .groebner import GroebnerBasis, normal_form, standard_monomials
+from .gf import ContractViolation
+from .rings import DegreeOverflow, Polynomial
+from .groebner import GroebnerBasis, _reduce_terms, normal_form, standard_monomials
 
 
 def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -315,66 +333,96 @@ def low_degree_colon(
     For each power k and degree bound, solves NF(a * f^k) = 0 over the
     coefficients of a; every solution lies in the saturation of the
     ideal by f.  Returns the first nonempty batch (smallest power and
-    degree), reduced modulo the basis and de-duplicated; empty if no
-    candidate exists within the bounds.  This is a sound candidate
-    source, never a complete saturation.
+    degree), reduced modulo the basis and de-duplicated (first
+    occurrence kept); empty if no candidate exists within the bounds.
+    This is a sound candidate source, never a complete saturation.
     """
     ring = basis.ring
     p = ring.field.p
     if basis.is_unit or f.is_zero():
         return []
-    fk = f
+    if f.ring != ring:
+        raise ContractViolation("polynomials from different rings")
+    if basis.is_zero_ideal:
+        return []  # R is a domain: a * f^k = 0 forces a = 0
+    reducers = basis.reducers()
     w = ring.width
+    shifts = [(ring.key_of_evec(1 << (i * w)), 1 << (i * w)) for i in range(ring.nvars)]
+    fk = f
     for k in range(1, max_power + 1):
-        monos: list[int] = [0]
+        fdeg = fk.total_degree()
+        # a-monomials (key, evec) in degree-by-degree order; the frontier
+        # keeps the Macaulay columns NF(m * f^k) of the last degree, as
+        # {evec: (key, coeff)}, for the next degree's shifts
+        monos = [(0, 0)]
+        frontier = [(0, 0, _reduce_terms(ring, fk.terms, reducers))]
+        new = [frontier[0][2]]  # columns not yet in the echelon
         seen = {0}
-        frontier = [0]
-        cols: list[dict[int, int]] = []
-        support: dict[int, int] = {}
-
-        def add_col(ev: int):
-            exps = ring.unpack_evec(ev)
-            nf = normal_form(ring.monomial(exps) * fk, basis)
-            col = {}
-            for _, tev, c in nf.terms:
-                if tev not in support:
-                    support[tev] = len(support)
-                col[support[tev]] = c
-            cols.append(col)
-
-        add_col(0)
-        for _deg in range(1, max_deg + 1):
+        # column echelon: row r of E is [reduced column vector | its
+        # combination of the monomial columns], with E[:, piv] = I
+        support: dict[int, int] = {}  # evec -> row of the Macaulay matrix
+        E = np.zeros((0, 0), dtype=np.int64)
+        piv: list[int] = []
+        for d in range(1, max_deg + 1):
+            if d + fdeg > ring.cap:
+                raise DegreeOverflow(f"product degree {d + fdeg} exceeds cap {ring.cap}")
             nxt = []
-            for ev in frontier:
-                for i in range(ring.nvars):
-                    child = ev + (1 << (i * w))
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
+            for mk, mev, col in frontier:
+                for dk, dev in shifts:
+                    ev = mev + dev
+                    if ev in seen:
+                        continue
+                    seen.add(ev)
+                    monos.append((mk + dk, ev))
+                    # NF(x_i * m' * f^k) = NF(x_i * NF(m' * f^k))
+                    nxt.append((mk + dk, ev, _reduce_terms(
+                        ring, [(tk + dk, tev + dev, c) for tev, (tk, c) in col.items()],
+                        reducers)))
             frontier = nxt
-            for ev in nxt:
-                monos.append(ev)
-                add_col(ev)
-            mat = np.zeros((max(len(support), 1), len(monos)), dtype=np.int64)
-            for j, col in enumerate(cols):
-                for r, c in col.items():
-                    mat[r, j] = c
-            R, pivots = _rref(mat, p)
-            free = [c for c in range(len(monos)) if c not in pivots]
-            if free:
-                out = []
-                for c in free:
-                    vec = {c: 1}
-                    for i, pc in enumerate(pivots):
-                        v = int(R[i, c])
-                        if v:
-                            vec[pc] = -v % p
-                    poly = ring.from_terms((monos[j], v) for j, v in vec.items())
-                    nf = normal_form(poly, basis)
-                    if not nf.is_zero():
-                        out.append(nf.monic())
-                if out:
-                    return out
+            new += [col for _, _, col in nxt]
+            checked = len(monos) - len(new)  # columns already classified
+            S0 = E.shape[1] - checked
+            for col in new:
+                for tev in col:
+                    if tev not in support:
+                        support[tev] = len(support)
+            S, r = len(support), len(piv)
+            # the rank is at most S, the row count of the Macaulay matrix
+            grown = np.zeros((min(r + len(new), S), S + len(monos)), dtype=np.int64)
+            grown[:r, :S0] = E[:r, :S0]
+            grown[:r, S:S + checked] = E[:r, S0:]
+            E = grown
+            N = np.zeros((len(new), S + len(monos)), dtype=np.int64)
+            for j, col in enumerate(new):
+                N[j, S + checked + j] = 1
+                for tev, (_, c) in col.items():
+                    N[j, support[tev]] = c
+            if piv:
+                N = (N - _matmul(N[:, piv], E[:r], p)) % p
+            out: list[Polynomial] = []
+            for j in range(len(new)):
+                nz = np.flatnonzero(N[j, :S])
+                if nz.size == 0:
+                    # a dependent column: its combination is a kernel vector
+                    stream = [(*monos[i], int(N[j, S + i])) for i in np.flatnonzero(N[j, S:])]
+                    nf = _reduce_terms(ring, stream, reducers)
+                    if nf:
+                        h = ring._from_keyed(nf).monic()
+                        if h not in out:
+                            out.append(h)
+                    continue
+                pc = int(nz[0])
+                row = N[j] * pow(int(N[j, pc]), p - 2, p) % p
+                r = len(piv)
+                fac = N[j + 1:, pc].copy()
+                N[j + 1:] = (N[j + 1:] - np.outer(fac, row)) % p
+                fac = E[:r, pc].copy()
+                E[:r] = (E[:r] - np.outer(fac, row)) % p
+                E[r] = row
+                piv.append(pc)
+            if out:
+                return out
+            new = []
         fk = fk * f
     return []
 
@@ -389,7 +437,13 @@ def quotient(basis: GroebnerBasis) -> QuotientStructure:
 
 
 def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
-    """Reduced basis of (<basis> : f^inf) for zero-dimensional ideals."""
+    """Reduced basis of (<basis> : f^inf) for zero-dimensional ideals.
+
+    Kept beside the signature-based elimination of
+    ``groebner.saturate``: routing zero-dimensional saturations through
+    it instead took sos(3,4) from 0.58 to 1.08 s and ps(5) from 25.6 to
+    58.7 s (witness backend, in-process runs on a 2-vCPU host).
+    """
     q = quotient(basis)
     K = q.saturation_ideal_subspace(f)
     if K.shape[0] == 0:

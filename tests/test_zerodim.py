@@ -1,9 +1,13 @@
 """Differential tests: the linear-algebra zero-dimensional toolkit must
 agree bit-for-bit with the elimination/Buchberger routes (reduced bases
-are unique), and its predicates with the Rabinowitsch tests."""
+are unique), and its predicates with the Rabinowitsch tests.
+``low_degree_colon`` is checked against a reference written from its
+definition: one dense Macaulay matrix per power and degree."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from equidim import (
@@ -16,8 +20,12 @@ from equidim import (
     saturate,
     standard_monomials,
 )
-from equidim.groebner import extend_basis
+from equidim import ContractViolation, dimension, ideal_member
+from equidim.groebner import GroebnerBasis, extend_basis, normal_form
+from equidim.rings import DegreeOverflow
 from equidim import zerodim
+
+from conftest import random_poly
 
 
 @pytest.fixture
@@ -112,3 +120,117 @@ def test_extension_matches_buchberger(ring):
             fast = zerodim.extended(gb, extra)
             slow = groebner_of(ring, list(gb.gens) + extra)
             assert fast == slow, (gb, extra)
+
+
+def _colon_reference(basis, f, max_deg=4, max_power=2):
+    """(result, candidates before de-duplication) of low_degree_colon,
+    computed from its definition: for each power k and degree d, the
+    kernel of a -> NF(a * f^k) on the monomials of degree <= d, read off
+    the free columns of a dense RREF."""
+    ring = basis.ring
+    p = ring.field.p
+    n = ring.nvars
+    if basis.is_unit or f.is_zero():
+        return [], 0
+    for k in range(1, max_power + 1):
+        fk = f**k
+        for d in range(1, max_deg + 1):
+            monos = [ring.monomial([c.count(i) for i in range(n)])
+                     for e in range(d + 1)
+                     for c in itertools.combinations_with_replacement(range(n), e)]
+            cols = [normal_form(m * fk, basis) for m in monos]
+            rows = sorted({ev for col in cols for _, ev, _ in col.terms})
+            mat = np.zeros((max(len(rows), 1), len(monos)), dtype=np.int64)
+            for j, col in enumerate(cols):
+                for _, ev, c in col.terms:
+                    mat[rows.index(ev), j] = c
+            R, pivots = zerodim._rref(mat, p)
+            found = []
+            for c in range(len(monos)):
+                if c in pivots:
+                    continue
+                a = monos[c]
+                for i, pc in enumerate(pivots):
+                    a = a - monos[pc] * int(R[i, c])
+                h = normal_form(a, basis)
+                if not h.is_zero():
+                    found.append(h.monic())
+            if found:
+                out = []
+                for h in found:
+                    if h not in out:
+                        out.append(h)
+                return out, len(found)
+    return [], 0
+
+
+def _colon_cases(ring, rng):
+    """(basis, f): the zero ideal, principal, positive- and
+    zero-dimensional bases, with f a zero divisor and a nonzerodivisor."""
+    p = ring.field.p
+    x, y, z = ring.gens()
+
+    def quad():
+        square = [0, 0, 0]
+        square[rng.randrange(3)] = 2
+        return random_poly(ring, rng, terms=5, max_deg=2) + ring.monomial(
+            square, rng.randrange(1, p))
+
+    def lin():
+        return ring.linear_form([rng.randrange(1, p) for _ in range(3)], rng.randrange(p))
+
+    a, b, c = (rng.randrange(1, p) for _ in range(3))
+    g, h, q1, q2, q3 = lin(), quad(), quad(), quad(), quad()
+    yield GroebnerBasis(ring, ()), quad()
+    yield buchberger([g * h]), g
+    yield buchberger([g * h]), lin()
+    yield buchberger([x * q1, x * q2]), x
+    yield buchberger([q1, q2]), lin()
+    yield buchberger([x * (x - a), y - b * x, z * (z - c)]), x + z
+    yield buchberger([q1, q2, q3]), lin()
+    yield buchberger([x**2, y**2, z**2]), x + y
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 65521])
+def test_low_degree_colon_matches_reference(p):
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(p)
+    dims, empty, found, repeats = set(), 0, 0, 0
+    for _ in range(4):
+        for basis, f in _colon_cases(ring, rng):
+            want, raw = _colon_reference(basis, f)
+            assert zerodim.low_degree_colon(basis, f) == want, (basis, f)
+            if not basis.is_unit:
+                dims.add(dimension(basis))
+            empty += not want
+            found += bool(want)
+            repeats += raw - len(want)
+    # every kind of basis, both outcomes and the de-duplication occurred
+    assert dims == {0, 1, 2, 3}
+    assert empty and found and repeats
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 65521])
+def test_low_degree_colon_is_sound(p):
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(1000 + p)
+    for _ in range(4):
+        for basis, f in _colon_cases(ring, rng):
+            out = zerodim.low_degree_colon(basis, f)
+            assert len(set(out)) == len(out)
+            for h in out:
+                assert not ideal_member(h, basis)
+                assert any(ideal_member(h * f**k, basis) for k in (1, 2)), (basis, f, h)
+
+
+def test_low_degree_colon_errors():
+    small = PolyRing(PrimeField(7), ("x", "y"), cap=4)
+    x, y = small.gens()
+    # a prime ideal: f is a nonzerodivisor, so the search runs until
+    # degree 3, where 3 + deg f exceeds the cap
+    basis = buchberger([x**2 + y**2 + 1])
+    with pytest.raises(DegreeOverflow):
+        zerodim.low_degree_colon(basis, x * y + 1)
+    other = PolyRing(PrimeField(7), ("u", "v"))
+    with pytest.raises(ContractViolation):
+        zerodim.low_degree_colon(basis, other.var(0))
