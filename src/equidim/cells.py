@@ -5,11 +5,14 @@ form G, and one of two backends:
 
 * ``gb``: F is the reduced Groebner basis of the distinguished ideal
   I(X), kept saturated by the factors of G on every operation, so that
-  V(I(X)) is the Zariski closure of the cell.
+  V(I(X)) is the Zariski closure of the cell.  Its dimension and degree
+  are exact, from the Hilbert series of the basis's lead monomials; the
+  backend draws no random numbers.
 * ``witness``: F is a plain generator list; a Groebner basis is instead
   kept for the witness ideal I(X meet L), where L is a random affine
-  subspace of complementary dimension d.  Radical membership and
-  properness queries run against the witness, so positive-dimensional
+  subspace of complementary dimension d: the reduced basis of F plus
+  the d affine forms cutting out L, saturated by G.  Radical membership
+  and properness queries run against the witness, so positive-dimensional
   Groebner bases are only computed when a basis is explicitly forced;
   that basis comes from the cell's own F and G, as sat(<F>, g1*...*gr).
 
@@ -28,10 +31,10 @@ from .gf import ContractViolation
 from .rings import PolyRing, Polynomial, random_affine_forms
 from .groebner import (
     GroebnerBasis,
-    _interreduce,
-    dimension,
     extend_basis,
     groebner_of,
+    hilbert_dim_degree,
+    is_zero_dim,
     quotient_degree,
     radical_member,
     saturate,
@@ -41,17 +44,11 @@ GB_BACKEND = "gb"
 WITNESS_BACKEND = "witness"
 
 
-def _is_zero_dim(basis: GroebnerBasis) -> bool:
-    if basis.is_unit or basis.is_zero_ideal:
-        return False
-    return dimension(basis) == 0
-
-
 def _sat0(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     """Saturation preferring the linear-algebra route when zero-dimensional."""
     if basis.is_unit:
         return basis
-    if _is_zero_dim(basis):
+    if is_zero_dim(basis):
         return zerodim.saturation(basis, g)
     return saturate(basis, g)
 
@@ -60,7 +57,7 @@ def _extend0(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis
     extra = [h for h in extra if not h.is_zero()]
     if not extra or basis.is_unit:
         return basis
-    if _is_zero_dim(basis):
+    if is_zero_dim(basis):
         return zerodim.extended(basis, extra)
     return extend_basis(basis, extra)
 
@@ -76,97 +73,6 @@ def _sat_chain(basis: GroebnerBasis, factors: Sequence[Polynomial]) -> GroebnerB
     return basis
 
 
-def _solve_affine_forms(
-    ring: PolyRing, forms: Sequence[Polynomial]
-) -> tuple[list[tuple[int, Polynomial]], bool]:
-    """Row-reduce affine forms, solving each for its largest variable.
-
-    Returns (pivots, inconsistent) where pivots are pairs of a variable
-    slot and the full-ring polynomial it equals (free of all pivots).
-    Dependent-but-consistent forms simply drop out.
-    """
-    p = ring.field.p
-    n = ring.nvars
-    rows = []
-    for ell in forms:
-        row = [0] * (n + 1)
-        w = ring.width
-        mask = (1 << w) - 1
-        for _, ev, c in ell.terms:
-            if ev == 0:
-                row[n] = c
-            else:
-                for i in range(n):
-                    if (ev >> (i * w)) & mask:
-                        row[i] = c
-                        break
-        rows.append(row)
-    pivots: list[tuple[int, int]] = []  # (var slot, row index)
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ring.field.inv(rows[r][c])
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append((c, r))
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][n] % p:
-            return [], True  # 0 = nonzero constant: empty slice
-    solved = []
-    for c, i in pivots:
-        # x_c = -(sum of non-pivot terms + const)
-        coeffs = [(-rows[i][j]) % p if j != c else 0 for j in range(n)]
-        solved.append((c, ring.linear_form(coeffs, (-rows[i][n]) % p)))
-    return solved, False
-
-
-def _slice_basis(
-    ring: PolyRing, F: Sequence[Polynomial], forms: Sequence[Polynomial]
-) -> GroebnerBasis:
-    """Reduced basis of <F union forms>, substituting the forms away.
-
-    Each affine form is solved for its grevlex-largest variable and
-    substituted into F; the basis is computed in the smaller ring and
-    merged with the solved forms, which is valid because the solved
-    forms' leading variables never occur in the substituted system.
-    """
-    F = [f for f in F if not f.is_zero()]
-    if not forms:
-        return groebner_of(ring, F)
-    solved, inconsistent = _solve_affine_forms(ring, forms)
-    if inconsistent:
-        return GroebnerBasis(ring, (ring.one(),))
-    assignments = {v: tail for v, tail in solved}
-    echelon = [ring.var(v) - tail for v, tail in solved]
-    pivot_slots = sorted(assignments)
-    free_slots = [i for i in range(ring.nvars) if i not in assignments]
-    if not free_slots:
-        # a single rational point: evaluate the equations there
-        point = [0] * ring.nvars
-        for v, tail in solved:
-            point[v] = tail.constant_value()
-        if any(f.evaluate(point) != 0 for f in F):
-            return GroebnerBasis(ring, (ring.one(),))
-        return GroebnerBasis(ring, _interreduce(ring, echelon))
-    sub_ring = PolyRing(ring.field, [ring.names[i] for i in free_slots], cap=ring.cap)
-    to_sub = [-1] * ring.nvars
-    for j, i in enumerate(free_slots):
-        to_sub[i] = j
-    F_sub = [f.subst(assignments).convert(sub_ring, to_sub) for f in F]
-    B_sub = groebner_of(sub_ring, F_sub)
-    if B_sub.is_unit:
-        return GroebnerBasis(ring, (ring.one(),))
-    lifted = [g.convert(ring, free_slots) for g in B_sub.gens]
-    return GroebnerBasis(ring, _interreduce(ring, lifted + echelon))
-
-
 def make_witness(
     ring: PolyRing,
     F: Sequence[Polynomial],
@@ -176,14 +82,16 @@ def make_witness(
 ) -> tuple[GroebnerBasis, tuple[Polynomial, ...]]:
     """Witness basis for (F, G) at dimension d.
 
-    Draws d random affine forms J, computes a basis of <F union J> and
-    saturates it successively by the factors in G.  Returns the basis
-    and the forms; identical seeds give identical output.
+    Draws d random affine forms J, computes the reduced basis of
+    <F union J> and saturates it successively by the factors in G.
+    Returns the basis and the forms; identical seeds give identical
+    output.
     """
     if d < 0:
         raise ContractViolation("witness dimension must be nonnegative")
     forms = tuple(random_affine_forms(ring, d, rng))
-    return _sat_chain(_slice_basis(ring, F, forms), G), forms
+    F = tuple(f for f in F if not f.is_zero())
+    return _sat_chain(groebner_of(ring, F + forms), G), forms
 
 
 class AffineCell:
@@ -260,7 +168,7 @@ class AffineCell:
         if f.is_zero():
             return True
         if self.backend == WITNESS_BACKEND:
-            if _is_zero_dim(self.W):
+            if is_zero_dim(self.W):
                 return zerodim.radical_membership(self.W, f)
             return saturate(self.W, f).is_unit
         return radical_member(f, self.F)
@@ -277,7 +185,7 @@ class AffineCell:
         if self.backend == WITNESS_BACKEND:
             if f.is_constant():
                 return True  # a nonzero constant misses every point
-            if _is_zero_dim(self.W):
+            if is_zero_dim(self.W):
                 return zerodim.properness(self.W, f)
             return extend_basis(self.W, [f]).is_unit
         sat = saturate(self.F, f)
@@ -285,17 +193,18 @@ class AffineCell:
             return True
         return all(radical_member(h, self.F) for h in sat.gens)
 
-    def dim_degree(self, rng=None) -> tuple[int, int]:
-        """(dimension, degree); degree is scheme-theoretic for I(X)."""
+    def dim_degree(self) -> tuple[int, int]:
+        """(dimension, degree); degree is scheme-theoretic for I(X).
+
+        Witness backend: the slice dimension d and the number of points,
+        with multiplicity, of the witness slice.  gb backend: exact, from
+        the Hilbert series of the stored basis's lead monomials.
+        """
         if self.is_empty():
             raise ContractViolation("empty cell has no dimension")
         if self.backend == WITNESS_BACKEND:
             return self.d, quotient_degree(self.W)
-        d = self.ring.nvars if self.F.is_zero_ideal else dimension(self.F)
-        if rng is None:
-            raise ContractViolation("degree of a gb cell needs a random generator")
-        W, _ = make_witness(self.ring, self.F.gens, self.G, d, rng)
-        return d, quotient_degree(W)
+        return hilbert_dim_degree(self.F)
 
     # -- primitive operations ----------------------------------------------
 

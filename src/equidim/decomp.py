@@ -295,7 +295,8 @@ def equidim(
     """Decompose V(F) into disjoint equidimensional affine cells.
 
     Deterministic given (inputs, config): every random draw comes from
-    a generator seeded by ``config.seed``.
+    a generator seeded by ``config.seed``.  Only the witness backend
+    draws; gb output does not depend on the seed.
     """
     config = config or DecompConfig()
     if config.backend not in (GB_BACKEND, WITNESS_BACKEND):
@@ -313,5 +314,5 @@ def equidim(
             for X in cells:
                 nxt.extend(_split(X, f, GCache(), ctx))
             cells = nxt
-        anns = tuple(X.dim_degree(rng) for X in cells)
+        anns = tuple(X.dim_degree() for X in cells)
     return DecompositionOutput(tuple(cells), anns, perm, config.seed, config.backend)

@@ -15,8 +15,12 @@ Reduced Groebner bases come from one of two routes:
 Both reduce with the one heap kernel ``_reduce_terms``.  On top of them:
 normal forms, ideal membership, saturation by a polynomial (elimination
 with an auxiliary variable ranked first), radical membership
-(Rabinowitsch), ideal intersection, combinatorial Krull dimension and
-zero-dimensional degree.
+(Rabinowitsch) and ideal intersection.
+
+Dimension and degree are read off the lead monomials alone:
+``hilbert_dim_degree`` computes both from the Hilbert series of
+R/LM(I), and ``is_zero_dim`` answers the frequent "finitely many
+points?" question with the cheaper pure-power test.
 
 Unit ideals short-circuit everywhere: as soon as a nonzero constant is
 produced the basis {1} is returned, since empty cells arise constantly
@@ -195,35 +199,6 @@ def _spoly_terms(ring: PolyRing, f: Polynomial, g: Polynomial, lcm_ev: int):
     return stream
 
 
-def _min_hitting_set(supports: list[frozenset[int]]) -> int:
-    """Smallest set of variables meeting every support (exact search)."""
-    supports = [s for s in supports if s]
-    # discard supersets: hitting a subset hits the superset
-    supports.sort(key=len)
-    minimal: list[frozenset[int]] = []
-    for s in supports:
-        if not any(m <= s for m in minimal):
-            minimal.append(s)
-    best = [len(set().union(*minimal))] if minimal else [0]
-
-    def dfs(idx: int, chosen: set[int], count: int):
-        if count >= best[0]:
-            return
-        while idx < len(minimal) and minimal[idx] & chosen:
-            idx += 1
-        if idx == len(minimal):
-            best[0] = count
-            return
-        for v in sorted(minimal[idx]):
-            chosen.add(v)
-            dfs(idx + 1, chosen, count + 1)
-            chosen.remove(v)
-
-    if minimal:
-        dfs(0, set(), 0)
-    return best[0]
-
-
 def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
                ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``polys``, from scratch.
@@ -256,11 +231,9 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
     if not inputs:
         return GroebnerBasis(ring, ())
 
-    lcm_evec = ring.lcm_evec
     unpack = ring.unpack_evec
     pack = ring.pack_evec
     keyfn = ring.key_of_evec
-    degfn = ring.degree_of_key
     divides = ring.divides
 
     gens: list[Polynomial] = []
@@ -655,25 +628,80 @@ def ideal_intersect(G1: GroebnerBasis, G2: GroebnerBasis) -> GroebnerBasis:
     return _restrict_tfree(ring, ext, eb)
 
 
-def dimension(basis: GroebnerBasis) -> int:
-    """Krull dimension of R/<basis>, from leading-term supports.
+def _minus_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
+    """a - t^shift * b, on coefficient lists lowest power first."""
+    out = a + [0] * max(0, shift + len(b) - len(a))
+    for i, c in enumerate(b):
+        out[shift + i] -= c
+    return out
 
-    The dimension is the largest cardinality of a variable set S such
-    that no leading monomial is supported inside S; equivalently n
-    minus a minimum hitting set of the supports.
+
+def _hilbert_numerator(monos: list[tuple[int, ...]]) -> list[int]:
+    """Numerator N(t) of the Hilbert series of R/<monos>, lowest power first.
+
+    N(M + <m>) = N(M) - t^deg(m) * N(M : m) on minimal generators; when
+    they are pairwise coprime, N is the product of the (1 - t^deg(m)).
+    """
+    minimal: list[tuple[int, ...]] = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(a <= b for a, b in zip(k, m)) for k in minimal):
+            minimal.append(m)
+    if all(not (a and b) for i, m in enumerate(minimal) for k in minimal[:i]
+           for a, b in zip(m, k)):
+        num = [1]
+        for m in minimal:
+            num = _minus_shifted(num, num, sum(m))
+        return num
+    pivot, rest = minimal[-1], minimal[:-1]
+    colon = [tuple(max(a - b, 0) for a, b in zip(m, pivot)) for m in rest]
+    return _minus_shifted(_hilbert_numerator(rest), _hilbert_numerator(colon), sum(pivot))
+
+
+def hilbert_dim_degree(basis: GroebnerBasis) -> tuple[int, int]:
+    """(dimension, degree) of R/<basis>, from the Hilbert series of its leads.
+
+    N(t) / (1 - t)^n is the Hilbert series of R/LM(I); N is divided by
+    (1 - t) while N(1) = 0.  The dimension is n minus the number of
+    divisions and the degree is the final N(1) (Bayer-Stillman 1992;
+    Cox-Little-O'Shea, ch. 9).  The dimension holds for any order; the
+    degree is that of the affine variety, counted with multiplicity,
+    under a graded order such as grevlex.
     """
     if basis.is_unit:
         raise ContractViolation("empty variety has no dimension")
     ring = basis.ring
+    num = _hilbert_numerator([ring.unpack_evec(e) for e in basis.lead_evecs()])
+    dim = ring.nvars
+    while sum(num) == 0:
+        # N = (1 - t) Q: the coefficients of Q are the prefix sums of N
+        for i in range(1, len(num)):
+            num[i] += num[i - 1]
+        num.pop()
+        dim -= 1
+    return dim, sum(num)
+
+
+def dimension(basis: GroebnerBasis) -> int:
+    """Krull dimension of R/<basis>, from the Hilbert series of its leads."""
+    return hilbert_dim_degree(basis)[0]
+
+
+def is_zero_dim(basis: GroebnerBasis) -> bool:
+    """Finitely many points: every variable has a pure power among the leads.
+
+    Cheaper than the Hilbert series; the unit ideal is not zero-dimensional.
+    """
+    if basis.is_unit:
+        return False
+    ring = basis.ring
     w = ring.width
     mask = (1 << w) - 1
-    supports = []
-    for g in basis.gens:
-        ev = g.terms[0][1]
-        supports.append(frozenset(
-            i for i in range(ring.nvars) if (ev >> (i * w)) & mask
-        ))
-    return ring.nvars - _min_hitting_set(supports)
+    pure = set()
+    for ev in basis.lead_evecs():
+        slots = [i for i in range(ring.nvars) if (ev >> (i * w)) & mask]
+        if len(slots) == 1:
+            pure.add(slots[0])
+    return len(pure) == ring.nvars
 
 
 def quotient_degree(basis: GroebnerBasis) -> int:
@@ -688,7 +716,7 @@ def standard_monomials(basis: GroebnerBasis) -> list[int]:
     """
     if basis.is_unit:
         return []
-    if dimension(basis) != 0:
+    if not is_zero_dim(basis):
         raise ContractViolation("degree is defined for zero-dimensional ideals only")
     ring = basis.ring
     lead = basis.lead_evecs()

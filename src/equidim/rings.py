@@ -314,11 +314,6 @@ class Polynomial:
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.terms[0][1] == 0 and self.terms[0][2] == 1
 
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ContractViolation("not a constant polynomial")
-        return self.terms[0][2] if self.terms else 0
-
     def __len__(self) -> int:
         return len(self.terms)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .gf import ContractViolation
 from .rings import PolyRing, Polynomial
-from .groebner import dimension, groebner_of, radical_member, saturate_seq
+from .groebner import groebner_of, is_zero_dim, radical_member, saturate_seq
 from .cells import AffineCell, make_witness
 
 
@@ -231,7 +231,7 @@ def check_top_dimension(X: AffineCell, claimed: int, rng) -> TopDimensionReport:
     """Cut with d generic forms: nonempty zero-dimensional; with d+1: empty."""
     F = list(X.F) if X.backend == "witness" else list(X.F.gens)
     Wd, _ = make_witness(X.ring, F, X.G, claimed, rng)
-    lower = not Wd.is_unit and dimension(Wd) == 0
+    lower = is_zero_dim(Wd)
     # d+1 generic affine forms are jointly infeasible on a d-dimensional
     # set; for claimed = n they are already infeasible on the whole space
     Wd1, _ = make_witness(X.ring, F, X.G, claimed + 1, rng)

@@ -11,8 +11,10 @@ from equidim import (
     dimension,
     groebner_of,
     make_witness,
+    parse_polynomial,
     quotient_degree,
     saturate,
+    saturate_seq,
 )
 
 
@@ -241,6 +243,41 @@ def test_make_witness_degree_matches_bezout(R3):
     assert quotient_degree(W) == 4  # two generic quadrics: degree 4 curve
 
 
+class ScriptedRng:
+    """Fixed draws for ``random_affine_forms``: per form, n coefficients, then the constant."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randrange(self, p):
+        return self.values.pop(0) % p
+
+
+@pytest.mark.parametrize("draws, G, expected", [
+    # dependent but consistent: x + y + 1 and 2x + 2y + 2 cut one plane
+    ([1, 1, 0, 1, 2, 2, 0, 2], (), ["x*y - z", "x + y + 1"]),
+    # inconsistent: x + y + 1 and x + y + 2 are parallel planes
+    ([1, 1, 0, 1, 1, 1, 0, 2], (), ["1"]),
+    # x - 1, y - 2, z - 2 meet at (1, 2, 2), which lies on V(x*y - z)
+    ([1, 0, 0, -1, 0, 1, 0, -2, 0, 0, 1, -2], (), ["x - 1", "y - 2", "z - 2"]),
+    # ... and a factor vanishing at that point removes it
+    ([1, 0, 0, -1, 0, 1, 0, -2, 0, 0, 1, -2], ("y - z",), ["1"]),
+    # x - 1, y - 2, z - 3 meet at (1, 2, 3), off V(x*y - z)
+    ([1, 0, 0, -1, 0, 1, 0, -2, 0, 0, 1, -3], (), ["1"]),
+])
+def test_make_witness_degenerate_slices(draws, G, expected):
+    ring = PolyRing(PrimeField(101), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    F = (x * y - z,)
+    G = tuple(parse_polynomial(ring, g) for g in G)
+    d = len(draws) // (ring.nvars + 1)
+    W, forms = make_witness(ring, F, G, d, ScriptedRng(draws))
+    want = groebner_of(ring, [parse_polynomial(ring, e) for e in expected])
+    assert W == want
+    assert W == saturate_seq(groebner_of(ring, F + forms), G)
+    assert len(forms) == d
+
+
 # -- is_proper ------------------------------------------------------------------------------------
 
 def test_is_proper_examples_both_backends(R2, R4):
@@ -283,17 +320,17 @@ def test_dim_degree_examples(R3, R2):
     x, y = R2.gens()
     # scheme-theoretic degree: the double line V(x^2) has degree 2
     Xg = gb_cell(R2, [x**2])
-    assert Xg.dim_degree(rng) == (1, 2)
+    assert Xg.dim_degree() == (1, 2)
     R3b = PolyRing(PrimeField(65521), ("x", "y", "z"))
     xb, yb, zb = R3b.gens()
     line = AffineCell(R3b, "gb", buchberger([yb, zb]), (xb,))
-    assert line.dim_degree(rng) == (1, 1)
+    assert line.dim_degree() == (1, 1)
 
 
 def test_dim_degree_empty_rejected(R2):
     X = gb_cell(R2, [R2.one()])
     with pytest.raises(ContractViolation):
-        X.dim_degree(random.Random(0))
+        X.dim_degree()
 
 
 # -- set semantics on tiny fields ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from equidim import (
     PrimeField,
     buchberger,
     cell_points,
+    check_partition,
     enumerate_points,
     equidim,
     groebner_of,
@@ -27,6 +29,9 @@ from equidim import (
 )
 from equidim import groebner
 from equidim.cells import make_witness
+from equidim.groebner import hilbert_dim_degree
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -266,15 +271,15 @@ def test_equidim_deterministic(R4):
     assert [c.witness_forms for c in a.cells] == [c.witness_forms for c in b.cells]
 
 
-def _count_buchberger(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    original = groebner.buchberger
+    original = getattr(groebner, name)
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(groebner, name, counting)
     return calls
 
 
@@ -282,7 +287,8 @@ def _count_buchberger(monkeypatch):
 def test_equidim_memo_lives_for_one_call(R4, monkeypatch, backend):
     x, y, z, w = R4.gens()
     F = [x * y + z, z * w - x, x * z + y * w]
-    calls = _count_buchberger(monkeypatch)
+    # the gb backend builds every basis by extension and never calls buchberger
+    calls = _count_calls(monkeypatch, "_sig_step" if backend == "gb" else "buchberger")
     counts = []
     for _ in range(2):
         before = len(calls)
@@ -302,6 +308,34 @@ def test_equidim_drops_memo_when_it_raises():
     with pytest.raises(ContractViolation):
         equidim(system.polynomials(ring), ring, DecompConfig(seed=117))
     assert groebner._MEMO.get() is None
+
+
+# tiny-field systems on which a random degree slice lost points and raised
+@pytest.mark.parametrize("name, seed", [
+    ("tiny_gb_gf5_220", 220), ("tiny_gb_gf5_224", 224), ("tiny_gb_gf7_228", 228),
+])
+def test_gb_degree_is_exact_on_tiny_fields(name, seed):
+    system = parse_system((DATA / f"{name}.txt").read_text())
+    ring = system.ring()
+    F = system.polynomials(ring)
+    out = equidim(F, ring, DecompConfig(backend="gb", seed=seed))
+    assert check_partition(out.cells, F, ring, with_points=True).passed
+    assert out.annotations == tuple(hilbert_dim_degree(c.basis()) for c in out.cells)
+    assert out.annotations == ((2, 2),)  # one quadric surface
+
+
+def test_gb_backend_ignores_the_seed():
+    # two quadrics over GF(5) whose degree slices disagreed between seeds
+    system = parse_system(
+        "vars x0, x1, x2\nchar 5\n"
+        "4 + x2 + 3*x1*x2 + 3*x1^2 + x0*x2 + 4*x0^2\n"
+        "3 + 4*x2^2 + x1*x2 + 4*x1^2 + 4*x0*x2 + 4*x0*x1 + 3*x0^2\n"
+    )
+    ring = system.ring()
+    F = system.polynomials(ring)
+    a, b = (equidim(F, ring, DecompConfig(backend="gb", seed=s)) for s in (0, 1))
+    assert [c.basis() for c in a.cells] == [c.basis() for c in b.cells]
+    assert a.annotations == b.annotations == ((1, 4),)
 
 
 def test_equidim_classic_remove_agrees(R4):

@@ -14,6 +14,7 @@ from equidim import (
     groebner_of,
     ideal_intersect,
     ideal_member,
+    make_witness,
     normal_form,
     quotient_degree,
     radical_member,
@@ -29,6 +30,8 @@ from equidim.groebner import (
     _restrict_tfree,
     _spoly_terms,
     extend_basis,
+    hilbert_dim_degree,
+    is_zero_dim,
     memo_scope,
 )
 
@@ -426,6 +429,55 @@ def test_dimension_matches_bruteforce(ring_xyz, rng):
                 if all(not supp <= S for supp in lead_supports):
                     best = max(best, len(S))
         assert dimension(gb) == best
+
+
+def test_hilbert_dim_degree_examples():
+    ring = PolyRing(PrimeField(65521), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    assert hilbert_dim_degree(groebner_of(ring, [y - x**2, z - x**3])) == (1, 3)  # twisted cubic
+    assert hilbert_dim_degree(groebner_of(ring, [x * y, x * z])) == (2, 1)  # V(x) union V(y, z)
+    assert hilbert_dim_degree(groebner_of(ring, [])) == (3, 1)
+    assert hilbert_dim_degree(groebner_of(ring, [x**2])) == (2, 2)  # double plane
+    with pytest.raises(ContractViolation):
+        hilbert_dim_degree(groebner_of(ring, [ring.one()]))
+
+
+def test_hilbert_degree_matches_generic_slice():
+    """Positive-dimensional ideals: a generic slice of complementary dimension
+    is zero-dimensional with as many points, counted with multiplicity."""
+    rng = random.Random(2024)
+    checked = set()
+    for trial in range(30):
+        ring = PolyRing(PrimeField(65521), ("x", "y", "z", "w")[:3 + trial % 2])
+        polys = [random_poly(ring, rng, 3, 3) for _ in range(1 + trial % 3)]
+        basis = groebner_of(ring, [f for f in polys if not f.is_zero()])
+        if basis.is_unit or is_zero_dim(basis):
+            continue
+        d, degree = hilbert_dim_degree(basis)
+        W, _ = make_witness(ring, basis.gens, (), d, rng)
+        assert is_zero_dim(W)
+        assert quotient_degree(W) == degree, [str(g) for g in basis]
+        checked.add(d)
+    assert {1, 2} <= checked
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 65521])
+def test_pure_power_test_agrees_with_hilbert_dimension(p):
+    rng = random.Random(p)
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    seen = set()
+    for trial in range(40):
+        polys = [random_poly(ring, rng, 3, 2) for _ in range(1 + trial % 4)]
+        basis = groebner_of(ring, [f for f in polys if not f.is_zero()])
+        if basis.is_unit:
+            assert not is_zero_dim(basis)
+            continue
+        d, degree = hilbert_dim_degree(basis)
+        assert is_zero_dim(basis) == (d == 0)
+        if d == 0:
+            assert degree == quotient_degree(basis)
+        seen.add(d == 0)
+    assert seen == {True, False}
 
 
 def test_quotient_degree_examples(ring_xy):
