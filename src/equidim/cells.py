@@ -45,21 +45,17 @@ WITNESS_BACKEND = "witness"
 
 
 def _sat0(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """Saturation preferring the linear-algebra route when zero-dimensional."""
+    """(<basis> : g^inf), by linear algebra in the quotient when zero-dimensional.
+
+    ``zerodim.saturation`` records why that route is kept beside the
+    elimination of ``saturate``.  Adding generators has one route in
+    both dimensions: ``extend_basis``.
+    """
     if basis.is_unit:
         return basis
     if is_zero_dim(basis):
         return zerodim.saturation(basis, g)
     return saturate(basis, g)
-
-
-def _extend0(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis:
-    extra = [h for h in extra if not h.is_zero()]
-    if not extra or basis.is_unit:
-        return basis
-    if is_zero_dim(basis):
-        return zerodim.extended(basis, extra)
-    return extend_basis(basis, extra)
 
 
 def _sat_chain(basis: GroebnerBasis, factors: Sequence[Polynomial]) -> GroebnerBasis:
@@ -226,7 +222,7 @@ class AffineCell:
             return self
         if self.backend == WITNESS_BACKEND:
             F2 = self.F + tuple(H)
-            W2 = _extend0(self.W, H)
+            W2 = extend_basis(self.W, H)
             return AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d, self.witness_forms)
         F2 = _sat_chain(extend_basis(self.F, H), self.G)
         return AffineCell(self.ring, GB_BACKEND, F2, self.G)
@@ -246,7 +242,7 @@ class AffineCell:
             W2 = _sat0(self.W, f)
             return AffineCell(self.ring, WITNESS_BACKEND, self.F, G2, W2,
                               self.d, self.witness_forms)
-        F2 = saturate(self.F, f) if not self.F.is_zero_ideal else self.F
+        F2 = saturate(self.F, f)
         return AffineCell(self.ring, GB_BACKEND, F2, G2)
 
     # -- presentation --------------------------------------------------------

@@ -7,7 +7,8 @@ Reduced Groebner bases come from one of two routes:
   lcm degree first).  ``groebner_of`` and ``ideal_intersect`` use it.
 * ``_sig_step`` extends a known reduced basis P by one polynomial f
   with signature criteria (F5C, Eder-Perry 2010; the rewrite criterion
-  of Eder-Roune 2013).  ``extend_basis`` and the Rabinowitsch
+  of Eder-Roune 2013).  ``extend_basis`` (on both cell backends, so
+  also for zero-dimensional witness slices) and the Rabinowitsch
   elimination behind ``saturate`` and ``radical_member`` use it; the
   Koszul criterion discards every pair whose signature lies in LM(P),
   which for t*g - 1 (a nonzerodivisor modulo <P>) is every syzygy.
@@ -42,7 +43,7 @@ from heapq import heappush, heappop
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf import ContractViolation
-from .rings import MonomialOrder, PolyRing, Polynomial
+from .rings import PolyRing, Polynomial
 
 
 class GroebnerBasis:
@@ -199,8 +200,7 @@ def _spoly_terms(ring: PolyRing, f: Polynomial, g: Polynomial, lcm_ev: int):
     return stream
 
 
-def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
-               ring: PolyRing | None = None) -> GroebnerBasis:
+def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``polys``, from scratch.
 
     The unit ideal is returned as the single generator {1}.  An empty
@@ -217,9 +217,6 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder | None = None,
         if not polys:
             raise ContractViolation("cannot infer the ring from an empty input")
         ring = polys[0].ring
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        polys = [f.convert(ring) for f in polys]
     for f in polys:
         if f.ring != ring:
             raise ContractViolation("all inputs must share one ring")
@@ -579,8 +576,13 @@ def saturate(F: "GroebnerBasis | Sequence[Polynomial]", g: Polynomial) -> Groebn
 def saturate_seq(F: "GroebnerBasis | Sequence[Polynomial]",
                  factors: Sequence[Polynomial]) -> GroebnerBasis:
     """Successive saturation by each factor; constants are skipped."""
-    ring = F.ring if isinstance(F, GroebnerBasis) else factors[0].ring
-    current = F if isinstance(F, GroebnerBasis) else groebner_of(ring, F)
+    if not isinstance(F, GroebnerBasis):
+        F = tuple(F)
+        polys = F + tuple(factors)
+        if not polys:
+            raise ContractViolation("cannot infer the ring from an empty input")
+        F = groebner_of(polys[0].ring, F)
+    current = F
     for g in factors:
         if g.is_zero():
             raise ContractViolation("saturation by the zero polynomial")

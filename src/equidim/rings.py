@@ -503,27 +503,21 @@ class Polynomial:
             total = (total + v) % p
         return total
 
-    def convert(self, target: PolyRing, var_map: Sequence[int] | None = None) -> "Polynomial":
+    def convert(self, target: PolyRing) -> "Polynomial":
         """Re-express in another ring over the same field.
 
-        ``var_map[i]`` is the slot in ``target`` for source variable ``i``.
-        Variables not mentioned must have zero exponent everywhere.
+        Variable ``i`` keeps slot ``i`` in ``target``; a variable beyond
+        the target's last slot must have zero exponent everywhere.
         """
         if target.field != self.ring.field:
             raise ContractViolation("conversion must preserve the field")
-        n = self.ring.nvars
-        vmap = tuple(var_map) if var_map is not None else tuple(range(n))
+        m = target.nvars
         out = []
         for _, ev, c in self.terms:
             exps = self.ring.unpack_evec(ev)
-            tex = [0] * target.nvars
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i >= len(vmap) or vmap[i] < 0:
-                    raise ContractViolation("variable with nonzero exponent dropped")
-                tex[vmap[i]] += e
-            out.append((target.pack_evec(tex), c))
+            if any(exps[m:]):
+                raise ContractViolation("variable with nonzero exponent dropped")
+            out.append((target.pack_evec(exps[:m] + (0,) * (m - len(exps))), c))
         return target.from_terms(out)
 
     def subst(self, assignments: dict[int, "Polynomial"]) -> "Polynomial":

@@ -16,6 +16,7 @@ from equidim import (
     saturate,
     saturate_seq,
 )
+from equidim.groebner import is_zero_dim
 
 
 def gb_cell(ring, F, G=()):
@@ -117,6 +118,23 @@ def test_intersect_components_example(R4):
 def test_intersect_components_empty_H(R4):
     X = gb_cell(R4, [R4.var(0)])
     assert X.intersect_components([]) is X
+
+
+def test_intersect_components_zero_dim_witness(R3):
+    # a zero-dimensional slice takes H as plain generators, with no
+    # second saturation by G
+    x, y, z = R3.gens()
+    cells = [
+        wit_cell(R3, [x * (x - 1) * (x - 2), y**2 - x, z - x * y], [x - 2], 0, random.Random(7)),
+        wit_cell(R3, [x * y - z, x**2 - y], [], 1, random.Random(8)),
+    ]
+    for X in cells:
+        assert is_zero_dim(X.W)
+        for H in ([x - 1], [y * (y - 1)], [x, y - 3]):
+            Y = X.intersect_components(H)
+            assert Y.W == groebner_of(R3, list(X.W.gens) + H)
+            assert Y.F == X.F + tuple(H) and Y.G == X.G and Y.d == X.d
+    assert cells[0].intersect_components([x, y - 3]).is_empty()
 
 
 def test_intersect_components_unit(R2):

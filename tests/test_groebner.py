@@ -309,6 +309,14 @@ def test_saturate_seq_factors(ring_xyz):
     assert saturate_seq(groebner_of(ring_xyz, F), [x, y]) == saturate(F, x * y)
 
 
+def test_saturate_seq_ring_from_first_input(ring_xyz):
+    x, y, z = ring_xyz.gens()
+    # no factors: the ring comes from F, and the basis is returned as is
+    assert saturate_seq([x * y], []) == groebner_of(ring_xyz, [x * y])
+    with pytest.raises(ContractViolation, match="empty input"):
+        saturate_seq([], [])
+
+
 def test_saturate_output_needs_no_interreduction(ring_xyz, rng):
     """The t-free part of the reduced elimination basis is already reduced."""
     proper = 0

@@ -85,7 +85,9 @@ def test_extend_elim_keeps_tfree_terms(rng):
     for _ in range(200):
         f = random_poly(ring, rng, terms=6, max_deg=5)
         assert f.convert(ext).terms == f.terms
-        assert f.convert(ext).convert(ring, [0, 1, 2, 0]).terms == f.terms
+        assert f.convert(ext).convert(ring).terms == f.terms
+    with pytest.raises(ContractViolation, match="dropped"):
+        ext.var(3).convert(ring)
     with pytest.raises(ContractViolation):
         ext.extend_elim()
 
