@@ -503,23 +503,6 @@ class Polynomial:
             total = (total + v) % p
         return total
 
-    def convert(self, target: PolyRing) -> "Polynomial":
-        """Re-express in another ring over the same field.
-
-        Variable ``i`` keeps slot ``i`` in ``target``; a variable beyond
-        the target's last slot must have zero exponent everywhere.
-        """
-        if target.field != self.ring.field:
-            raise ContractViolation("conversion must preserve the field")
-        m = target.nvars
-        out = []
-        for _, ev, c in self.terms:
-            exps = self.ring.unpack_evec(ev)
-            if any(exps[m:]):
-                raise ContractViolation("variable with nonzero exponent dropped")
-            out.append((target.pack_evec(exps[:m] + (0,) * (m - len(exps))), c))
-        return target.from_terms(out)
-
     def subst(self, assignments: dict[int, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for the given variable slots."""
         ring = self.ring

@@ -33,7 +33,9 @@ the dense construction.
 
 Matrix products run in float64 BLAS when every dot product is exactly
 representable below 2^53, in int64 otherwise, and in exact object
-arithmetic for characteristics too large for either envelope.
+arithmetic for characteristics too large for either envelope.  Row
+echelon forms come from ``groebner._rref``, which the F4 rounds of
+``buchberger`` share.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ import numpy as np
 
 from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
-from .groebner import GroebnerBasis, _reduce_terms, extend_basis, normal_form, standard_monomials
+from .groebner import (
+    GroebnerBasis, _reduce_terms, _rref, extend_basis, normal_form, standard_monomials,
+)
 
 
 def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -59,33 +63,6 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 def _matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return _matmul(A, v.reshape(-1, 1), p).reshape(-1)
-
-
-def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
-    m = mat.copy() % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            m[nzr] = (m[nzr] - np.outer(col[nzr], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
 
 
 class QuotientStructure:
@@ -225,7 +202,7 @@ class QuotientStructure:
         """
         ring, p, D = self.ring, self.p, self.D
         w = ring.width
-        Krref, kpiv = _rref(K, p) if K.size else (np.zeros((0, D), dtype=np.int64), [])
+        Krref, kpiv = _rref(K, p)
         kpiv_arr = np.array(kpiv, dtype=np.intp)
 
         def reduce_mod_K(v: np.ndarray) -> np.ndarray:

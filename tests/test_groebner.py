@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from equidim import (
@@ -124,6 +125,108 @@ def test_gb_unique_under_permutation(ring_xyz, rng):
         perm = polys[::-1]
         gb2 = groebner_of(ring_xyz, perm)
         assert gb1 == gb2
+
+
+def _count_rounds(monkeypatch):
+    """Count F4 rounds by kind, and matrix rounds that produced a constant."""
+    counts = {"single": 0, "matrix": 0, "matrix_unit": 0}
+    f4_round = groebner._f4_round
+    spoly = groebner._spoly_terms
+
+    def counting_round(*args):
+        out = f4_round(*args)
+        counts["matrix"] += 1
+        counts["matrix_unit"] += any(h.is_constant() for h in out)
+        return out
+
+    def counting_spoly(*args):
+        counts["single"] += 1
+        return spoly(*args)
+
+    monkeypatch.setattr(groebner, "_f4_round", counting_round)
+    monkeypatch.setattr(groebner, "_spoly_terms", counting_spoly)
+    return counts
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 65521, 2147483647])
+@pytest.mark.parametrize("order", ["grevlex", "elim"])
+def test_f4_matches_signature_route(p, order, monkeypatch):
+    """buchberger against extend_basis from the zero ideal, an independent engine."""
+    field = PrimeField(p)
+    if order == "grevlex":
+        ring = PolyRing(field, ("w", "x", "y", "z"))
+    else:
+        ring = PolyRing(field, ("x", "y", "z")).extend_elim()
+    rng = random.Random(p)
+    counts = _count_rounds(monkeypatch)
+    for trial in range(15):
+        polys = [random_poly(ring, rng, 3 + trial % 2, 2 + trial % 2)
+                 for _ in range(2 + trial % 3)]
+        polys = [f for f in polys if not f.is_zero()]
+        if not polys:
+            continue
+        gb = buchberger(polys, ring=ring)
+        assert gb == extend_basis(GroebnerBasis(ring, ()), polys)
+    assert counts["single"] > 0 and counts["matrix"] > 0
+
+
+def test_f4_unit_inside_matrix_round(monkeypatch):
+    # x*y and x*(y*z + 3) lie in the ideal, so 3x does, and with
+    # 5*x*z + 5*x + 1 so does 1; the constant comes out of a round that
+    # reduces four pairs together
+    ring = PolyRing(PrimeField(7), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    counts = _count_rounds(monkeypatch)
+    polys = [y * z + 3, 5 * x * y, 5 * x * z + 5 * x + 1]
+    assert buchberger(polys).is_unit
+    assert counts["matrix_unit"] == 1
+    assert extend_basis(GroebnerBasis(ring, ()), polys).is_unit
+
+
+def _rref_reference(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Gaussian elimination on Python integers: the loop that _rref vectorises."""
+    m = [[v % p for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+@pytest.mark.parametrize("p", [5, 65521, 2147483647])
+def test_rref_matches_reference(p):
+    rng = random.Random(p)
+    shapes = [(0, 4), (3, 0), (1, 1)] + [(rng.randrange(1, 9), rng.randrange(1, 12))
+                                          for _ in range(40)]
+    for nrows, ncols in shapes:
+        rows = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 2:
+            rows[1] = [0] * ncols  # a zero row
+            # a combination of two rows: rank deficient
+            rows[2] = [(3 * a + (p - 1) * b) % p for a, b in zip(rows[0], rows[-1])]
+        if ncols > 3:
+            for row in rows:
+                row[0] = 0  # leading zero column, crossed in one scan
+        mat = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+        R, pivots = groebner._rref(mat, p)
+        ref, ref_pivots = _rref_reference(rows, p)
+        assert pivots == ref_pivots
+        assert R.shape == (len(ref_pivots), ncols)
+        assert R.tolist() == ref
+        assert mat.tolist() == rows  # the input is not modified
 
 
 def test_extend_basis_agrees_with_full_run(ring_xyz, rng):

@@ -21,7 +21,7 @@ from equidim import (
     standard_monomials,
 )
 from equidim import ContractViolation, dimension, ideal_member
-from equidim.groebner import GroebnerBasis, extend_basis, normal_form
+from equidim.groebner import GroebnerBasis, _rref, extend_basis, normal_form
 from equidim.rings import DegreeOverflow
 from equidim import zerodim
 
@@ -145,7 +145,7 @@ def _colon_reference(basis, f, max_deg=4, max_power=2):
             for j, col in enumerate(cols):
                 for _, ev, c in col.terms:
                     mat[rows.index(ev), j] = c
-            R, pivots = zerodim._rref(mat, p)
+            R, pivots = _rref(mat, p)
             found = []
             for c in range(len(monos)):
                 if c in pivots:
