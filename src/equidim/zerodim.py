@@ -8,10 +8,13 @@ the heavy ideal operations become matrix computations:
 * properness          <W> + <f> = <1>     <=>  M_f is invertible;
 * saturation          (<W> : f^inf) is the preimage of ker(M_f^D).
 
-The saturation is rebuilt as a reduced Groebner basis by scanning
-monomials in increasing order against the quotient of A by the kernel,
-so it agrees bit-for-bit with the elimination route (reduced bases are
-unique).  Adding generators to W has no route here: ``extend_basis``
+The saturation's reduced Groebner basis is read off the one row
+echelon of M_f^D that finds the kernel: the pivot columns are the new
+staircase, each free column gives a new basis element, and the old
+generators' tails are reduced modulo the kernel by one matrix product.
+Reduced bases are unique, so it agrees bit-for-bit with the elimination
+route.  Properness answers are memoized on the quotient, keyed by the
+value of f.  Adding generators to W has no route here: ``extend_basis``
 does it in every dimension.
 
 The separator search ``low_degree_colon`` works for any basis, not only
@@ -40,7 +43,6 @@ echelon forms come from ``groebner._rref``, which the F4 rounds of
 
 from __future__ import annotations
 
-from heapq import heappush, heappop
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +70,7 @@ def _matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 class QuotientStructure:
     """A = R/<W> on the staircase, with multiplication matrices."""
 
-    __slots__ = ("basis", "ring", "p", "monomials", "index", "D", "mul")
+    __slots__ = ("basis", "ring", "p", "monomials", "index", "D", "mul", "proper")
 
     def __init__(self, basis: GroebnerBasis):
         self.basis = basis
@@ -78,6 +80,7 @@ class QuotientStructure:
         self.index = {ev: i for i, ev in enumerate(self.monomials)}
         self.D = len(self.monomials)
         self.mul = self._build_mul_matrices()
+        self.proper: dict[Polynomial, bool] = {}  # f -> M_f invertible
 
     def _build_mul_matrices(self) -> list[np.ndarray]:
         ring, p, D = self.ring, self.p, self.D
@@ -175,108 +178,6 @@ class QuotientStructure:
         M = self.matrix_of(f)
         _, pivots = _rref(M, self.p)
         return len(pivots) == self.D
-
-    # -- ideal reconstructions ---------------------------------------------
-
-    def saturation_ideal_subspace(self, f: Polynomial) -> np.ndarray:
-        """Basis rows of (sat <W> f)/<W> inside A: the stable kernel of M_f."""
-        M = self.matrix_of(f)
-        for _ in range(max(1, (self.D - 1).bit_length())):
-            M = _matmul(M, M, self.p)
-        # kernel of M: free columns of its rref
-        R, pivots = _rref(M, self.p)
-        free = [c for c in range(self.D) if c not in pivots]
-        rows = np.zeros((len(free), self.D), dtype=np.int64)
-        for r, c in enumerate(free):
-            rows[r, c] = 1
-            for i, pc in enumerate(pivots):
-                rows[r, pc] = -R[i, c] % self.p
-        return rows
-
-    def ideal_from_subspace(self, K: np.ndarray) -> GroebnerBasis:
-        """Reduced basis of the preimage ideal of the subspace K of A.
-
-        K must be an ideal of A (closed under multiplication).  Scans
-        monomials in increasing order: staircase monomials of the new
-        ideal are collected while dependencies yield basis elements.
-        """
-        ring, p, D = self.ring, self.p, self.D
-        w = ring.width
-        Krref, kpiv = _rref(K, p)
-        kpiv_arr = np.array(kpiv, dtype=np.intp)
-
-        def reduce_mod_K(v: np.ndarray) -> np.ndarray:
-            v = v % p
-            if kpiv_arr.size:
-                coords = v[kpiv_arr]
-                if coords.any():
-                    v = (v - _matmul(coords.reshape(1, -1), Krref, p).reshape(-1)) % p
-            return v
-
-        # accepted new-standard monomials and their reduced vectors in
-        # row-echelon form, with combination tracking for dependencies
-        acc_evecs: list[int] = []
-        ech_rows: list[np.ndarray] = []     # echelon vectors (not normalized)
-        ech_piv: list[int] = []             # pivot coordinate per row
-        ech_comb: list[np.ndarray] = []     # row = combination over acc_evecs
-        gens_out: list[Polynomial] = []
-        found_lms: list[int] = []
-        key = ring.key_of_evec
-        divides = ring.divides
-
-        heap: list[tuple[int, int, int, int]] = []  # (key, evec, parent_idx, var)
-        heappush(heap, (0, 0, -1, -1))
-        seen = {0}
-        while heap:
-            _, ev, parent, var = heappop(heap)
-            if any(divides(lm, ev) for lm in found_lms):
-                continue
-            if parent < 0:
-                vA = np.zeros(D, dtype=np.int64)
-                vA[self.index[0]] = 1
-            else:
-                col = np.zeros(D, dtype=np.int64)
-                col[self.index[acc_evecs[parent]]] = 1
-                vA = _matvec(self.mul[var], col, p)
-            wv = reduce_mod_K(vA)
-            comb = np.zeros(len(acc_evecs) + 1, dtype=np.int64)
-            for row, piv, rc in zip(ech_rows, ech_piv, ech_comb):
-                coef = wv[piv]
-                if coef:
-                    factor = coef * pow(int(row[piv]), p - 2, p) % p
-                    wv = (wv - factor * row) % p
-                    comb[: len(rc)] = (comb[: len(rc)] - factor * rc) % p
-            nz = np.nonzero(wv)[0]
-            if nz.size == 0:
-                # dependency: phi(ev) = -sum comb_k phi(m_k), so the
-                # element ev + sum comb_k m_k lies in the preimage ideal
-                poly_terms = {ev: 1}
-                for k, m_ev in enumerate(acc_evecs):
-                    if comb[k]:
-                        poly_terms[m_ev] = int(comb[k]) % p
-                gens_out.append(ring._from_dict(poly_terms))
-                found_lms.append(ev)
-                if ev == 0:
-                    break  # unit ideal
-                continue
-            # independent: ev is standard for the new ideal; the stored
-            # row equals phi(ev) + sum comb_k phi(m_k)
-            idx = len(acc_evecs)
-            acc_evecs.append(ev)
-            comb_full = comb.copy()
-            comb_full[idx] = 1
-            ech_rows.append(wv)
-            ech_piv.append(int(nz[0]))
-            ech_comb.append(comb_full)
-            for i in range(ring.nvars):
-                child = ev + (1 << (i * w))
-                if child not in seen:
-                    seen.add(child)
-                    heappush(heap, (key(child), child, idx, i))
-        if len(gens_out) == 1 and gens_out[0].is_one():
-            return GroebnerBasis(ring, (ring.one(),))
-        gens_out.sort(key=lambda f: f.terms[0][0], reverse=True)
-        return GroebnerBasis(ring, tuple(g.monic() for g in gens_out))
 
 
 def low_degree_colon(
@@ -396,16 +297,55 @@ def quotient(basis: GroebnerBasis) -> QuotientStructure:
 def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     """Reduced basis of (<basis> : f^inf) for zero-dimensional ideals.
 
+    The saturation is the preimage of K = ker(M_f^D), read off the
+    echelon R of M_f^(2^s), 2^s >= D.  The staircase ascends, so the
+    pivot columns are the first monomials independent modulo K: the new
+    staircase.  A free column c gives m_c - sum_i R[i, c] * m_(piv_i),
+    and an old generator u + t gives u + sum_i (R t)_i * m_(piv_i), t
+    reduced modulo K; those of minimal lead form the reduced basis.
+
     Kept beside the signature-based elimination of
     ``groebner.saturate``: routing zero-dimensional saturations through
     it instead took sos(3,4) from 0.58 to 1.08 s and ps(5) from 25.6 to
     58.7 s (witness backend, in-process runs on a 2-vCPU host).
     """
     q = quotient(basis)
-    K = q.saturation_ideal_subspace(f)
-    if K.shape[0] == 0:
+    ring, p, D, mons = q.ring, q.p, q.D, q.monomials
+    M = q.matrix_of(f)
+    for _ in range(max(1, (D - 1).bit_length())):
+        M = _matmul(M, M, p)
+    R, piv = _rref(M, p)
+    q.proper[f] = len(piv) == D  # M_f is invertible iff its powers are
+    if len(piv) == D:
         return basis
-    return q.ideal_from_subspace(K)
+    if not piv or piv[0] != 0:  # the monomial 1 lies in K
+        return GroebnerBasis(ring, (ring.one(),))
+    w, mask = ring.width, (1 << ring.width) - 1
+    pivset = set(piv)
+    free = {mons[c]: c for c in range(D) if c not in pivset}
+    # K is an ideal, so the free monomials are closed upward in the
+    # staircase, and a lead is minimal unless one step down is free
+    def minimal(ev: int) -> bool:
+        return not any((ev >> (k * w)) & mask and ev - (1 << (k * w)) in free
+                       for k in range(ring.nvars))
+
+    pivot_terms = [(ring.key_of_evec(mons[c]), mons[c]) for c in piv]
+
+    def element(lead: tuple, coeffs: np.ndarray) -> Polynomial:
+        tail = tuple((k, ev, int(c)) for (k, ev), c in zip(pivot_terms[::-1], coeffs[::-1]) if c)
+        return Polynomial(ring, (lead,) + tail)
+
+    old = [g for g in basis.gens if minimal(g.terms[0][1])]
+    T = np.zeros((D, len(old)), dtype=np.int64)
+    for j, g in enumerate(old):
+        for _, ev, c in g.terms[1:]:
+            T[q.index[ev], j] = c
+    tails = _matmul(R, T, p)
+    gens = [element(g.terms[0], tails[:, j]) for j, g in enumerate(old)]
+    gens += [element((ring.key_of_evec(ev), ev, 1), -R[:, c] % p)
+             for ev, c in free.items() if minimal(ev)]
+    gens.sort(key=lambda g: g.terms[0][0], reverse=True)
+    return GroebnerBasis(ring, tuple(gens))
 
 
 def extended(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis:
@@ -423,4 +363,9 @@ def radical_membership(basis: GroebnerBasis, f: Polynomial) -> bool:
 
 
 def properness(basis: GroebnerBasis, f: Polynomial) -> bool:
-    return quotient(basis).is_invertible(f)
+    """<basis> + <f> = <1>, memoized on the quotient by the value of f."""
+    q = quotient(basis)
+    proper = q.proper.get(f)
+    if proper is None:
+        proper = q.proper[f] = q.is_invertible(f)
+    return proper

@@ -171,13 +171,13 @@ def test_f4_matches_signature_route(p, order, monkeypatch):
 
 
 def test_f4_unit_inside_matrix_round(monkeypatch):
-    # x*y and x*(y*z + 3) lie in the ideal, so 3x does, and with
-    # 5*x*z + 5*x + 1 so does 1; the constant comes out of a round that
-    # reduces four pairs together
+    # z*(x*y) - x*(y*z + 1) = -x lies in the ideal, so y = (x*z + y) - z*x
+    # and 1 = (y*z + 1) - z*y do; the constant comes out of the degree-3
+    # round, whose four pairs are reduced together
     ring = PolyRing(PrimeField(7), ("x", "y", "z"))
     x, y, z = ring.gens()
     counts = _count_rounds(monkeypatch)
-    polys = [y * z + 3, 5 * x * y, 5 * x * z + 5 * x + 1]
+    polys = [x * y, x * z + y, y * z + 1]
     assert buchberger(polys).is_unit
     assert counts["matrix_unit"] == 1
     assert extend_basis(GroebnerBasis(ring, ()), polys).is_unit

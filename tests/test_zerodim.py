@@ -112,6 +112,42 @@ def test_saturation_nonreduced_points(ring):
     assert zerodim.saturation(gb, x - 1) == saturate(gb, x - 1)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 65521, 2147483647])
+def test_saturation_kernel_read_matches_elimination(p):
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    # invertible f: the basis itself comes back
+    gb = buchberger([x**2 - 1, y - 3, z])
+    assert zerodim.saturation(gb, y) is gb
+    assert saturate(gb, y) == gb
+    # nilpotent f: the saturation is the unit ideal
+    gb = buchberger([x**2, y, z**3])
+    assert zerodim.saturation(gb, x + z).is_unit
+    assert saturate(gb, x + z).is_unit
+    # fat point at the origin beside a simple point at x = 1
+    gb = buchberger([x**2 * (x - 1), y, z])
+    for f in (x, x - 1, x + y):
+        assert zerodim.saturation(gb, f) == saturate(gb, f), f
+    # a large staircase with points of several multiplicities
+    gb = buchberger([x**3 * (x - 1)**2, y**3 - x * y, z**3 - z + x * y])
+    assert zerodim.quotient(gb).D >= 40
+    for f in (x, x - 1, y, x * y - z, z + 2):
+        assert zerodim.saturation(gb, f) == saturate(gb, f), f
+
+
+@pytest.mark.parametrize("first", ["properness", "saturation"])
+def test_properness_memo_keyed_by_value(ring, first):
+    rng = random.Random(17)
+    x, y, z = ring.gens()
+    for case in zero_dim_cases(ring, rng):
+        for f, g in ((x - 1, -1 + x), (x * y + 3, 3 + y * x), (y, y * 1)):
+            assert f is not g and f == g
+            gb = GroebnerBasis(ring, case.gens)  # a fresh object: no quotient yet
+            getattr(zerodim, first)(gb, f)
+            assert zerodim.properness(gb, g) == extend_basis(gb, [g]).is_unit, (gb, g)
+            assert len(zerodim.quotient(gb).proper) == 1
+
+
 def test_extension_matches_buchberger(ring):
     # zero-dimensional bases grow through the signature step like any other
     rng = random.Random(13)
