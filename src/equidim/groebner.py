@@ -15,13 +15,26 @@ Reduced Groebner bases come from one of two routes:
   elimination behind ``saturate`` and ``radical_member`` use it; the
   Koszul criterion discards every pair whose signature lies in LM(P),
   which for t*g - 1 (a nonzerodivisor modulo <P>) is every syzygy.
+  The step returns its new elements without interreducing them:
+  ``extend_basis`` interreduces P with all of them, while a saturation
+  keeps only the t-free ones and interreduces those.  Under the order
+  that eliminates t, a t-free monomial is divisible only by t-free
+  leads, so that is already the reduced basis of the elimination ideal,
+  and the t-carrying elements are never tail-reduced.
 
 Polynomials are reduced by the heap kernel ``_reduce_terms``, and
 matrices echelonised mod p by ``_rref``, the package's one echelon
-routine (``zerodim`` uses it too).  On top of them: normal forms, ideal
-membership, saturation by a polynomial (elimination with an auxiliary
-variable ranked first), radical membership (Rabinowitsch) and ideal
-intersection.
+routine (``zerodim`` uses it too).  The kernel sums coefficients as
+plain integers and reduces one mod p only when its monomial is popped.
+Every reduction modulo a fixed basis (``normal_form``, the P part of
+``_sig_step``, the columns of ``zerodim.low_degree_colon``) looks the
+divisor of a monomial up in the basis's divisor memo, which maps each
+monomial met to its first dividing reducer (or to none) and is filled
+on first use; a saturation lends the memo to its t-embedded copy of
+the basis, where t-free monomials have the same packed exponents and
+keys.  On top of them: normal forms, ideal membership, saturation by a
+polynomial (elimination with an auxiliary variable ranked first),
+radical membership (Rabinowitsch) and ideal intersection.
 
 Dimension and degree are read off the lead monomials alone:
 ``hilbert_dim_degree`` computes both from the Hilbert series of
@@ -50,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .gf import ContractViolation
-from .rings import PolyRing, Polynomial
+from .rings import DegreeOverflow, PolyRing, Polynomial
 
 
 class GroebnerBasis:
@@ -61,12 +74,15 @@ class GroebnerBasis:
     equality.  The empty tuple represents the zero ideal.
     """
 
-    __slots__ = ("ring", "gens", "_reducers", "_quotient")
+    __slots__ = ("ring", "gens", "_reducers", "_divisors", "_quotient")
 
     def __init__(self, ring: PolyRing, gens: tuple[Polynomial, ...]):
         self.ring = ring
         self.gens = gens
         self._reducers = None
+        # packed monomial -> its first dividing reducer, or None; filled
+        # by _reduce_terms, and shared with the t-embedding of _saturation
+        self._divisors: dict = {}
         self._quotient = None  # zero-dimensional structure, filled lazily
 
     @property
@@ -82,6 +98,10 @@ class GroebnerBasis:
         if self._reducers is None:
             self._reducers = _prep_reducers(self.gens)
         return self._reducers
+
+    def reduce_terms(self, terms, extra=(), bound: int | None = None):
+        """``_reduce_terms`` modulo this basis, through its divisor memo."""
+        return _reduce_terms(self.ring, terms, self.reducers(), self._divisors, extra, bound)
 
     def lead_evecs(self) -> list[int]:
         return [g.terms[0][1] for g in self.gens]
@@ -120,17 +140,30 @@ def _prep_reducers(gens: Sequence[Polynomial]):
     return reds
 
 
-def _reduce_terms(ring: PolyRing, terms, reducers,
-                  bound: int | None = None) -> dict[int, tuple[int, int]]:
+_UNSEEN = object()
+
+
+def _reduce_terms(ring: PolyRing, terms, reducers, divisors: dict | None = None,
+                  extra=(), bound: int | None = None) -> dict[int, tuple[int, int]]:
     """Fully reduce a term stream; returns {evec: (key, coeff)} remainder.
 
     Heap-driven: monomials are processed in strictly decreasing order,
     so once a monomial is popped no further contributions to it can
-    appear and it can be finalized or rewritten on the spot.
+    appear and it can be finalized or rewritten on the spot.  Sums are
+    kept as plain integers and reduced mod p once, when the monomial is
+    popped.
 
-    With a signature ``bound`` (a key), each reducer carries its
-    signature key as a fourth entry and may rewrite a term of key k
-    only when (k / lead) * signature < bound, i.e. when
+    A term is rewritten by the first reducer, in ascending lead key,
+    whose lead divides it.  ``reducers`` are (lead key, lead evec,
+    tail) entries, ascending.  When they are the fixed reducers of one
+    basis, ``divisors`` is that basis's memo: it maps a monomial to its
+    first dividing reducer, or None, and is filled on first sight.
+
+    ``extra`` entries carry their signature key as a fourth entry and
+    are scanned on every pop, only below the key of the divisor found
+    among ``reducers``, so the reducer chosen is the first of both lists
+    merged.  Such an entry may rewrite a term of key k only when
+    (k / lead) * signature < ``bound``, i.e. when
     ``k - lead_key + sig_key < bound``: the regular reduction of
     signature-based algorithms.
     """
@@ -139,6 +172,8 @@ def _reduce_terms(ring: PolyRing, terms, reducers,
     acc: dict[int, int] = {}
     heap: list[tuple[int, int]] = []
     out: dict[int, tuple[int, int]] = {}
+    memo = {} if divisors is None else divisors
+    memo_get = memo.get
     acc_get = acc.get
     acc_pop = acc.pop
     push = heappush
@@ -146,38 +181,51 @@ def _reduce_terms(ring: PolyRing, terms, reducers,
     for k, ev, c in terms:
         v = acc_get(ev)
         if v is None:
-            acc[ev] = c % p
+            acc[ev] = c
             push(heap, (-k, ev))
         else:
-            acc[ev] = (v + c) % p
+            acc[ev] = v + c
     while heap:
         nk, ev = pop(heap)
-        c = acc_pop(ev, 0)
+        c = acc_pop(ev) % p
         if not c:
             continue
         k = -nk
-        hit = None
-        for red in reducers:
-            if red[0] > k:
-                break
-            d = ev - red[1]
-            if d >= 0 and not (d & guard) and (
-                    bound is None or k - red[0] + red[3] < bound):
-                hit = red
-                break
+        hit = memo_get(ev, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = None
+            for red in reducers:
+                if red[0] > k:
+                    break
+                d = ev - red[1]
+                if d >= 0 and not (d & guard):
+                    hit = red
+                    break
+            if divisors is not None:
+                memo[ev] = hit
+        if extra:
+            top = k if hit is None else hit[0] - 1
+            for red in extra:
+                if red[0] > top:
+                    break
+                d = ev - red[1]
+                if d >= 0 and not (d & guard) and k - red[0] + red[3] < bound:
+                    hit = red
+                    break
         if hit is None:
             out[ev] = (k, c)
             continue
         dk = k - hit[0]
         dev = ev - hit[1]
+        m = p - c
         for tk, tev, tc in hit[2]:
             nev = tev + dev
             v = acc_get(nev)
             if v is None:
-                acc[nev] = (-c * tc) % p
+                acc[nev] = m * tc
                 push(heap, (-(tk + dk), nev))
             else:
-                acc[nev] = (v - c * tc) % p
+                acc[nev] = v + m * tc
     return out
 
 
@@ -186,11 +234,11 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") ->
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise ContractViolation("polynomial and basis from different rings")
-        reducers = basis.reducers()
-        ring = basis.ring
-    else:
-        ring = f.ring
-        reducers = _prep_reducers([g.monic() for g in basis if not g.is_zero()])
+        if f.is_zero() or basis.is_zero_ideal:
+            return f
+        return basis.ring._from_keyed(basis.reduce_terms(f.terms))
+    ring = f.ring
+    reducers = _prep_reducers([g.monic() for g in basis if not g.is_zero()])
     if f.is_zero() or not reducers:
         return f
     return ring._from_keyed(_reduce_terms(ring, f.terms, reducers))
@@ -250,14 +298,12 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     if not inputs:
         return GroebnerBasis(ring, ())
 
-    unpack = ring.unpack_evec
-    pack = ring.pack_evec
+    lcm = ring.lcm_evec
     keyfn = ring.key_of_evec
     divides = ring.divides
     degree = ring.degree_of_key
 
     gens: list[Polynomial] = []
-    lm_x: list[tuple[int, ...]] = []  # unpacked lead exponents, for lcms
     pairs: list[tuple[int, int, int, int, int]] = []  # (lcm degree, lcm key, i, j, lcm evec)
     reducers: list = []  # _reduce_terms entries of gens, ascending by lead key
 
@@ -266,10 +312,9 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         nonlocal pairs
         t = len(gens)
         hk, he, _ = h.terms[0]
-        hx = unpack(he)
         cand = []
         for i in range(t):
-            le = pack(tuple(map(max, lm_x[i], hx)))
+            le = lcm(gens[i].terms[0][1], he)
             cand.append((keyfn(le), i, le))
         cand.sort()
         kept: list[tuple[int, int, int]] = []
@@ -282,18 +327,20 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         for entry in pairs:
             i, j, le = entry[2:]
             if divides(he, le):
-                if (pack(tuple(map(max, lm_x[i], hx))) != le
-                        and pack(tuple(map(max, lm_x[j], hx))) != le):
+                if (lcm(gens[i].terms[0][1], he) != le
+                        and lcm(gens[j].terms[0][1], he) != le):
                     continue
             newpairs.append(entry)
         # drop coprime pairs (product criterion) after they served in pruning
         for lk, i, le in kept:
             if le != gens[i].terms[0][1] + he:
-                newpairs.append((degree(lk), lk, i, t, le))
+                d = degree(lk)
+                if d > ring.cap:
+                    raise DegreeOverflow(f"S-pair degree {d} exceeds cap {ring.cap}")
+                newpairs.append((d, lk, i, t, le))
         newpairs.sort()
         pairs = newpairs
         gens.append(h)
-        lm_x.append(hx)
         insort(reducers, (hk, he, h.terms[1:]), key=lambda red: red[0])
 
     # seed with the reduced inputs, smallest leading terms first
@@ -483,63 +530,63 @@ def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ..
     minimal = [gens[i] for i in keep]
     reducers = _prep_reducers(minimal)
     # every term of a tail stays below its own lead, so g never reduces
-    # itself and one reducer list serves all generators
+    # itself and one reducer list, with one divisor memo, serves all
+    # generators
+    divisors: dict = {}
     reduced = [
-        Polynomial(ring, g.terms[:1]
-                   + ring._from_keyed(_reduce_terms(ring, g.terms[1:], reducers)).terms)
+        Polynomial(ring, g.terms[:1] + ring._from_keyed(
+            _reduce_terms(ring, g.terms[1:], reducers, divisors)).terms)
         for g in minimal
     ]
     reduced.sort(key=lambda f: f.terms[0][0], reverse=True)
     return tuple(reduced)
 
 
-def _sig_step(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
-    """Reduced basis of <basis> + <f>: one signature-based (F5C) step.
+def _sig_step(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
+    """New generators that make ``basis`` a Groebner basis of <basis> + <f>.
 
-    Every new element carries a monomial signature s, standing for
-    s * e_f; f, reduced by the basis P and made monic, has signature 1.
-    Pair signatures are processed once each, in increasing order.  A
-    signature divisible by a lead of P (Koszul) or by a recorded
-    syzygy is skipped; otherwise the latest-added element whose
-    signature divides it (rewrite criterion) is multiplied up to that
-    signature and regular-reduced: elements of P always reduce, a new
-    element only when its multiplied signature is strictly smaller.
+    One signature-based (F5C) step.  Every new element carries a
+    monomial signature s, standing for s * e_f; f, reduced by the basis
+    P and made monic, has signature 1.  Pair signatures are processed
+    once each, in increasing order.  A signature divisible by a lead of
+    P (Koszul) or by a recorded syzygy is skipped; otherwise the
+    latest-added element whose signature divides it (rewrite criterion)
+    is multiplied up to that signature and regular-reduced: elements of
+    P always reduce, a new element only when its multiplied signature is
+    strictly smaller.
+
+    The elements are returned as they are, monic but not interreduced:
+    P's generators together with them form a Groebner basis.  An empty
+    list means f is in <P>, and [1] the unit ideal.
     """
     ring = basis.ring
-    unit = GroebnerBasis(ring, (ring.one(),))
-    p_reds = basis.reducers()
-    r = ring._from_keyed(_reduce_terms(ring, f.terms, p_reds))
+    r = ring._from_keyed(basis.reduce_terms(f.terms))
     if r.is_zero():
-        return basis
+        return []
     if r.is_constant():
-        return unit
+        return [ring.one()]
 
     divides = ring.divides
-    unpack = ring.unpack_evec
-    pack = ring.pack_evec
+    lcm = ring.lcm_evec
     keyfn = ring.key_of_evec
+    degree = ring.degree_of_key
     p_leads = basis.lead_evecs()
-    p_x = [unpack(e) for e in p_leads]
-    # below k - lead_key + sig for every key k: keys have nvars fields
-    floor = -(1 << (ring.nvars * ring.width))
-    reducers = [red + (floor,) for red in p_reds]
     sigs: list[tuple[int, int]] = []  # (key, evec) of each new element
     elems: list[Polynomial] = []
-    elem_x: list[tuple[int, ...]] = []
+    reducers: list = []  # _reduce_terms extra entries of elems, ascending by lead key
     syz: list[int] = []
     heap: list[tuple[int, int]] = []
 
     def add(sk: int, se: int, h: Polynomial):
         lk, le, _ = h.terms[0]
-        lx = unpack(le)
-        for px, pe in zip(p_x, p_leads):
-            lam = pack(tuple(map(max, lx, px)))
+        for pe in p_leads:
+            lam = lcm(le, pe)
             if lam != le + pe:  # coprime pairs lie in LM(P)
                 heappush(heap, (sk + keyfn(lam) - lk, se + lam - le))
-        for (s2k, s2e), h2, x2 in zip(sigs, elems, elem_x):
-            lam = pack(tuple(map(max, lx, x2)))
-            lamk = keyfn(lam)
+        for (s2k, s2e), h2 in zip(sigs, elems):
             k2, e2, _ = h2.terms[0]
+            lam = lcm(le, e2)
+            lamk = keyfn(lam)
             a = sk + lamk - lk
             b = s2k + lamk - k2
             if a > b:
@@ -548,7 +595,6 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
                 heappush(heap, (b, s2e + lam - e2))
         sigs.append((sk, se))
         elems.append(h)
-        elem_x.append(lx)
         insort(reducers, (lk, le, h.terms[1:], sk), key=lambda red: red[0])
 
     add(0, 0, r.monic())
@@ -565,19 +611,22 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
             i -= 1
         dk = sk - sigs[i][0]
         de = se - sigs[i][1]
+        d = degree(elems[i].terms[0][0] + dk)
+        if d > ring.cap:
+            raise DegreeOverflow(f"S-pair degree {d} exceeds cap {ring.cap}")
         stream = [(k + dk, ev + de, c) for k, ev, c in elems[i].terms]
-        h = ring._from_keyed(_reduce_terms(ring, stream, reducers, sk))
+        h = ring._from_keyed(basis.reduce_terms(stream, reducers, sk))
         if h.is_zero():
             syz.append(se)
             continue
         if h.is_constant():
-            return unit
+            return [ring.one()]
         hk, he, _ = h.terms[0]
         if any(divides(h2.terms[0][1], he) and hk - h2.terms[0][0] + s2k == sk
                for (s2k, _), h2 in zip(sigs, elems)):
             continue  # singular: a multiple of an element with signature sk
         add(sk, se, h.monic())
-    return GroebnerBasis(ring, _interreduce(ring, list(basis.gens) + elems))
+    return elems
 
 
 _MEMO: ContextVar[dict | None] = ContextVar("equidim_groebner_memo", default=None)
@@ -626,7 +675,9 @@ def extend_basis(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerB
     def compute() -> GroebnerBasis:
         out = basis
         for f in sorted(extra, key=lambda f: f.terms[0][0]):
-            out = _sig_step(out, f)
+            new = _sig_step(out, f)
+            if new:
+                out = GroebnerBasis(out.ring, _interreduce(out.ring, list(out.gens) + new))
         return out
 
     return _memoized(("extend", basis, extra), compute)
@@ -644,18 +695,18 @@ def _embed(ext: PolyRing, polys: Iterable[Polynomial]) -> list[Polynomial]:
     return [Polynomial(ext, f.terms) for f in polys]
 
 
-def _restrict_tfree(ring: PolyRing, ext: PolyRing, basis: GroebnerBasis) -> GroebnerBasis:
-    """Extract the elements free of the auxiliary last variable."""
-    w = ext.width
-    tslot = ext.nvars - 1
-    kept = []
-    # the order eliminates t, so t-freeness of the lead term is enough;
-    # the t-free part of a reduced basis is the reduced basis of the
-    # elimination ideal, already in descending order
-    for g in basis.gens:
-        if (g.terms[0][1] >> (tslot * w)) == 0:
-            kept.append(Polynomial(ring, g.terms))
-    return GroebnerBasis(ring, tuple(kept))
+def _restrict_tfree(ring: PolyRing, ext: PolyRing, gens: Iterable[Polynomial]) -> GroebnerBasis:
+    """Reduced basis of the elements free of the auxiliary last variable.
+
+    For a Groebner basis ``gens`` under the order that eliminates t, a
+    t-free monomial is divisible only by t-free leads, and an element
+    with a t-free lead is t-free; so the t-free elements form a
+    Groebner basis of the elimination ideal, and interreducing them
+    alone gives its reduced basis.
+    """
+    tshift = (ext.nvars - 1) * ext.width
+    return GroebnerBasis(ring, _interreduce(ring, [
+        Polynomial(ring, g.terms) for g in gens if not g.terms[0][1] >> tshift]))
 
 
 def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
@@ -665,14 +716,13 @@ def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     def compute() -> GroebnerBasis:
         ext = ring.extend_elim()
         # t-free generators of a grevlex basis stay a reduced basis
-        # under the elimination order
+        # under the elimination order, and a t-free monomial keeps its
+        # packed exponents and key, so the divisor memo carries over
         ext_basis = GroebnerBasis(ext, tuple(_embed(ext, basis.gens)))
+        ext_basis._divisors = basis._divisors
         t = ext.var(ext.nvars - 1)
         rab = t * Polynomial(ext, g.terms) - 1
-        eb = _sig_step(ext_basis, rab)
-        if eb.is_unit:
-            return GroebnerBasis(ring, (ring.one(),))
-        return _restrict_tfree(ring, ext, eb)
+        return _restrict_tfree(ring, ext, list(basis.gens) + _sig_step(ext_basis, rab))
 
     return _memoized(("saturation", basis, g), compute)
 

@@ -85,7 +85,7 @@ class PolyRing:
 
     __slots__ = (
         "field", "names", "order", "nvars", "cap", "width",
-        "_evec_guard", "_key_top_shift", "_key_groups",
+        "_evec_guard", "_key_groups", "_key_parts",
     )
 
     def __init__(
@@ -125,7 +125,22 @@ class PolyRing:
         else:
             raise ContractViolation(f"unknown order kind {self.order.kind!r}")
         self._key_groups = groups
-        self._key_top_shift = (n - 1) * width
+        # per group: (slots to gather or None, input shift, field mask,
+        # prefix-sum multiplier, output shift); see key_of_evec
+        parts = []
+        out_shift = n * width
+        for group in groups:
+            m = len(group)
+            out_shift -= m * width
+            contiguous = group == tuple(range(group[0], group[0] + m))
+            parts.append((
+                None if contiguous else tuple(i * width for i in group),
+                group[0] * width,
+                (1 << (m * width)) - 1,
+                sum(1 << (j * width) for j in range(m)),
+                out_shift,
+            ))
+        self._key_parts = tuple(parts)
 
     # -- packing ---------------------------------------------------------
 
@@ -148,18 +163,35 @@ class PolyRing:
         return tuple((evec >> (i * w)) & mask for i in range(self.nvars))
 
     def key_of_evec(self, evec: int) -> int:
-        exps = self.unpack_evec(evec)
-        w = self.width
+        """Order key of a packed monomial: one int, compared as an int.
+
+        Each key group (all variables for grevlex; the block, then the
+        rest, for an elimination order) contributes the front partial
+        sums s_j = e_0 + ... + e_j of its exponents, in its slot order,
+        one ``width``-bit field each, with the full sum s_(m-1) in the
+        most significant field; earlier groups sit above later ones.
+
+        With the group's exponents packed as X = sum_j e_j 2^(j*w),
+        the product X * (1 + 2^w + ... + 2^((m-1)w)) holds in field j
+        the sum of the e_l with l <= j, so masking it to m fields gives
+        the prefix sums in one multiply.  The multiply is exact: a
+        field of the product holds a sum of exponents of one monomial,
+        at most its total degree, which stays below the guard bit, so
+        no field carries into the next.  A group whose slots are not
+        consecutive and ascending is first gathered into X field by
+        field.
+        """
         key = 0
-        for group in self._key_groups:
-            acc = 0
-            fields = []
-            for i in group:
-                acc += exps[i]
-                fields.append(acc)
-            # most significant field is the full group sum
-            for s in reversed(fields):
-                key = (key << w) | s
+        w = self.width
+        for slots, shift, mask, mult, out_shift in self._key_parts:
+            if slots is None:
+                x = (evec >> shift) & mask
+            else:
+                x = 0
+                f = (1 << w) - 1
+                for j, s in enumerate(slots):
+                    x |= ((evec >> s) & f) << (j * w)
+            key |= ((x * mult) & mask) << out_shift
         return key
 
     def degree_of_key(self, key: int) -> int:
@@ -180,9 +212,17 @@ class PolyRing:
         return d >= 0 and not (d & self._evec_guard)
 
     def lcm_evec(self, ea: int, eb: int) -> int:
-        xa = self.unpack_evec(ea)
-        xb = self.unpack_evec(eb)
-        return self.pack_evec(tuple(max(p, q) for p, q in zip(xa, xb)))
+        """Fieldwise maximum of two packed monomials, without unpacking.
+
+        Setting every guard bit of a and subtracting b leaves a field's
+        guard bit set exactly where a_i >= b_i, and no field borrows from
+        the next; that bit is spread into a mask of the field's low bits.
+        """
+        g = self._evec_guard
+        w1 = self.width - 1
+        ge = (((ea | g) - eb) & g) >> w1
+        m = (ge << w1) - ge
+        return (ea & m) | (eb & ~m)
 
     # -- construction ----------------------------------------------------
 
@@ -599,6 +639,24 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0) -> Polynomial:
             tokens.append(("op", op, m.start(3) + 1))
     tokens.append(("end", "", len(text) + 1))
     idx = [0]
+    p = ring.field.p
+    w = ring.width
+    cap = ring.cap
+    slot = {name: i for i, name in enumerate(ring.names)}
+
+    # A product of atoms stays one term (coeff, evec, degree), with the
+    # coefficient reduced mod p, and sums gather terms in one dict.  A
+    # parenthesised sum is a Polynomial, and so is every product it
+    # enters; a term whose degree would pass the cap is turned into a
+    # Polynomial too, so that the operation raises as it always has.
+
+    def as_poly(f) -> Polynomial:
+        if isinstance(f, Polynomial):
+            return f
+        c, ev, _ = f
+        if not c:
+            return ring.zero()
+        return Polynomial(ring, ((ring.key_of_evec(ev), ev, c),))
 
     def peek():
         return tokens[idx[0]]
@@ -608,16 +666,17 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0) -> Polynomial:
         idx[0] += 1
         return t
 
-    def parse_atom() -> Polynomial:
+    def parse_atom():
         kind, val, col = peek()
         if kind == "int":
             advance()
-            return ring.const(int(val))
+            return (int(val) % p, 0, 0)
         if kind == "name":
             advance()
-            if val not in ring.names:
+            i = slot.get(val)
+            if i is None:
                 raise ParseError(f"unknown identifier {val!r}", line, col)
-            return ring.var(ring.names.index(val))
+            return (1, 1 << (i * w), 1)
         if kind == "op" and val == "(":
             advance()
             e = parse_expr()
@@ -628,7 +687,7 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0) -> Polynomial:
             return e
         raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
 
-    def parse_power() -> Polynomial:
+    def parse_power():
         base = parse_atom()
         kind, val, col = peek()
         if kind == "op" and val == "^":
@@ -637,37 +696,60 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0) -> Polynomial:
             if k2 != "int":
                 raise ParseError("exponent must be an integer literal", line, c2)
             advance()
-            return base ** int(v2)
+            e = int(v2)
+            if not isinstance(base, Polynomial):
+                c, ev, deg = base
+                if e == 0:
+                    return (1, 0, 0)
+                if not c:
+                    return base
+                if deg * e <= cap:
+                    return (pow(c, e, p), ev * e, deg * e)
+            return as_poly(base) ** e
         return base
 
-    def parse_factor() -> Polynomial:
+    def parse_factor():
         f = parse_power()
         while True:
             kind, val, col = peek()
             if kind == "op" and val == "*":
                 advance()
-                f = f * parse_power()
+                g = parse_power()
+                if isinstance(f, Polynomial) or isinstance(g, Polynomial):
+                    f = as_poly(f) * as_poly(g)
+                    continue
+                c = f[0] * g[0] % p
+                if not c:
+                    f = (0, 0, 0)
+                elif f[2] + g[2] <= cap:
+                    f = (c, f[1] + g[1], f[2] + g[2])
+                else:
+                    f = as_poly(f) * as_poly(g)
             elif kind in ("int", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not accepted", line, col)
             else:
                 return f
 
     def parse_expr() -> Polynomial:
+        acc: dict[int, int] = {}
+
+        def add(f, sign: int) -> None:
+            if isinstance(f, Polynomial):
+                for _, ev, c in f.terms:
+                    acc[ev] = acc.get(ev, 0) + sign * c
+            else:
+                acc[f[1]] = acc.get(f[1], 0) + sign * f[0]
+
+        sign = 1
         kind, val, _ = peek()
-        if kind == "op" and val in "+-":
-            advance()
-            f = parse_factor()
-            acc = f if val == "+" else -f
-        else:
-            acc = parse_factor()
         while True:
-            kind, val, _ = peek()
             if kind == "op" and val in "+-":
                 advance()
-                f = parse_factor()
-                acc = acc + f if val == "+" else acc - f
-            else:
-                return acc
+                sign = 1 if val == "+" else -1
+            add(parse_factor(), sign)
+            kind, val, _ = peek()
+            if kind != "op" or val not in "+-":
+                return ring._from_dict({ev: c % p for ev, c in acc.items()})
 
     result = parse_expr()
     kind, val, col = peek()

@@ -15,7 +15,7 @@ multiplication is rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gf import ContractViolation, PrimeField, DEFAULT_CHAR
@@ -32,12 +32,18 @@ class SystemFile:
     variables: tuple[str, ...]
     characteristic: int
     sources: tuple[str, ...]
+    # the polynomials parse_system validated, with the ring they were
+    # parsed over; the sources are parsed again only for another ring
+    _parsed: tuple[PolyRing, tuple[Polynomial, ...]] | None = field(
+        default=None, compare=False, repr=False)
 
     def ring(self) -> PolyRing:
         return PolyRing(PrimeField(self.characteristic), self.variables)
 
     def polynomials(self, ring: PolyRing | None = None) -> list[Polynomial]:
         r = ring if ring is not None else self.ring()
+        if self._parsed is not None and r == self._parsed[0]:
+            return [Polynomial(r, f.terms) for f in self._parsed[1]]
         return [parse_polynomial(r, s) for s in self.sources]
 
     def to_text(self) -> str:
@@ -83,13 +89,12 @@ def parse_system(text: str) -> SystemFile:
         sources.append(line)
     if variables is None:
         raise ParseError("empty input: missing 'vars' header", 1, 1)
-    system = SystemFile(variables, characteristic or DEFAULT_CHAR, tuple(sources))
-    ring = system.ring()
+    characteristic = characteristic or DEFAULT_CHAR
+    ring = PolyRing(PrimeField(characteristic), variables)
     # validate every polynomial now so errors surface with line numbers
     lineno_of = _source_lines(text, sources)
-    for src, ln in zip(sources, lineno_of):
-        parse_polynomial(ring, src, line=ln)
-    return system
+    polys = tuple(parse_polynomial(ring, src, line=ln) for src, ln in zip(sources, lineno_of))
+    return SystemFile(variables, characteristic, tuple(sources), (ring, polys))
 
 
 def _source_lines(text: str, sources: Sequence[str]) -> list[int]:

@@ -50,7 +50,7 @@ import numpy as np
 from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
-    GroebnerBasis, _reduce_terms, _rref, extend_basis, normal_form, standard_monomials,
+    GroebnerBasis, _rref, extend_basis, normal_form, standard_monomials,
 )
 
 
@@ -203,7 +203,7 @@ def low_degree_colon(
         raise ContractViolation("polynomials from different rings")
     if basis.is_zero_ideal:
         return []  # R is a domain: a * f^k = 0 forces a = 0
-    reducers = basis.reducers()
+    reduce = basis.reduce_terms
     w = ring.width
     shifts = [(ring.key_of_evec(1 << (i * w)), 1 << (i * w)) for i in range(ring.nvars)]
     fk = f
@@ -213,7 +213,7 @@ def low_degree_colon(
         # keeps the Macaulay columns NF(m * f^k) of the last degree, as
         # {evec: (key, coeff)}, for the next degree's shifts
         monos = [(0, 0)]
-        frontier = [(0, 0, _reduce_terms(ring, fk.terms, reducers))]
+        frontier = [(0, 0, reduce(fk.terms))]
         new = [frontier[0][2]]  # columns not yet in the echelon
         seen = {0}
         # column echelon: row r of E is [reduced column vector | its
@@ -233,9 +233,8 @@ def low_degree_colon(
                     seen.add(ev)
                     monos.append((mk + dk, ev))
                     # NF(x_i * m' * f^k) = NF(x_i * NF(m' * f^k))
-                    nxt.append((mk + dk, ev, _reduce_terms(
-                        ring, [(tk + dk, tev + dev, c) for tev, (tk, c) in col.items()],
-                        reducers)))
+                    nxt.append((mk + dk, ev, reduce(
+                        [(tk + dk, tev + dev, c) for tev, (tk, c) in col.items()])))
             frontier = nxt
             new += [col for _, _, col in nxt]
             checked = len(monos) - len(new)  # columns already classified
@@ -263,7 +262,7 @@ def low_degree_colon(
                 if nz.size == 0:
                     # a dependent column: its combination is a kernel vector
                     stream = [(*monos[i], int(N[j, S + i])) for i in np.flatnonzero(N[j, S:])]
-                    nf = _reduce_terms(ring, stream, reducers)
+                    nf = reduce(stream)
                     if nf:
                         h = ring._from_keyed(nf).monic()
                         if h not in out:

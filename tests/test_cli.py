@@ -106,6 +106,16 @@ def test_run_char_override(tmp_path):
     assert doc["input"]["characteristic"] == 7
 
 
+def test_run_char_override_parses_coefficients_mod_new_char(tmp_path):
+    # the file is parsed over GF(65521) first; -9 must be read again mod 7
+    path = tmp_path / "sys.txt"
+    path.write_text("vars x, y\nx^2 - 9*y\n")
+    code, out, err = run_cli(["run", str(path), "--char", "7"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["cells"][0]["basis"] == ["x^2 + 5*y"]
+
+
 def test_gen_ps_roundtrips_through_run(tmp_path):
     code, out, _ = run_cli(["gen-ps", "3", "--seed", "4"])
     assert code == 0

@@ -246,18 +246,18 @@ def test_extend_basis_agrees_with_full_run(ring_xyz, rng):
 def _count_regular_reductions(monkeypatch):
     """Count the signature-bounded reductions and those that give zero.
 
-    Also keeps the reducer list of every extension step (the step grows
-    one list in place) under the key "steps".
+    Also keeps the signed reducer list of every extension step (the
+    step grows one list in place) under the key "steps".
     """
     counts = {"regular": 0, "zero": 0, "steps": {}}
     original = groebner._reduce_terms
 
-    def counting(ring, terms, reducers, bound=None):
-        out = original(ring, terms, reducers, bound)
+    def counting(ring, terms, reducers, divisors=None, extra=(), bound=None):
+        out = original(ring, terms, reducers, divisors, extra, bound)
         if bound is not None:
             counts["regular"] += 1
             counts["zero"] += not out
-            counts["steps"][id(reducers)] = (ring, reducers)
+            counts["steps"][id(extra)] = (ring, extra)
         return out
 
     monkeypatch.setattr(groebner, "_reduce_terms", counting)
@@ -267,8 +267,7 @@ def _count_regular_reductions(monkeypatch):
 def _assert_no_singular_element(ring, reducers):
     """No new element is a multiple of another with the same signature.
 
-    Entries are (lead key, lead evec, tail, signature key); the basis
-    being extended carries a negative signature key.
+    Entries are (lead key, lead evec, tail, signature key).
     """
     signed = [red for red in reducers if red[3] >= 0]
     for lk, le, _, sk in signed:
@@ -433,6 +432,38 @@ def test_saturate_output_needs_no_interreduction(ring_xyz, rng):
             assert sat.gens == _interreduce(ring_xyz, list(sat.gens))
             proper += len(sat.gens) > 1
     assert proper
+
+
+def test_divisor_memo_shared_with_saturation_embedding(rng):
+    """normal_form through a divisor memo that a saturation filled through
+    its t-embedding equals a memo-free reduction, and so does the
+    saturation after normal forms filled the memo first."""
+    ring = PolyRing(PrimeField(7), ("x", "y", "z"))
+    tshift = ring.nvars * ring.width  # the t slot of extend_elim()
+    cases = 0
+    for _ in range(30):
+        gens = tuple(groebner_of(ring, [random_poly(ring, rng) for _ in range(2)]))
+        g = random_poly(ring, rng)
+        if not gens or gens[0].is_one() or g.is_constant():
+            continue
+        fs = [random_poly(ring, rng, terms=6, max_deg=4) for _ in range(6)]
+        plain = GroebnerBasis(ring, gens)
+        expected = [ring._from_keyed(_reduce_terms(ring, f.terms, plain.reducers()))
+                    for f in fs]
+        assert not plain._divisors  # a plain reduction leaves no memo
+        sat = _scratch_saturation(plain, g)
+
+        first = GroebnerBasis(ring, gens)
+        assert saturate(first, g) == sat
+        assert any(ev >> tshift for ev in first._divisors)
+        assert [normal_form(f, first) for f in fs] == expected
+
+        second = GroebnerBasis(ring, gens)
+        assert [normal_form(f, second) for f in fs] == expected
+        assert second._divisors
+        assert saturate(second, g) == sat
+        cases += 1
+    assert cases > 10
 
 
 # -- membership -------------------------------------------------------------------

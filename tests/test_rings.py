@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -88,6 +89,53 @@ def test_extend_elim_keeps_tfree_terms(rng):
             assert ext.key_of_evec(ev) == k
     with pytest.raises(ContractViolation):
         ext.extend_elim()
+
+
+def _reference_key(ring, evec):
+    """The order key by its definition: per key group, most significant
+    first, the group's front partial sums with the full sum on top."""
+    exps = ring.unpack_evec(evec)
+    key = 0
+    for group in ring._key_groups:
+        for s in reversed(list(itertools.accumulate(exps[i] for i in group))):
+            key = (key << ring.width) | s
+    return key
+
+
+def _random_exps(rng, n, cap):
+    """An exponent vector of total degree at most cap, often at the cap."""
+    budget = cap if rng.random() < 0.3 else rng.randrange(cap + 1)
+    exps = [0] * n
+    for i in rng.sample(range(n), n):
+        exps[i] = rng.randrange(budget + 1)
+        budget -= exps[i]
+    return exps
+
+
+@pytest.mark.parametrize("order", ["grevlex", "extend_elim", "elim1", "elim_noncontiguous"])
+@pytest.mark.parametrize("cap", [1, 7, 255])
+def test_closed_form_key_and_lcm_match_reference(order, cap, rng):
+    field = PrimeField(7)
+    if order == "extend_elim":
+        ring = PolyRing(field, ("a", "b", "c"), cap=cap).extend_elim()
+    else:
+        mo = {
+            "grevlex": MonomialOrder.grevlex(),
+            "elim1": MonomialOrder.elim_block(1),
+            "elim_noncontiguous": MonomialOrder.elim_block(2, block=(0, 2)),
+        }[order]
+        ring = PolyRing(field, ("a", "b", "c", "d"), mo, cap=cap)
+    n = ring.nvars
+    for _ in range(400):
+        ev = ring.pack_evec(_random_exps(rng, n, cap))
+        assert ring.key_of_evec(ev) == _reference_key(ring, ev)
+        # a and b lie under a common bound, so their lcm is within the cap
+        bound = _random_exps(rng, n, cap)
+        a = [rng.randrange(e + 1) for e in bound]
+        b = [e if rng.random() < 0.5 else rng.randrange(e + 1) for e in bound]
+        ea, eb = ring.pack_evec(a), ring.pack_evec(b)
+        expected = ring.pack_evec(tuple(map(max, ring.unpack_evec(ea), ring.unpack_evec(eb))))
+        assert ring.lcm_evec(ea, eb) == ring.lcm_evec(eb, ea) == expected
 
 
 def test_mono_cmp_length_mismatch(ring_xy):
