@@ -6,6 +6,13 @@ cells", each of the form V(F) minus V(g1*...*gr).  Cells come in two
 interchangeable representations: a deterministic one backed by Groebner
 bases of the distinguished ideal, and a probabilistic one backed by
 witness sets (Groebner bases of a generic zero-dimensional slice).
+
+A random slice misses genericity with probability about B/p, where B is
+the Bezout bound of the input, so the witness representation is used
+only where 32 * B <= p (``cells.slices_generic``), which no p <= 31
+meets once B >= 1.  Otherwise ``equidim`` runs the Groebner representation,
+whose output does not depend on the seed, and reports it in
+``DecompositionOutput.backend``.
 """
 
 from .gf import ContractViolation, FieldElement, PrimeField, DEFAULT_CHAR

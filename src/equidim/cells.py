@@ -16,6 +16,15 @@ form G, and one of two backends:
   Groebner bases are only computed when a basis is explicitly forced;
   that basis comes from the cell's own F and G, as sat(<F>, g1*...*gr).
 
+A witness slice is only valid when it is generic.  By Schwartz-Zippel,
+one random slice of a set of degree at most B misses genericity with
+probability about B/p, where B is Heintz's Bezout bound of the
+equations.  ``slices_generic`` is the one rule that decides, from the
+equations and p alone, whether a slice may stand in for the exact
+basis: ``decomp.equidim`` runs the gb backend where it fails, and
+``verify.check_top_dimension`` then reads the dimension off the exact
+basis instead of a slice.
+
 Saturation by the inequation is always applied factor by factor, which
 keeps the degrees of the polynomials involved low.  Nonzero constant
 factors are recorded but skipped by saturation.  Every constructor
@@ -24,6 +33,7 @@ computes the emptiness flag so decomposition can prune dead branches.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Sequence
 
 from . import zerodim
@@ -42,6 +52,22 @@ from .groebner import (
 
 GB_BACKEND = "gb"
 WITNESS_BACKEND = "witness"
+
+
+def slices_generic(F: Sequence[Polynomial], ring: PolyRing) -> bool:
+    """Random affine slices of V(F) are generic with probability >= 31/32.
+
+    B is Heintz's Bezout bound on the degree of V(F): the product of the
+    min(m, n) largest total degrees among the m nonzero polynomials of F
+    in n variables.  A slice misses genericity with probability about
+    B/p (Schwartz-Zippel), so the rule is 32 * B <= p.  At p = 65521 it
+    holds up to B = 2047: ps(3..6) and sos(2,3) to sos(3,6) pass, while
+    ps(7) (B = 4096, about 6% per slice) fails, and for it the exact
+    basis is the honest choice.  Below p = 32 only an inconsistent F,
+    one with a nonzero constant (B = 0), passes.
+    """
+    degs = sorted((f.total_degree() for f in F if not f.is_zero()), reverse=True)
+    return 32 * prod(degs[: ring.nvars]) <= ring.field.p
 
 
 def _sat0(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:

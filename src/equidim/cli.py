@@ -9,8 +9,13 @@ Subcommands::
     equidim gen-sos S N [--seed N] [--char P]
 
 ``run`` emits a single JSON document on stdout with the input echo, the
-configuration, every cell (basis generators, inequation factors,
-dimension, degree) and the optional verification report.  Exit codes:
+configuration, the backend that ran, every cell (basis generators,
+inequation factors, dimension, degree) and the optional verification
+report.  ``"config.backend"`` echoes ``--backend``; the top-level
+``"backend"`` differs from it when a witness request runs the exact gb
+backend, which happens when 32 * B > p for the Bezout bound B of the
+input (a random slice misses genericity with probability about B/p;
+see ``cells.slices_generic``).  gb output ignores ``--seed``.  Exit codes:
 0 success, 1 input error, 2 internal error; an internal error also
 prints its traceback to stderr.
 """
@@ -102,6 +107,7 @@ def _run(args) -> int:
             "seed": config.seed,
             "classic_remove": config.use_classic_remove,
         },
+        "backend": result.backend,
         "input_order_used": list(result.input_order_used),
         "cells": cells_doc,
         "cell_count": len(result.cells),

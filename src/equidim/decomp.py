@@ -15,6 +15,14 @@ computed for a cell remains a valid candidate for every descendant of
 that cell, so descendants first try cached elements before forcing a
 basis computation.  Caches are never shared across sibling cells or
 across different input equations.
+
+The backend that runs is decided from the input before any random draw.
+A requested witness backend runs only where ``cells.slices_generic``
+holds, that is 32 * B <= p for the Bezout bound B of the input, because
+one random slice fails to be generic with probability about B/p.
+Elsewhere (at p <= 31 any B >= 1, at p = 65521 any B >= 2048) the
+exact gb backend runs instead, and its output does not depend on the
+seed.
 """
 
 from __future__ import annotations
@@ -27,13 +35,15 @@ from . import zerodim
 from .gf import ContractViolation
 from .groebner import memo_scope
 from .rings import PolyRing, Polynomial
-from .cells import AffineCell, GB_BACKEND, WITNESS_BACKEND
+from .cells import AffineCell, GB_BACKEND, WITNESS_BACKEND, slices_generic
 
 
 @dataclass(frozen=True)
 class DecompConfig:
     """Knobs for ``equidim``; defaults follow the reference setup."""
 
+    # the requested backend; witness runs only where cells.slices_generic
+    # holds for the input (32 * B <= p), gb runs elsewhere
     backend: str = WITNESS_BACKEND
     order_strategy: str = "degree"  # degree | support | asis
     seed: int = 0
@@ -270,7 +280,7 @@ class DecompositionOutput:
     annotations: tuple[tuple[int, int], ...]  # (dimension, degree) per cell
     input_order_used: tuple[int, ...]
     seed: int
-    backend: str
+    backend: str  # the backend that ran, which may differ from the request
 
     def __iter__(self):
         return iter(self.cells)
@@ -296,17 +306,27 @@ def equidim(
 
     Deterministic given (inputs, config): every random draw comes from
     a generator seeded by ``config.seed``.  Only the witness backend
-    draws; gb output does not depend on the seed.
+    draws; gb output does not depend on the seed.  A witness request
+    runs the gb backend when ``slices_generic(F, ring)`` fails: with B
+    the product of the min(m, n) largest input degrees, a random slice
+    misses genericity with probability about B/p, so the witness
+    backend needs 32 * B <= p.  This is decided before any draw, no
+    option overrides it, and ``DecompositionOutput.backend`` names the
+    backend that ran.
     """
     config = config or DecompConfig()
     if config.backend not in (GB_BACKEND, WITNESS_BACKEND):
         raise ContractViolation(f"unknown backend {config.backend!r}")
+    F = list(F)
+    backend = config.backend
+    if backend == WITNESS_BACKEND and not slices_generic(F, ring):
+        backend = GB_BACKEND
     rng = random.Random(config.seed)
     ctx = _Ctx(rng, config.use_classic_remove, trace)
-    ordered, perm = order_input(list(F), config.order_strategy)
+    ordered, perm = order_input(F, config.order_strategy)
     # the recursion asks one cell the same question several times
     with memo_scope():
-        cells = [AffineCell.full_space(ring, config.backend, rng)]
+        cells = [AffineCell.full_space(ring, backend, rng)]
         for f in ordered:
             if f.is_zero():
                 continue  # V(0) cuts nothing
@@ -315,4 +335,4 @@ def equidim(
                 nxt.extend(_split(X, f, GCache(), ctx))
             cells = nxt
         anns = tuple(X.dim_degree() for X in cells)
-    return DecompositionOutput(tuple(cells), anns, perm, config.seed, config.backend)
+    return DecompositionOutput(tuple(cells), anns, perm, config.seed, backend)

@@ -1,9 +1,11 @@
 """Independent oracles and checkers for decompositions.
 
 Nothing here shares machinery with the decomposition path beyond basic
-ideal arithmetic: rational points are enumerated exhaustively, monomial
-systems are decomposed by brute-force minimal-prime search, and the
-partition/dimension validators re-derive their verdicts from scratch.
+ideal arithmetic and the genericity rule ``cells.slices_generic``, which
+decides whether a random slice may certify a dimension: rational points
+are enumerated exhaustively, monomial systems are decomposed by
+brute-force minimal-prime search, and the partition/dimension
+validators re-derive their verdicts from scratch.
 Cost guards are hard refusals; a silently truncated oracle would be
 worse than none.
 """
@@ -16,8 +18,8 @@ from typing import Sequence
 
 from .gf import ContractViolation
 from .rings import PolyRing, Polynomial
-from .groebner import groebner_of, is_zero_dim, radical_member, saturate_seq
-from .cells import AffineCell, make_witness
+from .groebner import dimension, groebner_of, is_zero_dim, radical_member, saturate_seq
+from .cells import AffineCell, make_witness, slices_generic
 
 
 class CostGuardExceeded(ContractViolation):
@@ -216,11 +218,15 @@ def check_partition(
 
 @dataclass
 class TopDimensionReport:
-    """Witness-based certificate that the top dimension equals d."""
+    """Certificate that the top dimension equals d.
+
+    From generic slices, or from the exact basis where slices cannot be
+    generic; the comments give the exact equivalents.
+    """
 
     claimed: int
-    lower_ok: bool  # codim-d slice is nonempty and zero-dimensional
-    upper_ok: bool  # codim-(d+1) slice is empty
+    lower_ok: bool  # codim-d slice is nonempty and zero-dimensional (dim == d)
+    upper_ok: bool  # codim-(d+1) slice is empty (dim <= d)
 
     @property
     def passed(self) -> bool:
@@ -228,8 +234,19 @@ class TopDimensionReport:
 
 
 def check_top_dimension(X: AffineCell, claimed: int, rng) -> TopDimensionReport:
-    """Cut with d generic forms: nonempty zero-dimensional; with d+1: empty."""
+    """Cut with d generic forms: nonempty zero-dimensional; with d+1: empty.
+
+    Where ``slices_generic`` rejects the cell's equations a random form
+    often passes through a rational point, so the verdicts come from the
+    exact dimension of ``X.basis()`` instead, and nothing is drawn.
+    """
     F = list(X.F) if X.backend == "witness" else list(X.F.gens)
+    if not slices_generic(F, X.ring):
+        basis = X.basis()
+        if basis.is_unit:
+            return TopDimensionReport(claimed, False, True)
+        dim = dimension(basis)
+        return TopDimensionReport(claimed, dim == claimed, dim <= claimed)
     Wd, _ = make_witness(X.ring, F, X.G, claimed, rng)
     lower = is_zero_dim(Wd)
     # d+1 generic affine forms are jointly infeasible on a d-dimensional

@@ -83,6 +83,18 @@ def test_run_with_verification(tmp_path):
     assert all(doc["verification"]["top_dimension_ok"])
 
 
+def test_run_reports_the_backend_that_ran():
+    path = Path(__file__).parent / "data" / "tiny_gf5.txt"
+    code, out, _ = run_cli(["run", str(path), "--verify", "full"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[:3] == ["input", "config", "backend"]
+    assert doc["backend"] == "gb"
+    assert doc["config"]["backend"] == "witness"
+    assert doc["verification"]["passed"] is True
+    assert all(doc["verification"]["top_dimension_ok"])
+
+
 def test_run_parse_error_exit_code(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("vars x\nq + 1\n")

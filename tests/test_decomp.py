@@ -17,6 +17,7 @@ from equidim import (
     check_partition,
     enumerate_points,
     equidim,
+    gen_ps,
     groebner_of,
     ideal_member,
     order_input,
@@ -28,8 +29,9 @@ from equidim import (
     split,
 )
 from equidim import groebner
-from equidim.cells import make_witness
+from equidim.cells import make_witness, slices_generic
 from equidim.groebner import hilbert_dim_degree
+from equidim.rings import DegreeOverflow
 
 DATA = Path(__file__).parent / "data"
 
@@ -299,14 +301,11 @@ def test_equidim_memo_lives_for_one_call(R4, monkeypatch, backend):
 
 
 def test_equidim_drops_memo_when_it_raises():
-    # a tiny-field case where the witness backend raises
-    system = parse_system(
-        "vars x0, x1, x2\nchar 5\n"
-        "x0^2 + x1^2 + 2*x0*x2 + x1*x2 + x2^2 + 4*x0 + 2*x1 + 3*x2 + 3\n"
-    )
-    ring = system.ring()
-    with pytest.raises(ContractViolation):
-        equidim(system.polynomials(ring), ring, DecompConfig(seed=117))
+    # a degree cap of 3 is passed by an S-pair of degree 4 mid-decomposition
+    ring = PolyRing(PrimeField(65521), ("x", "y"), cap=3)
+    x, y = ring.gens()
+    with pytest.raises(DegreeOverflow):
+        equidim([x**2 + y**2 - 1, x * y - 2], ring, DecompConfig(seed=117))
     assert groebner._MEMO.get() is None
 
 
@@ -336,6 +335,57 @@ def test_gb_backend_ignores_the_seed():
     a, b = (equidim(F, ring, DecompConfig(backend="gb", seed=s)) for s in (0, 1))
     assert [c.basis() for c in a.cells] == [c.basis() for c in b.cells]
     assert a.annotations == b.annotations == ((1, 4),)
+
+
+def _quadrics(ring, count):
+    xs = ring.gens()
+    return [xs[i % ring.nvars] ** 2 + xs[(i + 1) % ring.nvars] for i in range(count)]
+
+
+def test_slices_generic_rule_boundaries():
+    R11 = PolyRing(PrimeField(11), ("x", "y", "z"))
+    assert not slices_generic(_quadrics(R11, 3), R11)  # 32 * 8 > 11
+    R10 = PolyRing(PrimeField(65521), tuple(f"x{i}" for i in range(10)))
+    assert slices_generic(_quadrics(R10, 10), R10)  # 32 * 1024 <= 65521
+    R11v = PolyRing(PrimeField(65521), tuple(f"x{i}" for i in range(11)))
+    assert not slices_generic(_quadrics(R11v, 11), R11v)  # 32 * 2048 > 65521
+    # surplus equations: only the n largest degrees count, zeros not at all
+    R2 = PolyRing(PrimeField(65521), ("x", "y"))
+    assert slices_generic(_quadrics(R2, 20) + [R2.zero()], R2)  # B = 4
+    x, y = PolyRing(PrimeField(97), ("x", "y")).gens()
+    assert slices_generic([x, y, x**3], x.ring)  # B = 3 * 1
+    assert not slices_generic([x, y**3, x**3], x.ring)  # B = 3 * 3
+
+
+# the tiny golden systems, and a GF(5) quadric on which the witness
+# backend once raised from dim_degree
+ROUTE_CASES = [("tiny_gf5", 0), ("tiny_gf7", 0), ("tiny_gf11", 0), ("reproducer", 117)]
+REPRODUCER = (
+    "vars x0, x1, x2\nchar 5\n"
+    "x0^2 + x1^2 + 2*x0*x2 + x1*x2 + x2^2 + 4*x0 + 2*x1 + 3*x2 + 3\n"
+)
+
+
+@pytest.mark.parametrize("name, seed", ROUTE_CASES)
+def test_witness_request_runs_gb_at_small_p(name, seed):
+    text = REPRODUCER if name == "reproducer" else (DATA / f"{name}.txt").read_text()
+    system = parse_system(text)
+    ring = system.ring()
+    F = system.polynomials(ring)
+    out = equidim(F, ring, DecompConfig(backend="witness", seed=seed))
+    ref = equidim(F, ring, DecompConfig(backend="gb", seed=seed))
+    assert out.backend == "gb"
+    assert [(c.basis(), c.G) for c in out.cells] == [(c.basis(), c.G) for c in ref.cells]
+    assert out.annotations == ref.annotations
+    assert check_partition(out.cells, F, ring, with_points=True).passed
+
+
+def test_witness_request_keeps_witness_on_ps3():
+    system = gen_ps(3, random.Random(0))
+    ring = system.ring()
+    out = equidim(system.polynomials(ring), ring, DecompConfig(backend="witness"))
+    assert out.backend == "witness"
+    assert all(c.backend == "witness" for c in out.cells)
 
 
 def test_equidim_classic_remove_agrees(R4):

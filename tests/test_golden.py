@@ -6,10 +6,10 @@ reduction or slicing machinery that alters an output fails here.
 ``gen-ps 4`` on the witness backend is included because its slice
 bases involve reductions of streams with 150 or more terms.  The three
 ``tiny_gf*`` systems (stored under ``tests/data``) are small quadric
-systems over GF(5), GF(7) and GF(11) whose witness decompositions ask
-``zerodim.low_degree_colon`` for separators and get none back, so the
-empty-result path is pinned as well.  The files pin output bytes, not
-correctness.
+systems over GF(5), GF(7) and GF(11) that request the witness backend;
+at p this small ``slices_generic`` rejects them, so their files pin the
+gb cells that run instead and the top-level ``"backend": "gb"`` that
+reports it.  The files pin output bytes, not correctness.
 """
 
 import contextlib

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,10 @@ from equidim import (
     equidim,
     groebner_of,
     monomial_facets_oracle,
+    parse_system,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -160,3 +164,18 @@ def test_top_dimension_line_off_hyperplane():
     X = AffineCell(ring, "gb", buchberger([y, z]), (x,))
     rep = check_top_dimension(X, 1, random.Random(17))
     assert rep.passed
+
+
+def test_top_dimension_is_exact_at_small_p():
+    # one random form often meets a rational point over GF(7); the exact
+    # dimension of the (0, 8) cell decides instead
+    system = parse_system((DATA / "tiny_gf7.txt").read_text())
+    ring = system.ring()
+    out = equidim(system.polynomials(ring), ring, DecompConfig(backend="gb"))
+    assert out.annotations == ((0, 8),)
+    (X,) = out.cells
+    for seed in range(20):
+        assert check_top_dimension(X, 0, random.Random(seed)).passed
+    assert not check_top_dimension(X, 1, random.Random(0)).passed
+    empty = AffineCell(ring, "gb", groebner_of(ring, [ring.one()]), ())
+    assert not check_top_dimension(empty, 0, random.Random(0)).passed

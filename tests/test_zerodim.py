@@ -260,6 +260,13 @@ def test_low_degree_colon_is_sound(p):
                 assert any(ideal_member(h * f**k, basis) for k in (1, 2)), (basis, f, h)
 
 
+def test_low_degree_colon_empty_when_f_is_a_nonzerodivisor():
+    # (<x> : y^k) = <x>: every candidate reduces to zero
+    ring = PolyRing(PrimeField(65521), ("x", "y"))
+    x, y = ring.gens()
+    assert zerodim.low_degree_colon(buchberger([x]), y) == []
+
+
 def test_low_degree_colon_errors():
     small = PolyRing(PrimeField(7), ("x", "y"), cap=4)
     x, y = small.gens()
