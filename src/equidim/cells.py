@@ -16,15 +16,14 @@ form G, and one of two backends:
   Groebner bases are only computed when a basis is explicitly forced;
   that basis comes from the cell's own F and G, as sat(<F>, g1*...*gr).
 
-A witness slice is only valid when it is generic.  By Schwartz-Zippel,
-one random slice of a set of degree at most B misses genericity with
-probability about B/p, where B is Heintz's Bezout bound of the
-equations.  ``slices_generic`` is the one rule that decides, from the
-equations and p alone, whether a slice may stand in for the exact
-basis: ``decomp.equidim`` runs the gb backend where it fails, and
-``verify.check_top_dimension`` then reads the dimension off the exact
-basis instead of a slice.
+A witness slice is only valid when it is generic.  ``slices_generic``
+is the one rule that decides, from the equations and p alone, whether
+a slice may stand in for the exact basis: ``decomp.equidim`` runs the
+gb backend where it fails, and ``verify.check_top_dimension`` then
+reads the dimension off the exact basis instead of a slice.
 
+Cells are equidimensional: ``decomp`` keeps this invariant, and the
+witness backend assumes it through its one slice dimension d.
 Saturation by the inequation is always applied factor by factor, which
 keeps the degrees of the polynomials involved low.  Nonzero constant
 factors are recorded but skipped by saturation.  Every constructor
@@ -41,6 +40,7 @@ from .gf import ContractViolation
 from .rings import PolyRing, Polynomial, random_affine_forms
 from .groebner import (
     GroebnerBasis,
+    dimension,
     extend_basis,
     groebner_of,
     hilbert_dim_degree,
@@ -198,9 +198,11 @@ class AffineCell:
     def is_proper(self, f: Polynomial) -> bool:
         """X meet V(f) is empty or has dimension dim X - 1.
 
-        Witness backend: the slice X meet L misses V(f) exactly when
-        <W> + <f> is the unit ideal.  gb backend: deterministic test
-        that sat(I(X), f) is contained in rad I(X).
+        X is equidimensional, so by Krull's principal ideal theorem this
+        is dim(I(X) + <f>) < dim I(X).  Witness backend: the zero-dimensional
+        slice X meet L misses V(f), that is <W> + <f> = <1>.  gb backend: the
+        exact form of that test, on Hilbert-series dimensions, whose basis
+        of I(X) + <f> ``intersect_proper`` then takes from the memo.
         """
         if f.is_zero():
             return self.is_empty()
@@ -210,10 +212,8 @@ class AffineCell:
             if is_zero_dim(self.W):
                 return zerodim.properness(self.W, f)
             return extend_basis(self.W, [f]).is_unit
-        sat = saturate(self.F, f)
-        if sat.is_zero_ideal:
-            return True
-        return all(radical_member(h, self.F) for h in sat.gens)
+        ext = extend_basis(self.F, [f])
+        return ext.is_unit or dimension(ext) < dimension(self.F)
 
     def dim_degree(self) -> tuple[int, int]:
         """(dimension, degree); degree is scheme-theoretic for I(X).

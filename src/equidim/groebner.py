@@ -74,7 +74,7 @@ class GroebnerBasis:
     equality.  The empty tuple represents the zero ideal.
     """
 
-    __slots__ = ("ring", "gens", "_reducers", "_divisors", "_quotient")
+    __slots__ = ("ring", "gens", "_reducers", "_divisors", "_quotient", "_hilbert")
 
     def __init__(self, ring: PolyRing, gens: tuple[Polynomial, ...]):
         self.ring = ring
@@ -84,6 +84,7 @@ class GroebnerBasis:
         # by _reduce_terms, and shared with the t-embedding of _saturation
         self._divisors: dict = {}
         self._quotient = None  # zero-dimensional structure, filled lazily
+        self._hilbert = None  # (dimension, degree), filled by hilbert_dim_degree
 
     @property
     def is_unit(self) -> bool:
@@ -840,19 +841,24 @@ def hilbert_dim_degree(basis: GroebnerBasis) -> tuple[int, int]:
     Cox-Little-O'Shea, ch. 9).  The dimension holds for any order; the
     degree is that of the affine variety, counted with multiplicity,
     under a graded order such as grevlex.
+
+    The pair depends on the generators alone, so it is computed once per
+    basis object and kept on it; the unit ideal raises on every call.
     """
     if basis.is_unit:
         raise ContractViolation("empty variety has no dimension")
-    ring = basis.ring
-    num = _hilbert_numerator([ring.unpack_evec(e) for e in basis.lead_evecs()])
-    dim = ring.nvars
-    while sum(num) == 0:
-        # N = (1 - t) Q: the coefficients of Q are the prefix sums of N
-        for i in range(1, len(num)):
-            num[i] += num[i - 1]
-        num.pop()
-        dim -= 1
-    return dim, sum(num)
+    if basis._hilbert is None:
+        ring = basis.ring
+        num = _hilbert_numerator([ring.unpack_evec(e) for e in basis.lead_evecs()])
+        dim = ring.nvars
+        while sum(num) == 0:
+            # N = (1 - t) Q: the coefficients of Q are the prefix sums of N
+            for i in range(1, len(num)):
+                num[i] += num[i - 1]
+            num.pop()
+            dim -= 1
+        basis._hilbert = (dim, sum(num))
+    return basis._hilbert
 
 
 def dimension(basis: GroebnerBasis) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,14 +6,19 @@ import pytest
 from equidim import (
     AffineCell,
     ContractViolation,
+    DecompConfig,
     PolyRing,
     PrimeField,
     buchberger,
     dimension,
+    equidim,
+    gen_ps,
+    gen_sos,
     groebner_of,
     make_witness,
     parse_polynomial,
     quotient_degree,
+    radical_member,
     saturate,
     saturate_seq,
 )
@@ -319,7 +325,8 @@ def test_is_proper_agreement_random_quadrics(R3):
     agree = 0
     total = 0
     for trial in range(20):
-        F = [x * y, y * z] if trial % 2 else [x * y]
+        # cells are equidimensional: four lines, or two planes
+        F = [x * y, z * (z - 1)] if trial % 2 else [x * y]
         d = 1 if trial % 2 else 2
         cg = gb_cell(R3, F)
         cw = wit_cell(R3, F, [], d, rng)
@@ -327,6 +334,58 @@ def test_is_proper_agreement_random_quadrics(R3):
             total += 1
             agree += cg.is_proper(f) == cw.is_proper(f)
     assert agree == total
+
+
+def test_is_proper_gb_answers_by_dimension(R3):
+    # V(xy, yz) is a plane and a line, so not a cell decomp makes; the
+    # dimension test still gives the documented answer, X meet V(f)
+    # empty or of dimension dim X - 1 = 1
+    x, y, z = R3.gens()
+    X = gb_cell(R3, [x * y, y * z])
+    assert [X.is_proper(f) for f in (x, y, z, x + z, y - 3)] == [True, False, True, True, True]
+
+
+def _rabinowitsch_proper(X, f):
+    """The former gb criterion: sat(I(X), f) is contained in rad I(X)."""
+    if f.is_zero():
+        return X.is_empty()
+    sat = saturate(X.F, f)
+    return sat.is_zero_ideal or all(radical_member(h, X.F) for h in sat.gens)
+
+
+def _dense_quadric(ring, rng):
+    f = ring.zero()
+    while f.total_degree() < 2:
+        f = sum((ring.monomial(e, rng.randrange(ring.field.p))
+                 for e in itertools.product(range(3), repeat=ring.nvars) if sum(e) <= 2),
+                ring.zero())
+    return f
+
+
+def test_is_proper_gb_agrees_with_rabinowitsch_in_decompositions(monkeypatch):
+    systems = []
+    rng = random.Random(13)
+    for p in (5, 7, 11):
+        ring = PolyRing(PrimeField(p), ("x0", "x1", "x2"))
+        for count in (1, 2, 2, 3) * 4:
+            systems.append((ring, [_dense_quadric(ring, rng) for _ in range(count)]))
+    for seed in range(3):
+        for sf in (gen_ps(3, random.Random(seed)), gen_sos(2, 3, random.Random(seed))):
+            systems.append((sf.ring(), sf.polynomials()))
+    answers = []
+    is_proper = AffineCell.is_proper
+
+    def checked(X, f):
+        got = is_proper(X, f)
+        if X.backend == "gb":
+            assert got == _rabinowitsch_proper(X, f), (X, f)
+            answers.append(got)
+        return got
+
+    monkeypatch.setattr(AffineCell, "is_proper", checked)
+    for ring, F in systems:
+        equidim(F, ring, DecompConfig(backend="gb"))
+    assert True in answers and False in answers
 
 
 # -- dim_degree -------------------------------------------------------------------------------------

@@ -603,6 +603,25 @@ def test_hilbert_degree_matches_generic_slice():
     assert {1, 2} <= checked
 
 
+def test_hilbert_dim_degree_is_kept_per_basis(ring_xyz):
+    x, y, z = ring_xyz.gens()
+    polys = [y - x**2, z - x**3]  # twisted cubic
+    a, b = buchberger(list(polys)), buchberger(list(polys))
+    assert a is not b and a == b
+    assert hilbert_dim_degree(a) == hilbert_dim_degree(b)
+    assert hilbert_dim_degree(a) is hilbert_dim_degree(a)  # read once, then kept
+    unit = buchberger([ring_xyz.one()])
+    for _ in range(2):
+        with pytest.raises(ContractViolation):
+            hilbert_dim_degree(unit)
+    with memo_scope():
+        kept = groebner_of(ring_xyz, polys)
+        cached = hilbert_dim_degree(kept)
+    fresh = groebner_of(ring_xyz, polys)
+    assert fresh is not kept
+    assert hilbert_dim_degree(kept) == cached == hilbert_dim_degree(fresh) == (1, 3)
+
+
 @pytest.mark.parametrize("p", [5, 7, 101, 65521])
 def test_pure_power_test_agrees_with_hilbert_dimension(p):
     rng = random.Random(p)
