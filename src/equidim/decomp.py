@@ -318,6 +318,9 @@ def equidim(
     if config.backend not in (GB_BACKEND, WITNESS_BACKEND):
         raise ContractViolation(f"unknown backend {config.backend!r}")
     F = list(F)
+    for i, f in enumerate(F):
+        if f.ring != ring:
+            raise ContractViolation(f"input {i} lies in {f.ring!r}, not in {ring!r}")
     backend = config.backend
     if backend == WITNESS_BACKEND and not slices_generic(F, ring):
         backend = GB_BACKEND

@@ -36,10 +36,15 @@ keys.  On top of them: normal forms, ideal membership, saturation by a
 polynomial (elimination with an auxiliary variable ranked first),
 radical membership (Rabinowitsch) and ideal intersection.
 
-Dimension and degree are read off the lead monomials alone:
-``hilbert_dim_degree`` computes both from the Hilbert series of
-R/LM(I), and ``is_zero_dim`` answers the frequent "finitely many
-points?" question with the cheaper pure-power test.
+Dimension, degree and staircase are read off the packed lead monomials
+alone.  ``hilbert_dim_degree`` computes the first two from the Hilbert
+series of R/LM(I): it carries each lead as a (degree, evec) pair,
+minimalizes with the guard-bit divisibility test, and pivots on the
+variable found in the most minimal generators (Bigatti, J. Pure Appl.
+Algebra 119, 1997) until no two of them share a variable.
+``standard_monomials`` enumerates the staircase as an order ideal, and
+``is_zero_dim`` answers the frequent "finitely many points?" question
+with the cheaper pure-power test.
 
 Unit ideals short-circuit everywhere: as soon as a nonzero constant is
 produced the basis {1} is returned, since empty cells arise constantly
@@ -803,44 +808,91 @@ def ideal_intersect(G1: GroebnerBasis, G2: GroebnerBasis) -> GroebnerBasis:
     return _restrict_tfree(ring, ext, eb)
 
 
-def _minus_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
-    """a - t^shift * b, on coefficient lists lowest power first."""
-    out = a + [0] * max(0, shift + len(b) - len(a))
+def _numerator(leads: list[tuple[int, int]], guard: int, w: int) -> list[int]:
+    """Numerator N(t) of the Hilbert series of R/<leads>, lowest power first.
+
+    ``leads`` are (degree, evec) pairs, minimal and ascending by degree.
+    When no two share a variable, N is the product of the (1 - t^deg).
+    Otherwise x, the variable found in the most of them, is the pivot
+    (Bigatti 1997): N(M) = N(M + <x>) + t * N(M : x).  M + <x> is
+    generated by x and the leads free of x, which share no variable
+    with it, so N(M + <x>) = (1 - t) N(those leads); M : x divides every
+    lead holding x by x, one packed subtraction each.
+    """
+    w1 = w - 1
+    ones = guard >> w1
+    seen = 0
+    coprime = True
+    supports = []
+    for _, ev in leads:
+        s = (((ev | guard) - ones) & guard) >> w1  # a 1 in the field of each variable of ev
+        if s & seen:
+            coprime = False
+        seen |= s
+        supports.append(s)
+    if coprime:
+        num = [1]
+        for d, _ in leads:
+            num += [0] * d
+            for i in range(len(num) - 1, d - 1, -1):
+                num[i] -= num[i - d]
+        return num
+    # each field of counts holds the number of leads holding its variable;
+    # counting at most 2^w - 1 leads keeps a field from carrying into the
+    # next, and any variable of a lead is a valid pivot
+    mask = (1 << w) - 1
+    counts = sum(supports[:mask])
+    shift = best = 0
+    for j in range(0, seen.bit_length(), w):
+        c = (counts >> j) & mask
+        if c > best:
+            shift, best = j, c
+    x = 1 << shift
+    free, colon = [], []
+    for d, ev in leads:
+        if (ev >> shift) & mask:
+            colon.append((d - 1, ev - x))
+        else:
+            free.append((d, ev))
+            colon.append((d, ev))
+    a = _numerator(free, guard, w)
+    b = _numerator(_minimal(colon, guard), guard, w)
+    # (1 - t) * a + t * b
+    out = a + [0] * max(1, len(b) + 1 - len(a))
+    for i, c in enumerate(a):
+        out[i + 1] -= c
     for i, c in enumerate(b):
-        out[shift + i] -= c
+        out[i + 1] += c
     return out
 
 
-def _hilbert_numerator(monos: list[tuple[int, ...]]) -> list[int]:
-    """Numerator N(t) of the Hilbert series of R/<monos>, lowest power first.
-
-    N(M + <m>) = N(M) - t^deg(m) * N(M : m) on minimal generators; when
-    they are pairwise coprime, N is the product of the (1 - t^deg(m)).
-    """
-    minimal: list[tuple[int, ...]] = []
-    for m in sorted(set(monos), key=sum):
-        if not any(all(a <= b for a, b in zip(k, m)) for k in minimal):
-            minimal.append(m)
-    if all(not (a and b) for i, m in enumerate(minimal) for k in minimal[:i]
-           for a, b in zip(m, k)):
-        num = [1]
-        for m in minimal:
-            num = _minus_shifted(num, num, sum(m))
-        return num
-    pivot, rest = minimal[-1], minimal[:-1]
-    colon = [tuple(max(a - b, 0) for a, b in zip(m, pivot)) for m in rest]
-    return _minus_shifted(_hilbert_numerator(rest), _hilbert_numerator(colon), sum(pivot))
+def _minimal(leads: list[tuple[int, int]], guard: int) -> list[tuple[int, int]]:
+    """The minimal generators of <leads>, ascending by degree; duplicates go too."""
+    leads.sort()
+    minimal: list[tuple[int, int]] = []
+    for d, ev in leads:
+        for _, k in minimal:
+            q = ev - k
+            if q >= 0 and not q & guard:
+                break
+        else:
+            minimal.append((d, ev))
+    return minimal
 
 
 def hilbert_dim_degree(basis: GroebnerBasis) -> tuple[int, int]:
     """(dimension, degree) of R/<basis>, from the Hilbert series of its leads.
 
-    N(t) / (1 - t)^n is the Hilbert series of R/LM(I); N is divided by
-    (1 - t) while N(1) = 0.  The dimension is n minus the number of
-    divisions and the degree is the final N(1) (Bayer-Stillman 1992;
-    Cox-Little-O'Shea, ch. 9).  The dimension holds for any order; the
-    degree is that of the affine variety, counted with multiplicity,
-    under a graded order such as grevlex.
+    N(t) / (1 - t)^n is the Hilbert series of R/LM(I) (Bayer-Stillman
+    1992; Cox-Little-O'Shea, ch. 9).  ``_numerator`` computes N on the
+    packed leads, each carried as a (degree, evec) pair with the degree
+    read off its order key, by Bigatti's recursion (J. Pure Appl.
+    Algebra 119, 1997): it pivots on the variable found in the most
+    minimal generators until no two of them share a variable.  N is then
+    divided by (1 - t) while N(1) = 0.  The dimension is n minus the
+    number of divisions and the degree is the final N(1).  The dimension
+    holds for any order; the degree is that of the affine variety,
+    counted with multiplicity, under a graded order such as grevlex.
 
     The pair depends on the generators alone, so it is computed once per
     basis object and kept on it; the unit ideal raises on every call.
@@ -849,7 +901,10 @@ def hilbert_dim_degree(basis: GroebnerBasis) -> tuple[int, int]:
         raise ContractViolation("empty variety has no dimension")
     if basis._hilbert is None:
         ring = basis.ring
-        num = _hilbert_numerator([ring.unpack_evec(e) for e in basis.lead_evecs()])
+        degree = ring.degree_of_key
+        guard = ring._evec_guard
+        leads = [(degree(k), ev) for k, ev, _ in (g.terms[0] for g in basis.gens)]
+        num = _numerator(_minimal(leads, guard), guard, ring.width)
         dim = ring.nvars
         while sum(num) == 0:
             # N = (1 - t) Q: the coefficients of Q are the prefix sums of N
@@ -892,6 +947,13 @@ def quotient_degree(basis: GroebnerBasis) -> int:
 def standard_monomials(basis: GroebnerBasis) -> list[int]:
     """Packed standard monomials (staircase), ascending in the order.
 
+    The staircase is an order ideal: u is standard iff it is not a lead
+    and every u / x_j is standard.  It is enumerated one degree at a
+    time, and u * x_i is formed only for x_i at or after the last
+    variable of u, so each monomial is met once, from its quotient by
+    its last variable.  Keys are additive, so the key of u * x_i is the
+    key of u plus that of x_i.
+
     Requires a zero-dimensional ideal; raises on positive dimension.
     """
     if basis.is_unit:
@@ -899,21 +961,28 @@ def standard_monomials(basis: GroebnerBasis) -> list[int]:
     if not is_zero_dim(basis):
         raise ContractViolation("degree is defined for zero-dimensional ideals only")
     ring = basis.ring
-    lead = basis.lead_evecs()
-    divides = ring.divides
     w = ring.width
-    seen = {0}
-    frontier = [0]
-    while frontier:
+    mask = (1 << w) - 1
+    lead = set(basis.lead_evecs())
+    xs = [1 << (i * w) for i in range(ring.nvars)]
+    steps = [(i, ring.key_of_evec(x), x) for i, x in enumerate(xs)]
+    std = {0}
+    found = [(0, 0)]
+    layer = [(0, 0, 0)]  # (key, evec, index of its last variable)
+    while layer:
         nxt = []
-        for ev in frontier:
-            for i in range(ring.nvars):
-                child = ev + (1 << (i * w))
-                if child in seen:
+        for k, u, last in layer:
+            for i, xk, x in steps[last:]:
+                v = u + x
+                if v in lead:
                     continue
-                if any(divides(le, child) for le in lead):
-                    continue
-                seen.add(child)
-                nxt.append(child)
-        frontier = nxt
-    return sorted(seen, key=ring.key_of_evec)
+                for j in range(i):
+                    if (u >> (j * w)) & mask and v - xs[j] not in std:
+                        break
+                else:
+                    std.add(v)
+                    nxt.append((k + xk, v, i))
+        found += [(k, v) for k, v, _ in nxt]
+        layer = nxt
+    found.sort()
+    return [v for _, v in found]

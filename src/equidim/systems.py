@@ -23,6 +23,8 @@ from .rings import ParseError, PolyRing, Polynomial, parse_polynomial, poly_to_s
 
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+# the header keyword as a whole word: "charge*y" and "char7" are polynomials
+_CHAR_HEADER = re.compile(r"char(?![A-Za-z_0-9])")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def parse_system(text: str) -> SystemFile:
                 raise ParseError("duplicate variable names", lineno, 5)
             variables = tuple(names)
             continue
-        if line.startswith("char") and not seen_poly and characteristic is None:
+        if _CHAR_HEADER.match(line) and not seen_poly and characteristic is None:
             body = line[4:].strip()
             if not body.isdigit():
                 raise ParseError("characteristic must be an integer", lineno, 6)

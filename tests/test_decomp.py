@@ -409,6 +409,22 @@ def test_equidim_inconsistent_system(R3):
     assert len(out) == 0
 
 
+@pytest.mark.parametrize("backend", ["gb", "witness"])
+def test_equidim_names_an_input_from_another_ring(backend):
+    # at p = 65521 both backends run as requested
+    ring = PolyRing(PrimeField(65521), ("x", "y"))
+    x, y = ring.gens()
+    other_field = PolyRing(PrimeField(7), ("x", "y"))
+    other_vars = PolyRing(PrimeField(65521), ("x", "z"))
+    for bad, wanted in ((other_field.var(1), "GF(7)[x, y"), (other_vars.zero(), "GF(65521)[x, z")):
+        with pytest.raises(ContractViolation) as exc:
+            equidim([x * y - 1, bad, x], ring, DecompConfig(backend=backend))
+        msg = str(exc.value)
+        assert msg.startswith("input 1 lies in ") and wanted in msg, msg
+        assert msg.endswith("not in GF(65521)[x, y; grevlex]"), msg
+    assert equidim([x * y - 1, x - 1], ring, DecompConfig(backend=backend)).backend == backend
+
+
 def test_trace_events_dimension_law(R4):
     """Proper cuts drop the dimension by exactly one (witness tags)."""
     x, y, z, w = R4.gens()

@@ -1,22 +1,29 @@
 import itertools
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from equidim import (
     ContractViolation,
+    DecompConfig,
     GroebnerBasis,
     MonomialOrder,
     PolyRing,
     PrimeField,
     buchberger,
     dimension,
+    equidim,
+    gen_ps,
+    gen_sos,
     groebner_of,
     ideal_intersect,
     ideal_member,
     make_witness,
     normal_form,
+    parse_system,
     quotient_degree,
     radical_member,
     saturate,
@@ -659,3 +666,164 @@ def test_standard_monomials_staircase(ring_xy):
     gb = buchberger([x**2, x * y, y**3])
     monos = standard_monomials(gb)
     assert len(monos) == 4  # 1, x, y, y^2
+
+
+# -- Hilbert numerator and staircase against brute force -----------------------------
+
+def _oracle_numerator(monos: list[tuple[int, ...]]) -> list[int]:
+    """N(t) of R/<monos> on unpacked exponents, by pivoting on a whole generator:
+    N(M + <m>) = N(M) - t^deg(m) * N(M : m); a product of (1 - t^deg) once
+    the minimal generators are pairwise coprime."""
+    def minus_shifted(a, b, shift):
+        out = a + [0] * max(0, shift + len(b) - len(a))
+        for i, c in enumerate(b):
+            out[shift + i] -= c
+        return out
+
+    minimal: list[tuple[int, ...]] = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(a <= b for a, b in zip(k, m)) for k in minimal):
+            minimal.append(m)
+    if all(not (a and b) for i, m in enumerate(minimal) for k in minimal[:i]
+           for a, b in zip(m, k)):
+        num = [1]
+        for m in minimal:
+            num = minus_shifted(num, num, sum(m))
+        return num
+    pivot, rest = minimal[-1], minimal[:-1]
+    colon = [tuple(max(a - b, 0) for a, b in zip(m, pivot)) for m in rest]
+    return minus_shifted(_oracle_numerator(rest), _oracle_numerator(colon), sum(pivot))
+
+
+def _packed_numerator(ring, evecs) -> list[int]:
+    leads = [(sum(ring.unpack_evec(ev)), ev) for ev in evecs]
+    return groebner._numerator(groebner._minimal(leads, ring._evec_guard),
+                               ring._evec_guard, ring.width)
+
+
+def _trim(num: list[int]) -> list[int]:
+    num = list(num)
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def _monomials_of_degree(n: int, d: int):
+    for cut in itertools.combinations(range(d + n - 1), n - 1):
+        edges = (-1,) + cut + (d + n - 1,)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(n))
+
+
+def _random_monomial_ideal(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Up to 10 generators, exponents <= 4, with duplicates, non-minimal
+    generators and pure powers mixed in."""
+    gens: list[tuple[int, ...]] = []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.random()
+        if gens and kind < 0.15:
+            gens.append(rng.choice(gens))  # duplicate
+        elif gens and kind < 0.3:
+            base = rng.choice(gens)  # a multiple: not minimal
+            gens.append(tuple(min(4, e + rng.randint(0, 1)) for e in base))
+        elif kind < 0.5:
+            e = [0] * n
+            e[rng.randrange(n)] = rng.randint(1, 4)  # pure power
+            gens.append(tuple(e))
+        else:
+            gens.append(tuple(rng.randint(0, 4) * (rng.random() < 0.6) for _ in range(n)))
+    return [g for g in gens if any(g)] or [tuple([1] + [0] * (n - 1))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_numerator_counts_standard_monomials_by_degree(n):
+    """The coefficients of N(t) / (1 - t)^n count the monomials outside the
+    ideal in each degree."""
+    rng = random.Random(700 + n)
+    ring = PolyRing(PrimeField(7), tuple(f"x{i}" for i in range(n)))
+    bound = 9 if n <= 3 else 7
+    for _ in range(60):
+        gens = _random_monomial_ideal(rng, n)
+        num = _packed_numerator(ring, [ring.pack_evec(g) for g in gens])
+        assert _trim(num) == _trim(_oracle_numerator(gens))
+        for d in range(bound + 1):
+            standard = sum(
+                not any(all(a <= b for a, b in zip(g, m)) for g in gens)
+                for m in _monomials_of_degree(n, d))
+            series = sum(c * math.comb(d - k + n - 1, n - 1)
+                         for k, c in enumerate(num) if k <= d)
+            assert series == standard, (gens, d)
+
+
+def test_numerator_of_many_leads_counts_without_overflow():
+    """A count field holds up to 2^w - 1 leads; past that the pivot is chosen
+    among the first ones and the numerator stays exact."""
+    ring = PolyRing(PrimeField(7), ("x", "y", "z"), cap=7)  # 4-bit fields
+    gens = [(a, b, 7 - a - b) for a in range(8) for b in range(8 - a)]  # 36 leads
+    num = _packed_numerator(ring, [ring.pack_evec(g) for g in gens])
+    assert _trim(num) == _trim(_oracle_numerator(gens))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_standard_monomials_match_brute_force_staircase(n):
+    rng = random.Random(800 + n)
+    ring = PolyRing(PrimeField(7), tuple(f"x{i}" for i in range(n)))
+    for _ in range(40):
+        gens = _random_monomial_ideal(rng, n)
+        for i in range(n):  # zero-dimensional: a pure power of every variable
+            if not any(g[i] and sum(g) == g[i] for g in gens):
+                e = [0] * n
+                e[i] = rng.randint(1, 4)
+                gens.append(tuple(e))
+        basis = groebner_of(ring, [ring.monomial(g) for g in gens])
+        brute = [
+            ring.pack_evec(m)
+            for m in itertools.product(range(5), repeat=n)
+            if not any(all(a <= b for a, b in zip(g, m)) for g in gens)
+        ]
+        brute.sort(key=ring.key_of_evec)
+        monos = standard_monomials(basis)
+        assert set(monos) == set(brute)
+        assert monos == brute
+        assert hilbert_dim_degree(basis) == (0, len(brute))
+
+
+def _decomposition_bases(monkeypatch, runs):
+    """Every Groebner basis built while running each (text or system, backend)."""
+    seen = []
+    init = GroebnerBasis.__init__
+
+    def record(self, ring, gens):
+        init(self, ring, gens)
+        seen.append(self)
+
+    monkeypatch.setattr(GroebnerBasis, "__init__", record)
+    for system, backend in runs:
+        if isinstance(system, str):
+            system = parse_system(system)
+        ring = system.ring()
+        equidim(system.polynomials(ring), ring, DecompConfig(backend=backend))
+    monkeypatch.undo()
+    return seen
+
+
+def test_numerator_matches_oracle_on_decomposition_bases(monkeypatch):
+    data = Path(__file__).parent / "data"
+    runs = [((data / f"tiny_gf{p}.txt").read_text(), "witness") for p in (5, 7, 11)]
+    runs += [(gen_ps(3, random.Random(0)), "gb"), (gen_sos(2, 3, random.Random(0)), "gb")]
+    checked = set()
+    dims = set()
+    for basis in _decomposition_bases(monkeypatch, runs):
+        ring = basis.ring
+        key = (ring, tuple(basis.lead_evecs()))
+        if basis.is_unit or key in checked:
+            continue
+        checked.add(key)
+        evecs = basis.lead_evecs()
+        num = _packed_numerator(ring, evecs)
+        assert _trim(num) == _trim(_oracle_numerator([ring.unpack_evec(e) for e in evecs]))
+        dim, degree = hilbert_dim_degree(basis)
+        assert sum(num) == (degree if dim == ring.nvars else 0)
+        if is_zero_dim(basis):
+            assert (dim, degree) == (0, len(standard_monomials(basis)))
+        dims.add(dim)
+    assert len(checked) >= 30 and {0, 1, 2} <= dims

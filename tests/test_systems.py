@@ -27,6 +27,22 @@ x - y
     assert polys[0].total_degree() == 2
 
 
+def test_char_header_is_a_whole_word():
+    sf = parse_system("vars charge, y\ncharge*y - 1\n")
+    assert sf.characteristic == 65521
+    assert sf.sources == ("charge*y - 1",)
+    assert len(sf.polynomials()[0]) == 2
+    sf = parse_system("vars chart, x\nchart^2 - x\n")
+    assert sf.sources == ("chart^2 - x",)
+    assert parse_system("vars x\nchar 7\nx\n").characteristic == 7
+    # "char7" is an identifier, so it is a polynomial line, not a header
+    sf = parse_system("vars char7\nchar7\n")
+    assert sf.characteristic == 65521 and sf.sources == ("char7",)
+    with pytest.raises(ParseError) as exc:
+        parse_system("vars x\nchar7\nx\n")
+    assert exc.value.line == 2
+
+
 def test_parse_unknown_identifier_is_error():
     with pytest.raises(ParseError):
         parse_system("vars x\ny\n")
