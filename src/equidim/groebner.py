@@ -24,17 +24,20 @@ Reduced Groebner bases come from one of two routes:
 
 Polynomials are reduced by the heap kernel ``_reduce_terms``, and
 matrices echelonised mod p by ``_rref``, the package's one echelon
-routine (``zerodim`` uses it too).  The kernel sums coefficients as
-plain integers and reduces one mod p only when its monomial is popped.
-Every reduction modulo a fixed basis (``normal_form``, the P part of
-``_sig_step``, the columns of ``zerodim.low_degree_colon``) looks the
-divisor of a monomial up in the basis's divisor memo, which maps each
-monomial met to its first dividing reducer (or to none) and is filled
-on first use; a saturation lends the memo to its t-embedded copy of
-the basis, where t-free monomials have the same packed exponents and
-keys.  On top of them: normal forms, ideal membership, saturation by a
-polynomial (elimination with an auxiliary variable ranked first),
-radical membership (Rabinowitsch) and ideal intersection.
+routine: every echelon in ``zerodim`` goes through it.  The only other
+elimination is ``_f4_round``'s pass over the pivot columns of its known
+reducers, before the rest of its matrix goes to ``_rref``.  The kernel
+sums coefficients as plain integers and reduces one mod p only when its
+monomial is popped.  Every reduction modulo a fixed basis
+(``normal_form``, the P part of ``_sig_step``, the columns of
+``zerodim.low_degree_colon``) looks the divisor of a monomial up in the
+basis's divisor memo, which maps each monomial met to its first
+dividing reducer (or to none) and is filled on first use; a saturation
+lends the memo to its t-embedded copy of the basis, where t-free
+monomials have the same packed exponents and keys.  On top of them:
+normal forms, ideal membership, saturation by a polynomial (elimination
+with an auxiliary variable ranked first), radical membership
+(Rabinowitsch) and ideal intersection.
 
 Dimension, degree and staircase are read off the packed lead monomials
 alone.  ``hilbert_dim_degree`` computes the first two from the Hilbert

@@ -23,7 +23,9 @@ from .rings import ParseError, PolyRing, Polynomial, parse_polynomial, poly_to_s
 
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-# the header keyword as a whole word: "charge*y" and "char7" are polynomials
+# the header keywords as whole words: "charge*y" and "char7" are
+# polynomials, and "varsx, y" is not a header
+_VARS_HEADER = re.compile(r"vars(?![A-Za-z_0-9])")
 _CHAR_HEADER = re.compile(r"char(?![A-Za-z_0-9])")
 
 
@@ -65,7 +67,7 @@ def parse_system(text: str) -> SystemFile:
         if not line:
             continue
         if variables is None:
-            if not line.startswith("vars"):
+            if not _VARS_HEADER.match(line):
                 raise ParseError("expected a 'vars' header line", lineno, 1)
             names = [v.strip() for v in line[4:].split(",") if v.strip()]
             if not names:

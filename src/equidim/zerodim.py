@@ -1,43 +1,45 @@
 """Linear algebra in zero-dimensional quotient rings R/<W>.
 
 When a witness basis W is zero-dimensional, the quotient A = R/<W> is a
-finite-dimensional GF(p) vector space on the standard monomials, and
-the heavy ideal operations become matrix computations:
+finite-dimensional GF(p) vector space of dimension D on the standard
+monomials, and multiplication by f is a D x D matrix M_f (Cox, Little
+and O'Shea, Using Algebraic Geometry, ch. 2 section 4).  With
+2^s >= D, K = ker(M_f^(2^s)) is ker(M_f^D), and one row echelon of
+M_f^(2^s) answers all three questions asked of W and f:
 
-* radical membership  1 in (<W> : f^inf)  <=>  M_f is nilpotent;
-* properness          <W> + <f> = <1>     <=>  M_f is invertible;
-* saturation          (<W> : f^inf) is the preimage of ker(M_f^D).
+* saturation          (<W> : f^inf) is the preimage of K;
+* properness          <W> + <f> = <1>  <=>  M_f is invertible
+                      <=>  K = 0  <=>  the saturation is <W>;
+* radical membership  1 in (<W> : f^inf)  <=>  M_f is nilpotent
+                      <=>  K = A  <=>  the saturation is <1>.
 
-The saturation's reduced Groebner basis is read off the one row
-echelon of M_f^D that finds the kernel: the pivot columns are the new
-staircase, each free column gives a new basis element, and the old
-generators' tails are reduced modulo the kernel by one matrix product.
-Reduced bases are unique, so it agrees bit-for-bit with the elimination
-route.  Properness answers are memoized on the quotient, keyed by the
-value of f.  Adding generators to W has no route here: ``extend_basis``
-does it in every dimension.
+``saturation`` computes that echelon once per basis and value of f and
+keeps the result on the quotient; ``properness`` and
+``radical_membership`` read it from there.  The saturation's reduced
+Groebner basis comes off the same echelon: the pivot columns are the
+new staircase, each free column gives a new basis element, and the old
+generators' tails are reduced modulo K by one matrix product.  Reduced
+bases are unique, so it agrees bit-for-bit with the elimination route.
+Adding generators to W has no route here: ``extend_basis`` does it in
+every dimension.
 
 The separator search ``low_degree_colon`` works for any basis, not only
 zero-dimensional ones.  It looks for low-degree elements of the colon
-ideals <W> : f^k (k <= 2) with a degree-by-degree Macaulay matrix whose
-columns are the normal forms NF(m * f^k) of the monomials m of degree
-<= 4; a kernel vector a has a * f^k in <W>, so NF(a) is a candidate
-unless it is zero.  The column of m = x_i * m' is NF(x_i * NF(m' * f^k)),
-the parent column's terms shifted by one variable (packed exponents and
-order keys both add) and reduced once.  Columns enter a column echelon
-form in order, so each is classified once, as independent or as a
-kernel vector over the columns before it.  That vector is the one the
-free column of a dense RREF of the whole matrix gives, since the RREF
-of [A_old | A_new] restricted to A_old is the RREF of A_old; and the
-kernel vectors of earlier degrees had zero normal forms, or the search
-would have stopped there, so only the new ones are tried.  NF is linear
-and unique for a reduced basis, so the candidates are exactly those of
-the dense construction.
+ideals <W> : f^k (k <= MAX_POWER) with a degree-by-degree Macaulay
+matrix whose columns are the normal forms NF(m * f^k) of the monomials
+m of degree <= MAX_DEG; a kernel vector a has a * f^k in <W>, so NF(a)
+is a candidate unless it is zero.  The column of m = x_i * m' is
+NF(x_i * NF(m' * f^k)), the parent column's terms shifted by one
+variable (packed exponents and order keys both add) and reduced once.
+At each degree the matrix of all columns so far is echelonised by
+``_rref``, and each free column c of this degree gives the kernel
+vector m_c - sum_i R[i, c] * m_(piv_i); the free columns of earlier
+degrees gave zero normal forms, or the search would have stopped there.
 
 Matrix products run in float64 BLAS when every dot product is exactly
 representable below 2^53, in int64 otherwise, and in exact object
-arithmetic for characteristics too large for either envelope.  Row
-echelon forms come from ``groebner._rref``, which the F4 rounds of
+arithmetic for characteristics too large for either envelope.  Every
+row echelon form comes from ``groebner._rref``, which the F4 rounds of
 ``buchberger`` share.
 """
 
@@ -70,7 +72,7 @@ def _matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 class QuotientStructure:
     """A = R/<W> on the staircase, with multiplication matrices."""
 
-    __slots__ = ("basis", "ring", "p", "monomials", "index", "D", "mul", "proper")
+    __slots__ = ("basis", "ring", "p", "monomials", "index", "D", "mul", "saturated")
 
     def __init__(self, basis: GroebnerBasis):
         self.basis = basis
@@ -80,7 +82,7 @@ class QuotientStructure:
         self.index = {ev: i for i, ev in enumerate(self.monomials)}
         self.D = len(self.monomials)
         self.mul = self._build_mul_matrices()
-        self.proper: dict[Polynomial, bool] = {}  # f -> M_f invertible
+        self.saturated: dict[Polynomial, GroebnerBasis] = {}  # f -> <W> : f^inf
 
     def _build_mul_matrices(self) -> list[np.ndarray]:
         ring, p, D = self.ring, self.p, self.D
@@ -161,39 +163,23 @@ class QuotientStructure:
                     break
         return M
 
-    # -- predicates --------------------------------------------------------
 
-    def is_nilpotent(self, f: Polynomial) -> bool:
-        """f in rad <W>: some power of M_f vanishes."""
-        M = self.matrix_of(f)
-        steps = max(1, (self.D - 1).bit_length())
-        for _ in range(steps + 1):
-            if not M.any():
-                return True
-            M = _matmul(M, M, self.p)
-        return not M.any()
-
-    def is_invertible(self, f: Polynomial) -> bool:
-        """f a unit mod <W>: multiplication matrix has full rank."""
-        M = self.matrix_of(f)
-        _, pivots = _rref(M, self.p)
-        return len(pivots) == self.D
+# the separator search tries the multipliers a of degree <= MAX_DEG
+# against f^k for k <= MAX_POWER
+MAX_DEG = 4
+MAX_POWER = 2
 
 
-def low_degree_colon(
-    basis: GroebnerBasis,
-    f: Polynomial,
-    max_deg: int = 4,
-    max_power: int = 2,
-) -> list[Polynomial]:
+def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
     """Low-degree elements of (<basis> : f^k), by bounded linear algebra.
 
-    For each power k and degree bound, solves NF(a * f^k) = 0 over the
-    coefficients of a; every solution lies in the saturation of the
-    ideal by f.  Returns the first nonempty batch (smallest power and
-    degree), reduced modulo the basis and de-duplicated (first
-    occurrence kept); empty if no candidate exists within the bounds.
-    This is a sound candidate source, never a complete saturation.
+    For each power k <= MAX_POWER and degree bound d <= MAX_DEG, solves
+    NF(a * f^k) = 0 over the coefficients of a; every solution lies in
+    the saturation of the ideal by f.  Returns the first nonempty batch
+    (smallest power and degree), reduced modulo the basis and
+    de-duplicated (first occurrence kept); empty if no candidate exists
+    within the bounds.  This is a sound candidate source, never a
+    complete saturation.
     """
     ring = basis.ring
     p = ring.field.p
@@ -207,21 +193,18 @@ def low_degree_colon(
     w = ring.width
     shifts = [(ring.key_of_evec(1 << (i * w)), 1 << (i * w)) for i in range(ring.nvars)]
     fk = f
-    for k in range(1, max_power + 1):
+    for k in range(1, MAX_POWER + 1):
         fdeg = fk.total_degree()
-        # a-monomials (key, evec) in degree-by-degree order; the frontier
-        # keeps the Macaulay columns NF(m * f^k) of the last degree, as
-        # {evec: (key, coeff)}, for the next degree's shifts
+        # a-monomials (key, evec) in degree-by-degree order and their
+        # Macaulay columns NF(m * f^k), as {evec: (key, coeff)}; the
+        # frontier keeps the last degree's, for the next degree's shifts
         monos = [(0, 0)]
-        frontier = [(0, 0, reduce(fk.terms))]
-        new = [frontier[0][2]]  # columns not yet in the echelon
+        cols = [reduce(fk.terms)]
+        frontier = [(0, 0, cols[0])]
         seen = {0}
-        # column echelon: row r of E is [reduced column vector | its
-        # combination of the monomial columns], with E[:, piv] = I
-        support: dict[int, int] = {}  # evec -> row of the Macaulay matrix
-        E = np.zeros((0, 0), dtype=np.int64)
-        piv: list[int] = []
-        for d in range(1, max_deg + 1):
+        rows: dict[int, int] = {}  # evec -> row of the Macaulay matrix
+        A = np.zeros((0, 0), dtype=np.int64)
+        for d in range(1, MAX_DEG + 1):
             if d + fdeg > ring.cap:
                 raise DegreeOverflow(f"product degree {d + fdeg} exceeds cap {ring.cap}")
             nxt = []
@@ -231,55 +214,36 @@ def low_degree_colon(
                     if ev in seen:
                         continue
                     seen.add(ev)
-                    monos.append((mk + dk, ev))
                     # NF(x_i * m' * f^k) = NF(x_i * NF(m' * f^k))
                     nxt.append((mk + dk, ev, reduce(
                         [(tk + dk, tev + dev, c) for tev, (tk, c) in col.items()])))
             frontier = nxt
-            new += [col for _, _, col in nxt]
-            checked = len(monos) - len(new)  # columns already classified
-            S0 = E.shape[1] - checked
-            for col in new:
+            monos += [(mk, ev) for mk, ev, _ in nxt]
+            cols += [col for _, _, col in nxt]
+            old = A.shape[1]  # columns whose kernel vectors were tried
+            for col in cols[old:]:
                 for tev in col:
-                    if tev not in support:
-                        support[tev] = len(support)
-            S, r = len(support), len(piv)
-            # the rank is at most S, the row count of the Macaulay matrix
-            grown = np.zeros((min(r + len(new), S), S + len(monos)), dtype=np.int64)
-            grown[:r, :S0] = E[:r, :S0]
-            grown[:r, S:S + checked] = E[:r, S0:]
-            E = grown
-            N = np.zeros((len(new), S + len(monos)), dtype=np.int64)
-            for j, col in enumerate(new):
-                N[j, S + checked + j] = 1
+                    rows.setdefault(tev, len(rows))
+            A = np.pad(A, ((0, len(rows) - A.shape[0]), (0, len(cols) - old)))
+            for j, col in enumerate(cols[old:], old):
                 for tev, (_, c) in col.items():
-                    N[j, support[tev]] = c
-            if piv:
-                N = (N - _matmul(N[:, piv], E[:r], p)) % p
+                    A[rows[tev], j] = c
+            R, piv = _rref(A, p)
+            pivset = set(piv)
             out: list[Polynomial] = []
-            for j in range(len(new)):
-                nz = np.flatnonzero(N[j, :S])
-                if nz.size == 0:
-                    # a dependent column: its combination is a kernel vector
-                    stream = [(*monos[i], int(N[j, S + i])) for i in np.flatnonzero(N[j, S:])]
-                    nf = reduce(stream)
-                    if nf:
-                        h = ring._from_keyed(nf).monic()
-                        if h not in out:
-                            out.append(h)
+            for c in range(old, len(cols)):
+                if c in pivset:
                     continue
-                pc = int(nz[0])
-                row = N[j] * pow(int(N[j, pc]), p - 2, p) % p
-                r = len(piv)
-                fac = N[j + 1:, pc].copy()
-                N[j + 1:] = (N[j + 1:] - np.outer(fac, row)) % p
-                fac = E[:r, pc].copy()
-                E[:r] = (E[:r] - np.outer(fac, row)) % p
-                E[r] = row
-                piv.append(pc)
+                a = np.zeros(len(cols), dtype=np.int64)
+                a[c] = 1
+                a[piv] = -R[:, c] % p
+                nf = reduce([(*monos[i], int(a[i])) for i in np.flatnonzero(a)])
+                if nf:
+                    h = ring._from_keyed(nf).monic()
+                    if h not in out:
+                        out.append(h)
             if out:
                 return out
-            new = []
         fk = fk * f
     return []
 
@@ -296,12 +260,16 @@ def quotient(basis: GroebnerBasis) -> QuotientStructure:
 def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     """Reduced basis of (<basis> : f^inf) for zero-dimensional ideals.
 
+    Computed once per basis and value of f and kept on the quotient, so
+    ``properness`` and ``radical_membership`` read the same echelon.
     The saturation is the preimage of K = ker(M_f^D), read off the
-    echelon R of M_f^(2^s), 2^s >= D.  The staircase ascends, so the
-    pivot columns are the first monomials independent modulo K: the new
-    staircase.  A free column c gives m_c - sum_i R[i, c] * m_(piv_i),
-    and an old generator u + t gives u + sum_i (R t)_i * m_(piv_i), t
-    reduced modulo K; those of minimal lead form the reduced basis.
+    echelon R of M_f^(2^s), 2^s >= D: ``basis`` itself when M_f is
+    invertible (K = 0), and <1> when the monomial 1 lies in K.  The
+    staircase ascends, so the pivot columns are the first monomials
+    independent modulo K: the new staircase.  A free column c gives
+    m_c - sum_i R[i, c] * m_(piv_i), and an old generator u + t gives
+    u + sum_i (R t)_i * m_(piv_i), t reduced modulo K; those of minimal
+    lead form the reduced basis.
 
     Kept beside the signature-based elimination of
     ``groebner.saturate``: routing zero-dimensional saturations through
@@ -309,12 +277,17 @@ def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     58.7 s (witness backend, in-process runs on a 2-vCPU host).
     """
     q = quotient(basis)
-    ring, p, D, mons = q.ring, q.p, q.D, q.monomials
+    if f not in q.saturated:
+        q.saturated[f] = _kernel_preimage(q, f)
+    return q.saturated[f]
+
+
+def _kernel_preimage(q: QuotientStructure, f: Polynomial) -> GroebnerBasis:
+    basis, ring, p, D, mons = q.basis, q.ring, q.p, q.D, q.monomials
     M = q.matrix_of(f)
     for _ in range(max(1, (D - 1).bit_length())):
         M = _matmul(M, M, p)
     R, piv = _rref(M, p)
-    q.proper[f] = len(piv) == D  # M_f is invertible iff its powers are
     if len(piv) == D:
         return basis
     if not piv or piv[0] != 0:  # the monomial 1 lies in K
@@ -358,13 +331,10 @@ def extended(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis
 
 
 def radical_membership(basis: GroebnerBasis, f: Polynomial) -> bool:
-    return quotient(basis).is_nilpotent(f)
+    """f in rad <basis>: M_f is nilpotent, so the saturation is <1>."""
+    return saturation(basis, f).is_unit
 
 
 def properness(basis: GroebnerBasis, f: Polynomial) -> bool:
-    """<basis> + <f> = <1>, memoized on the quotient by the value of f."""
-    q = quotient(basis)
-    proper = q.proper.get(f)
-    if proper is None:
-        proper = q.proper[f] = q.is_invertible(f)
-    return proper
+    """<basis> + <f> = <1>: M_f is invertible, so the saturation is <basis>."""
+    return saturation(basis, f) == basis

@@ -43,6 +43,14 @@ def test_char_header_is_a_whole_word():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("header", ["varsx, y", "vars_a, b"])
+def test_vars_header_is_a_whole_word(header):
+    with pytest.raises(ParseError, match="expected a 'vars' header line") as exc:
+        parse_system(header + "\nx\n")
+    assert (exc.value.line, exc.value.col) == (1, 1)
+    assert parse_system("vars x, y\nx*y\n").variables == ("x", "y")
+
+
 def test_parse_unknown_identifier_is_error():
     with pytest.raises(ParseError):
         parse_system("vars x\ny\n")

@@ -135,17 +135,31 @@ def test_saturation_kernel_read_matches_elimination(p):
         assert zerodim.saturation(gb, f) == saturate(gb, f), f
 
 
-@pytest.mark.parametrize("first", ["properness", "saturation"])
-def test_properness_memo_keyed_by_value(ring, first):
+@pytest.mark.parametrize("first", ["properness", "radical_membership", "saturation"])
+def test_properness_memo_keyed_by_value(ring, first, monkeypatch):
+    # all three queries read one memoized saturation, so whichever runs
+    # first, M_f is built once per basis and value of f
+    built = []
+    matrix_of = zerodim.QuotientStructure.matrix_of
+
+    def counted(q, f):
+        built.append((q.basis, f))
+        return matrix_of(q, f)
+
+    monkeypatch.setattr(zerodim.QuotientStructure, "matrix_of", counted)
     rng = random.Random(17)
     x, y, z = ring.gens()
     for case in zero_dim_cases(ring, rng):
         for f, g in ((x - 1, -1 + x), (x * y + 3, 3 + y * x), (y, y * 1)):
             assert f is not g and f == g
             gb = GroebnerBasis(ring, case.gens)  # a fresh object: no quotient yet
+            built.clear()
             getattr(zerodim, first)(gb, f)
             assert zerodim.properness(gb, g) == extend_basis(gb, [g]).is_unit, (gb, g)
-            assert len(zerodim.quotient(gb).proper) == 1
+            assert zerodim.radical_membership(gb, g) == radical_member(g, gb), (gb, g)
+            assert zerodim.saturation(gb, g) == saturate(gb, g), (gb, g)
+            assert len(zerodim.quotient(gb).saturated) == 1
+            assert built == [(gb, f)], (gb, f, built)
 
 
 def test_extension_matches_buchberger(ring):
