@@ -94,7 +94,7 @@ class DecompTrace:
 
 @dataclass
 class _Ctx:
-    rng: random.Random
+    rng: random.Random | None  # None on the gb backend, which never draws
     use_classic_remove: bool = False
     trace: DecompTrace | None = None
 
@@ -306,11 +306,12 @@ def equidim(
 
     Deterministic given (inputs, config): every random draw comes from
     a generator seeded by ``config.seed``.  Only the witness backend
-    draws; gb output does not depend on the seed.  A witness request
-    runs the gb backend when ``slices_generic(F, ring)`` fails: with B
-    the product of the min(m, n) largest input degrees, a random slice
-    misses genericity with probability about B/p, so the witness
-    backend needs 32 * B <= p.  This is decided before any draw, no
+    draws.  The gb backend builds no generator, so an accidental draw
+    there fails instead of making its output depend on the seed.  A
+    witness request runs the gb backend when ``slices_generic(F, ring)``
+    fails: with B the product of the min(m, n) largest input degrees, a
+    random slice misses genericity with probability about B/p, so the
+    witness backend needs 32 * B <= p.  This is decided before any draw, no
     option overrides it, and ``DecompositionOutput.backend`` names the
     backend that ran.
     """
@@ -324,7 +325,7 @@ def equidim(
     backend = config.backend
     if backend == WITNESS_BACKEND and not slices_generic(F, ring):
         backend = GB_BACKEND
-    rng = random.Random(config.seed)
+    rng = random.Random(config.seed) if backend == WITNESS_BACKEND else None
     ctx = _Ctx(rng, config.use_classic_remove, trace)
     ordered, perm = order_input(F, config.order_strategy)
     # the recursion asks one cell the same question several times

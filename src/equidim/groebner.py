@@ -15,6 +15,8 @@ Reduced Groebner bases come from one of two routes:
   elimination behind ``saturate`` and ``radical_member`` use it; the
   Koszul criterion discards every pair whose signature lies in LM(P),
   which for t*g - 1 (a nonzerodivisor modulo <P>) is every syzygy.
+  From the zero ideal ``extend_basis`` takes no step: {f / lc(f)} is
+  already the reduced basis of <f>.
   The step returns its new elements without interreducing them:
   ``extend_basis`` interreduces P with all of them, while a saturation
   keeps only the t-free ones and interreduces those.  Under the order
@@ -34,7 +36,12 @@ monomial is popped.  Every reduction modulo a fixed basis
 basis's divisor memo, which maps each monomial met to its first
 dividing reducer (or to none) and is filled on first use; a saturation
 lends the memo to its t-embedded copy of the basis, where t-free
-monomials have the same packed exponents and keys.  On top of them:
+monomials have the same packed exponents and keys.  The memo is filled
+by ``_first_divisor``, a scan of the reducers ascending by lead key
+that stops at the first lead above the monomial.  ``_interreduce`` uses
+the same memo and scan to find out whether a tail holds a term some
+lead divides, and sends only such a tail through the kernel: any other
+tail would come back unchanged.  On top of them:
 normal forms, ideal membership, saturation by a polynomial (elimination
 with an auxiliary variable ranked first), radical membership
 (Rabinowitsch) and ideal intersection.
@@ -152,6 +159,21 @@ def _prep_reducers(gens: Sequence[Polynomial]):
 _UNSEEN = object()
 
 
+def _first_divisor(reducers, guard: int, k: int, ev: int):
+    """The first reducer, ascending by lead key, whose lead divides ev; or None.
+
+    A lead above the key k of ev cannot divide it, so the scan stops at
+    the first such lead.
+    """
+    for red in reducers:
+        if red[0] > k:
+            return None
+        d = ev - red[1]
+        if d >= 0 and not (d & guard):
+            return red
+    return None
+
+
 def _reduce_terms(ring: PolyRing, terms, reducers, divisors: dict | None = None,
                   extra=(), bound: int | None = None) -> dict[int, tuple[int, int]]:
     """Fully reduce a term stream; returns {evec: (key, coeff)} remainder.
@@ -202,14 +224,7 @@ def _reduce_terms(ring: PolyRing, terms, reducers, divisors: dict | None = None,
         k = -nk
         hit = memo_get(ev, _UNSEEN)
         if hit is _UNSEEN:
-            hit = None
-            for red in reducers:
-                if red[0] > k:
-                    break
-                d = ev - red[1]
-                if d >= 0 and not (d & guard):
-                    hit = red
-                    break
+            hit = _first_divisor(reducers, guard, k, ev)
             if divisors is not None:
                 memo[ev] = hit
         if extra:
@@ -523,7 +538,15 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ...]:
-    """Minimalize and tail-reduce to the unique reduced basis."""
+    """Minimalize and tail-reduce to the unique reduced basis.
+
+    A minimal generator none of whose tail terms is divisible by a
+    minimal lead is already reduced, and the heap kernel would return
+    its tail unchanged, so it is kept as it is.  The test looks each
+    tail term up as the kernel does, in the shared divisor memo or else
+    with ``_first_divisor``, and stops at the first term with a divisor;
+    the kernel then finds the terms already looked up in the memo.
+    """
     if not gens:
         return ()
     # minimal generators: leading monomial not divisible by another's
@@ -541,12 +564,20 @@ def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ..
     # every term of a tail stays below its own lead, so g never reduces
     # itself and one reducer list, with one divisor memo, serves all
     # generators
+    guard = ring._evec_guard
     divisors: dict = {}
-    reduced = [
-        Polynomial(ring, g.terms[:1] + ring._from_keyed(
-            _reduce_terms(ring, g.terms[1:], reducers, divisors)).terms)
-        for g in minimal
-    ]
+    reduced = []
+    for g in minimal:
+        tail = g.terms[1:]
+        for k, ev, _ in tail:
+            hit = divisors.get(ev, _UNSEEN)
+            if hit is _UNSEEN:
+                hit = divisors[ev] = _first_divisor(reducers, guard, k, ev)
+            if hit is not None:
+                g = Polynomial(ring, g.terms[:1] + ring._from_keyed(
+                    _reduce_terms(ring, tail, reducers, divisors)).terms)
+                break
+        reduced.append(g)
     reduced.sort(key=lambda f: f.terms[0][0], reverse=True)
     return tuple(reduced)
 
@@ -672,8 +703,12 @@ def groebner_of(ring: PolyRing, polys: Iterable[Polynomial]) -> GroebnerBasis:
 def extend_basis(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis:
     """Reduced basis of <basis> + <extra>, reusing the known basis.
 
-    One ``_sig_step`` per extra, smallest leading term first, each on
-    the reduced basis the previous step returned.
+    The extras are added smallest leading term first, each to the
+    reduced basis the previous step returned.  Added to the zero ideal,
+    f gives {f / lc(f)}, or {1} for a nonzero constant: one monic
+    polynomial is a reduced basis, since its lead divides none of its
+    tail monomials, all of which lie below it.  Any other step is one
+    ``_sig_step`` followed by ``_interreduce``.
     """
     extra = tuple(f for f in extra if not f.is_zero())
     if any(f.ring != basis.ring for f in extra):
@@ -684,6 +719,11 @@ def extend_basis(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerB
     def compute() -> GroebnerBasis:
         out = basis
         for f in sorted(extra, key=lambda f: f.terms[0][0]):
+            if out.is_zero_ideal:
+                # every tail monomial of f lies below its lead, so
+                # {f / lc(f)} is already reduced; {1} for a constant
+                out = GroebnerBasis(out.ring, (f.monic(),))
+                continue
             new = _sig_step(out, f)
             if new:
                 out = GroebnerBasis(out.ring, _interreduce(out.ring, list(out.gens) + new))

@@ -28,7 +28,7 @@ from equidim import (
     parse_system,
     split,
 )
-from equidim import groebner
+from equidim import decomp, groebner
 from equidim.cells import make_witness, slices_generic
 from equidim.groebner import hilbert_dim_degree
 from equidim.rings import DegreeOverflow
@@ -335,6 +335,25 @@ def test_gb_backend_ignores_the_seed():
     a, b = (equidim(F, ring, DecompConfig(backend="gb", seed=s)) for s in (0, 1))
     assert [c.basis() for c in a.cells] == [c.basis() for c in b.cells]
     assert a.annotations == b.annotations == ((1, 4),)
+
+
+@pytest.mark.parametrize("backend", ["gb", "witness"])
+def test_gb_backend_builds_no_random_generator(backend, monkeypatch):
+    # a witness request at p = 7 runs gb too (32 * B > p)
+    system = parse_system(
+        "vars x0, x1, x2\nchar 7\n"
+        "x0^2 + x1*x2 + 3*x0 + 1\n"
+        "x1^2 + 2*x0*x2 + x2 + 5\n"
+    )
+    ring = system.ring()
+
+    def no_generator(*args):
+        raise AssertionError("the gb backend built a random generator")
+
+    monkeypatch.setattr(decomp.random, "Random", no_generator)
+    out = equidim(system.polynomials(ring), ring, DecompConfig(backend=backend))
+    assert out.backend == "gb"
+    assert out.annotations == ((1, 4),)
 
 
 def _quadrics(ring, count):

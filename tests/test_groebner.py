@@ -12,6 +12,7 @@ from equidim import (
     GroebnerBasis,
     MonomialOrder,
     PolyRing,
+    Polynomial,
     PrimeField,
     buchberger,
     dimension,
@@ -238,6 +239,12 @@ def test_rref_matches_reference(p):
 
 def test_extend_basis_agrees_with_full_run(ring_xyz, rng):
     x, y, z = ring_xyz.gens()
+    zero = GroebnerBasis(ring_xyz, ())
+    cases = [
+        (zero, [3 * x * y + 2 * z**2 + x + 4]),  # a principal basis, made monic
+        (zero, [ring_xyz.const(2)]),  # the unit ideal
+        (zero, [x**2 + 2 * y * z, y**2 + x * z + 1]),  # one principal step, one signature step
+    ]
     for _ in range(15):
         base = groebner_of(ring_xyz, [random_poly(ring_xyz, rng, 3, 2) for _ in range(2)])
         if base.is_unit or base.is_zero_ideal:
@@ -245,9 +252,94 @@ def test_extend_basis_agrees_with_full_run(ring_xyz, rng):
         extra = random_poly(ring_xyz, rng, 2, 2)
         if extra.is_zero():
             continue
-        fast = extend_basis(base, [extra])
-        slow = groebner_of(ring_xyz, list(base.gens) + [extra])
+        cases.append((base, [extra]))
+    for base, extra in cases:
+        fast = extend_basis(base, extra)
+        slow = groebner_of(ring_xyz, list(base.gens) + extra)
         assert fast == slow
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named function of the groebner module."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(groebner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, counting)
+    return counts
+
+
+def test_extend_zero_ideal_takes_no_signature_step(ring_xyz, monkeypatch):
+    """{f / lc(f)} is already the reduced basis of <f>: nothing is reduced."""
+    x, y, z = ring_xyz.gens()
+    counts = _count_calls(monkeypatch, "_sig_step", "_reduce_terms")
+    f = 2 * x**2 * y + 3 * y * z + x + 1
+    ext = extend_basis(GroebnerBasis(ring_xyz, ()), [f])
+    assert ext.gens == (f.monic(),)
+    assert counts == {"_sig_step": 0, "_reduce_terms": 0}
+
+
+def _interreduce_reference(ring, gens):
+    """Minimalize, then tail-reduce every minimal generator."""
+    order = sorted(range(len(gens)), key=lambda i: gens[i].terms[0][0])
+    minimal = []
+    for i in order:
+        lm = gens[i].terms[0][1]
+        if not any(ring.divides(g.terms[0][1], lm) for g in minimal):
+            minimal.append(gens[i])
+    reducers = groebner._prep_reducers(minimal)
+    reduced = [Polynomial(ring, g.terms[:1] + ring._from_keyed(
+        _reduce_terms(ring, g.terms[1:], reducers)).terms) for g in minimal]
+    reduced.sort(key=lambda f: f.terms[0][0], reverse=True)
+    return tuple(reduced)
+
+
+@pytest.mark.parametrize("p", [7, 65521])
+def test_interreduce_matches_full_tail_reduction(p):
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(p)
+    kept = rewritten = 0
+    for trial in range(60):
+        gens = [random_poly(ring, rng, 4, 3).monic() for _ in range(2 + trial % 4)]
+        gens = [g for g in gens if not g.is_constant()]
+        if not gens:
+            continue
+        if trial % 2:
+            # a reduced basis and a new element whose lead divides a tail
+            # term of one of its generators, which alone needs reducing
+            basis = groebner_of(ring, gens)
+            tails = [ev for g in basis for _, ev, _ in g.terms[1:] if ev]
+            if basis.is_unit or not tails:
+                continue
+            ev = rng.choice(tails)
+            mask = (1 << ring.width) - 1
+            var = rng.choice([j for j in range(ring.nvars) if (ev >> (j * ring.width)) & mask])
+            if trial % 4 == 3:
+                ev -= 1 << (var * ring.width)  # a proper divisor of the tail term
+            if not ev:
+                continue
+            new = Polynomial(ring, ((ring.key_of_evec(ev), ev, 1), (0, 0, rng.randrange(1, p))))
+            gens = list(basis.gens) + [new]
+        fast = _interreduce(ring, list(gens))
+        assert fast == _interreduce_reference(ring, list(gens))
+        kept += sum(g in gens for g in fast)
+        rewritten += sum(g not in gens for g in fast)
+    assert kept > 0 and rewritten > 0
+
+
+def test_interreduce_leaves_a_reduced_basis_unreduced(monkeypatch):
+    ring = PolyRing(PrimeField(65521), ("x", "y", "z"))
+    rng = random.Random(5)
+    bases = [groebner_of(ring, [random_poly(ring, rng, 4, 2) for _ in range(3)])
+             for _ in range(10)]
+    counts = _count_calls(monkeypatch, "_reduce_terms")
+    for basis in bases:
+        assert _interreduce(ring, list(basis.gens)) == basis.gens
+    assert counts["_reduce_terms"] == 0
 
 
 def _count_regular_reductions(monkeypatch):
