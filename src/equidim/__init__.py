@@ -40,7 +40,7 @@ from .groebner import (
     saturate_seq,
     standard_monomials,
 )
-from .cells import AffineCell, make_witness, GB_BACKEND, WITNESS_BACKEND
+from .cells import AffineCell, NonGenericSlice, make_witness, GB_BACKEND, WITNESS_BACKEND
 from .decomp import (
     DecompConfig,
     DecompTrace,
@@ -81,6 +81,7 @@ __all__ = [
     "GCache",
     "GroebnerBasis",
     "MonomialOrder",
+    "NonGenericSlice",
     "ParseError",
     "PartitionReport",
     "PointSet",

@@ -99,6 +99,13 @@ class _Ctx:
     trace: DecompTrace | None = None
 
 
+def _ctx_for(X: AffineCell, rng, use_classic_remove: bool, trace) -> _Ctx:
+    """A context whose generator defaults to Random(0) on a witness cell only."""
+    if rng is None and X.backend == WITNESS_BACKEND:
+        rng = random.Random(0)
+    return _Ctx(rng, use_classic_remove, trace)
+
+
 def _proper_cut(X: AffineCell, f: Polynomial, ctx: _Ctx) -> list[AffineCell]:
     if X.backend == WITNESS_BACKEND and X.d == 0:
         # a proper section of a zero-dimensional cell is empty
@@ -232,7 +239,7 @@ def split(
     trace: DecompTrace | None = None,
 ) -> list[AffineCell]:
     """Partition X meet V(f) into disjoint equidimensional cells."""
-    ctx = _Ctx(rng or random.Random(0), use_classic_remove, trace)
+    ctx = _ctx_for(X, rng, use_classic_remove, trace)
     return _split(X, f, cache or GCache(), ctx)
 
 
@@ -243,7 +250,7 @@ def remove(
     trace: DecompTrace | None = None,
 ) -> list[AffineCell]:
     """Partition X minus V(H) (plain recursion)."""
-    ctx = _Ctx(rng or random.Random(0), True, trace)
+    ctx = _ctx_for(X, rng, True, trace)
     return _remove(X, list(H), ctx)
 
 
@@ -254,7 +261,7 @@ def remove_prime(
     trace: DecompTrace | None = None,
 ) -> list[AffineCell]:
     """Partition X minus V(H), making pieces disjoint eagerly."""
-    ctx = _Ctx(rng or random.Random(0), False, trace)
+    ctx = _ctx_for(X, rng, False, trace)
     return _remove(X, list(H), ctx)
 
 

@@ -75,8 +75,7 @@ def enumerate_points(
 
 def cell_points(cell: AffineCell) -> PointSet:
     """Rational points of a cell, from its stored equations and factors."""
-    F = list(cell.F) if cell.backend == "witness" else list(cell.F.gens)
-    return enumerate_points(cell.ring, F, cell.G)
+    return enumerate_points(cell.ring, list(cell.F), cell.G)
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ def check_top_dimension(X: AffineCell, claimed: int, rng) -> TopDimensionReport:
     often passes through a rational point, so the verdicts come from the
     exact dimension of ``X.basis()`` instead, and nothing is drawn.
     """
-    F = list(X.F) if X.backend == "witness" else list(X.F.gens)
+    F = list(X.F)
     if not slices_generic(F, X.ring):
         basis = X.basis()
         if basis.is_unit:

@@ -1,6 +1,6 @@
 """Linear algebra in zero-dimensional quotient rings R/<W>.
 
-When a witness basis W is zero-dimensional, the quotient A = R/<W> is a
+When a basis W is zero-dimensional, the quotient A = R/<W> is a
 finite-dimensional GF(p) vector space of dimension D on the standard
 monomials, and multiplication by f is a D x D matrix M_f (Cox, Little
 and O'Shea, Using Algebraic Geometry, ch. 2 section 4).  With
@@ -14,8 +14,9 @@ M_f^(2^s) answers all three questions asked of W and f:
                       <=>  K = A  <=>  the saturation is <1>.
 
 ``saturation`` computes that echelon once per basis and value of f and
-keeps the result on the quotient; ``properness`` and
-``radical_membership`` read it from there.  The saturation's reduced
+keeps the result on the quotient.  ``cells.AffineCell`` asks every one
+of these questions through it, on a witness slice or on a gb cell's
+zero-dimensional I(X).  The saturation's reduced
 Groebner basis comes off the same echelon: the pivot columns are the
 new staircase, each free column gives a new basis element, and the old
 generators' tails are reduced modulo K by one matrix product.  Reduced
@@ -52,7 +53,7 @@ import numpy as np
 from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
-    GroebnerBasis, _rref, extend_basis, normal_form, standard_monomials,
+    GroebnerBasis, _reduce_terms, _rref, extend_basis, standard_monomials,
 )
 
 
@@ -70,19 +71,27 @@ def _matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 
 
 class QuotientStructure:
-    """A = R/<W> on the staircase, with multiplication matrices."""
+    """A = R/<W> on the staircase, with multiplication matrices.
 
-    __slots__ = ("basis", "ring", "p", "monomials", "index", "D", "mul", "saturated")
+    The basis holds its structure, so the structure keeps no reference
+    to the basis, only the basis's reducers and divisor memo: a cycle
+    would leave every basis with a quotient to the cyclic collector.
+    """
+
+    __slots__ = ("ring", "p", "reducers", "divisors", "monomials", "index", "D", "mul",
+                 "saturated")
 
     def __init__(self, basis: GroebnerBasis):
-        self.basis = basis
         self.ring = basis.ring
         self.p = basis.ring.field.p
+        self.reducers = basis.reducers()
+        self.divisors = basis._divisors
         self.monomials = standard_monomials(basis)  # ascending evecs
         self.index = {ev: i for i, ev in enumerate(self.monomials)}
         self.D = len(self.monomials)
         self.mul = self._build_mul_matrices()
-        self.saturated: dict[Polynomial, GroebnerBasis] = {}  # f -> <W> : f^inf
+        # f -> <W> : f^inf, or None where that is <W> itself
+        self.saturated: dict[Polynomial, GroebnerBasis | None] = {}
 
     def _build_mul_matrices(self) -> list[np.ndarray]:
         ring, p, D = self.ring, self.p, self.D
@@ -90,7 +99,7 @@ class QuotientStructure:
         w = ring.width
         key = ring.key_of_evec
         index = self.index
-        lmmap = {g.terms[0][1]: g for g in self.basis.gens}
+        tails = {ev: tail for _, ev, tail in self.reducers}
         mats = [np.zeros((D, D), dtype=np.int64) for _ in range(n)]
         # normal-form vectors of staircase-and-border monomials, in
         # increasing order; every monomial u has u/x_k in the same set
@@ -104,9 +113,9 @@ class QuotientStructure:
             if iu is not None:
                 vu = np.zeros(D, dtype=np.int64)
                 vu[iu] = 1
-            elif u in lmmap:
+            elif u in tails:
                 vu = np.zeros(D, dtype=np.int64)
-                for _, ev, c in lmmap[u].terms[1:]:
+                for _, ev, c in tails[u]:
                     vu[index[ev]] = -c % p
             else:
                 vu = None
@@ -137,9 +146,11 @@ class QuotientStructure:
 
     def vector_of(self, f: Polynomial) -> np.ndarray:
         """Coordinates of the class of f on the staircase."""
-        nf = normal_form(f, self.basis)
+        if f.ring != self.ring:
+            raise ContractViolation("polynomial and basis from different rings")
+        nf = _reduce_terms(self.ring, f.terms, self.reducers, self.divisors)
         v = np.zeros(self.D, dtype=np.int64)
-        for _, ev, c in nf.terms:
+        for ev, (_, c) in nf.items():
             v[self.index[ev]] = c
         return v
 
@@ -261,8 +272,10 @@ def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     """Reduced basis of (<basis> : f^inf) for zero-dimensional ideals.
 
     Computed once per basis and value of f and kept on the quotient, so
-    ``properness`` and ``radical_membership`` read the same echelon.
-    The saturation is the preimage of K = ker(M_f^D), read off the
+    a cell's properness, radical-membership and subtraction queries for
+    one f read the same echelon: the saturation is ``basis`` itself
+    exactly when f is a unit modulo it, and <1> exactly when f lies in
+    its radical.  It is the preimage of K = ker(M_f^D), read off the
     echelon R of M_f^(2^s), 2^s >= D: ``basis`` itself when M_f is
     invertible (K = 0), and <1> when the monomial 1 lies in K.  The
     staircase ascends, so the pivot columns are the first monomials
@@ -278,18 +291,21 @@ def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     """
     q = quotient(basis)
     if f not in q.saturated:
-        q.saturated[f] = _kernel_preimage(q, f)
-    return q.saturated[f]
+        q.saturated[f] = _kernel_preimage(q, basis, f)
+    sat = q.saturated[f]
+    return basis if sat is None else sat
 
 
-def _kernel_preimage(q: QuotientStructure, f: Polynomial) -> GroebnerBasis:
-    basis, ring, p, D, mons = q.basis, q.ring, q.p, q.D, q.monomials
+def _kernel_preimage(q: QuotientStructure, basis: GroebnerBasis,
+                     f: Polynomial) -> GroebnerBasis | None:
+    """(<basis> : f^inf), or None when that is <basis> itself."""
+    ring, p, D, mons = q.ring, q.p, q.D, q.monomials
     M = q.matrix_of(f)
     for _ in range(max(1, (D - 1).bit_length())):
         M = _matmul(M, M, p)
     R, piv = _rref(M, p)
     if len(piv) == D:
-        return basis
+        return None
     if not piv or piv[0] != 0:  # the monomial 1 lies in K
         return GroebnerBasis(ring, (ring.one(),))
     w, mask = ring.width, (1 << ring.width) - 1
@@ -331,10 +347,20 @@ def extended(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis
 
 
 def radical_membership(basis: GroebnerBasis, f: Polynomial) -> bool:
-    """f in rad <basis>: M_f is nilpotent, so the saturation is <1>."""
+    """f in rad <basis>: M_f is nilpotent, so the saturation is <1>.
+
+    No package code calls it: cells read ``saturation`` directly.  It
+    remains only because the benchmark's tracer and its
+    ``zerodim.radical_membership.calls`` metric name it, like ``extended``.
+    """
     return saturation(basis, f).is_unit
 
 
 def properness(basis: GroebnerBasis, f: Polynomial) -> bool:
-    """<basis> + <f> = <1>: M_f is invertible, so the saturation is <basis>."""
+    """<basis> + <f> = <1>: M_f is invertible, so the saturation is <basis>.
+
+    No package code calls it: cells read ``saturation`` directly.  It
+    remains only because the benchmark's tracer and its
+    ``zerodim.properness.calls`` metric name it, like ``extended``.
+    """
     return saturation(basis, f) == basis

@@ -7,6 +7,7 @@ from equidim import (
     AffineCell,
     ContractViolation,
     DecompConfig,
+    NonGenericSlice,
     PolyRing,
     PrimeField,
     buchberger,
@@ -22,7 +23,9 @@ from equidim import (
     saturate,
     saturate_seq,
 )
+from equidim import cells, zerodim
 from equidim.groebner import is_zero_dim
+from equidim.rings import random_affine_forms
 
 
 def gb_cell(ring, F, G=()):
@@ -221,6 +224,34 @@ def test_rad_member_witness_matches_gb(R3):
             assert cg.rad_member(f) == cw.rad_member(f), (F, str(f))
 
 
+@pytest.mark.parametrize("p", [7, 65521, 2**31 - 1])
+def test_gb_queries_on_zero_dim_ideal_read_the_quotient(p, monkeypatch):
+    # a gb cell with a zero-dimensional I(X) answers rad_member and
+    # subtract from zerodim.saturation, in agreement with elimination
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    basis = buchberger([x**2 * (x - 1) * (x - 2), y**2 - x, z**3 - y * z])
+    assert is_zero_dim(basis)
+    seen = []
+    saturation = zerodim.saturation
+
+    def counted(b, f):
+        seen.append(f)
+        return saturation(b, f)
+
+    monkeypatch.setattr(zerodim, "saturation", counted)
+    X = AffineCell(ring, "gb", basis, ())
+    answers = set()
+    for f in (x, x - 1, y, x * y - z, z + 2, x * (x - 1) * (x - 2), y * z):
+        seen.clear()
+        member = X.rad_member(f)
+        assert member == radical_member(f, basis), f
+        answers.add(member)
+        assert X.subtract(f).basis() == saturate(basis, f), f
+        assert seen == [f, f], f
+    assert answers == {True, False}
+
+
 # -- basis ---------------------------------------------------------------------------------
 
 def test_cell_basis_examples(R2):
@@ -300,6 +331,30 @@ def test_make_witness_degenerate_slices(draws, G, expected):
     assert W == want
     assert W == saturate_seq(groebner_of(ring, F + forms), G)
     assert len(forms) == d
+
+
+def test_non_generic_slice_is_rejected():
+    ring = PolyRing(PrimeField(101), ("x", "y", "z"))
+    # x + y + 1 and 2x + 2y + 2 are one plane, so with z they cut a line
+    rng = ScriptedRng([1, 1, 0, 1, 2, 2, 0, 2, 0, 0, 1, 0])
+    with pytest.raises(NonGenericSlice):
+        AffineCell.full_space(ring, "witness", rng)
+
+
+def test_forced_non_generic_slice_raises_in_decomposition(monkeypatch):
+    # the slice after the first proper cut gets two equal forms, so it
+    # is a curve on the surface; the decomposition stops there with the
+    # typed error instead of querying a positive-dimensional slice
+    sf = gen_sos(2, 3, random.Random(0))
+    ring = sf.ring()
+
+    def dependent_forms(ring, d, rng):
+        forms = random_affine_forms(ring, d, rng)
+        return forms if d != ring.nvars - 1 else [forms[0]] * d
+
+    monkeypatch.setattr(cells, "random_affine_forms", dependent_forms)
+    with pytest.raises(NonGenericSlice):
+        equidim(sf.polynomials(ring), ring, DecompConfig(backend="witness"))
 
 
 # -- is_proper ------------------------------------------------------------------------------------

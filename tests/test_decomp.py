@@ -337,23 +337,36 @@ def test_gb_backend_ignores_the_seed():
     assert a.annotations == b.annotations == ((1, 4),)
 
 
-@pytest.mark.parametrize("backend", ["gb", "witness"])
-def test_gb_backend_builds_no_random_generator(backend, monkeypatch):
-    # a witness request at p = 7 runs gb too (32 * B > p)
+@pytest.mark.parametrize("entry", ["gb", "witness", "split", "remove", "remove_prime"])
+def test_gb_backend_builds_no_random_generator(entry, monkeypatch):
+    # a witness request at p = 7 runs gb too (32 * B > p), and the public
+    # wrappers give a gb cell no default generator
     system = parse_system(
         "vars x0, x1, x2\nchar 7\n"
         "x0^2 + x1*x2 + 3*x0 + 1\n"
         "x1^2 + 2*x0*x2 + x2 + 5\n"
     )
     ring = system.ring()
+    F = system.polynomials(ring)
 
     def no_generator(*args):
         raise AssertionError("the gb backend built a random generator")
 
     monkeypatch.setattr(decomp.random, "Random", no_generator)
-    out = equidim(system.polynomials(ring), ring, DecompConfig(backend=backend))
-    assert out.backend == "gb"
-    assert out.annotations == ((1, 4),)
+    if entry in ("gb", "witness"):
+        out = equidim(F, ring, DecompConfig(backend=entry))
+        assert out.backend == "gb"
+        assert out.annotations == ((1, 4),)
+        return
+    X = AffineCell.full_space(ring, "gb")
+    if entry == "split":
+        cells, want = split(X, F[0]), enumerate_points(ring, F[:1]).points
+    else:
+        cells = getattr(decomp, entry)(X, F)
+        want = enumerate_points(ring, []).points - enumerate_points(ring, F).points
+    assert cells
+    assert_disjoint(cells, ring)
+    assert set().union(*(cell_points(c).points for c in cells)) == want
 
 
 def _quadrics(ring, count):

@@ -4,6 +4,7 @@ are unique), and its predicates with the Rabinowitsch tests.
 ``low_degree_colon`` is checked against a reference written from its
 definition: one dense Macaulay matrix per power and degree."""
 
+import gc
 import itertools
 import random
 
@@ -11,9 +12,12 @@ import numpy as np
 import pytest
 
 from equidim import (
+    DecompConfig,
     PolyRing,
     PrimeField,
     buchberger,
+    equidim,
+    gen_sos,
     groebner_of,
     quotient_degree,
     radical_member,
@@ -143,7 +147,7 @@ def test_properness_memo_keyed_by_value(ring, first, monkeypatch):
     matrix_of = zerodim.QuotientStructure.matrix_of
 
     def counted(q, f):
-        built.append((q.basis, f))
+        built.append((q, f))
         return matrix_of(q, f)
 
     monkeypatch.setattr(zerodim.QuotientStructure, "matrix_of", counted)
@@ -159,7 +163,24 @@ def test_properness_memo_keyed_by_value(ring, first, monkeypatch):
             assert zerodim.radical_membership(gb, g) == radical_member(g, gb), (gb, g)
             assert zerodim.saturation(gb, g) == saturate(gb, g), (gb, g)
             assert len(zerodim.quotient(gb).saturated) == 1
-            assert built == [(gb, f)], (gb, f, built)
+            assert built == [(zerodim.quotient(gb), f)], (gb, f, built)
+
+
+@pytest.mark.parametrize("backend", ["gb", "witness"])
+def test_decomposition_leaves_no_reference_cycles(backend):
+    # a quotient keeps its basis's reducers, not the basis, so every
+    # basis and quotient is freed by reference counting alone
+    sf = gen_sos(2, 3, random.Random(0))
+    ring = sf.ring()
+    F = sf.polynomials(ring)
+    gc.collect()
+    gc.disable()
+    try:
+        equidim(F, ring, DecompConfig(backend=backend, seed=1))
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def test_extension_matches_buchberger(ring):
