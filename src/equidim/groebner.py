@@ -11,10 +11,11 @@ Reduced Groebner bases come from one of two routes:
 * ``_sig_step`` extends a known reduced basis P by one polynomial f
   with signature criteria (F5C, Eder-Perry 2010; the rewrite criterion
   of Eder-Roune 2013).  ``extend_basis`` (on both cell backends, so
-  also for zero-dimensional witness slices) and the Rabinowitsch
-  elimination behind ``saturate`` and ``radical_member`` use it; the
-  Koszul criterion discards every pair whose signature lies in LM(P),
-  which for t*g - 1 (a nonzerodivisor modulo <P>) is every syzygy.
+  also for zero-dimensional witness slices), the certificate and the
+  Rabinowitsch elimination behind ``saturate`` and ``radical_member``
+  use it; the Koszul criterion discards every pair whose signature lies
+  in LM(P), which for t*g - 1 (a nonzerodivisor modulo <P>) is every
+  syzygy.
   From the zero ideal ``extend_basis`` takes no step: {f / lc(f)} is
   already the reduced basis of <f>.
   The step returns its new elements without interreducing them:
@@ -23,6 +24,20 @@ Reduced Groebner bases come from one of two routes:
   that eliminates t, a t-free monomial is divisible only by t-free
   leads, so that is already the reduced basis of the elimination ideal,
   and the t-carrying elements are never tail-reduced.
+
+A saturation (I : g^inf) first tries a certificate that g is a
+nonzerodivisor modulo I, which makes the answer I itself; 15 of the 17
+saturations of ps(5) on the gb backend are such.  Under grevlex the
+top-degree forms of the reduced basis of I are the reduced basis of
+I*, the ideal of top forms, with LM(I*) = LM(I).  If the top form g* is a
+nonzerodivisor modulo I*, so is g modulo I (Kreuzer-Robbiano,
+Computational Commutative Algebra 2, 4.3).  One ``_sig_step`` of I* by
+g* decides it: a regular reduction to zero proves g* a zero divisor and
+ends the step at once, and otherwise the Hilbert numerators of I* and
+I* + g* (Bayer-Stillman 1992) must differ by the factor (1 - t^deg g*).
+The test is one-sided.  g may be regular modulo I while g* is a zero
+divisor modulo I*, as g = x is a unit modulo <x*y - 1>; the elimination
+then runs, so a declined certificate costs time and never correctness.
 
 Polynomials are reduced by the heap kernel ``_reduce_terms``, and
 matrices echelonised mod p by ``_rref``, the package's one echelon
@@ -34,7 +49,7 @@ monomial is popped.  Every reduction modulo a fixed basis
 (``normal_form``, the P part of ``_sig_step``, the columns of
 ``zerodim.low_degree_colon``) looks the divisor of a monomial up in the
 basis's divisor memo, which maps each monomial met to its first
-dividing reducer (or to none) and is filled on first use; a saturation
+dividing reducer (or to none) and is filled on first use; an elimination
 lends the memo to its t-embedded copy of the basis, where t-free
 monomials have the same packed exponents and keys.  The memo is filled
 by ``_first_divisor``, a scan of the reducers ascending by lead key
@@ -61,8 +76,8 @@ produced the basis {1} is returned, since empty cells arise constantly
 during decomposition.
 
 Inside ``memo_scope()`` (one ``decomp.equidim`` call) ``groebner_of``,
-``extend_basis`` and the Rabinowitsch elimination shared by ``saturate``
-and ``radical_member`` are computed once per distinct input value; the
+``extend_basis`` and the saturation shared by ``saturate`` and
+``radical_member`` are computed once per distinct input value; the
 memo is dropped when the scope ends, and it cannot change a result
 because a reduced basis is unique for its ideal and order.
 """
@@ -96,7 +111,7 @@ class GroebnerBasis:
         self.gens = gens
         self._reducers = None
         # packed monomial -> its first dividing reducer, or None; filled
-        # by _reduce_terms, and shared with the t-embedding of _saturation
+        # by _reduce_terms, and shared with the t-embedding of _rabinowitsch
         self._divisors: dict = {}
         self._quotient = None  # zero-dimensional structure, filled lazily
         self._hilbert = None  # (dimension, degree), filled by hilbert_dim_degree
@@ -582,7 +597,8 @@ def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ..
     return tuple(reduced)
 
 
-def _sig_step(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
+def _sig_step(basis: GroebnerBasis, f: Polynomial,
+              stop_at_syzygy: bool = False) -> list[Polynomial] | None:
     """New generators that make ``basis`` a Groebner basis of <basis> + <f>.
 
     One signature-based (F5C) step.  Every new element carries a
@@ -598,6 +614,11 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
     The elements are returned as they are, monic but not interreduced:
     P's generators together with them form a Groebner basis.  An empty
     list means f is in <P>, and [1] the unit ideal.
+
+    A regular reduction to zero at signature s gives a u with LM(u) = s
+    outside LM(P) and u * f in <P>: f is a zero divisor modulo <P>.
+    With ``stop_at_syzygy`` the step returns None at the first one, for
+    ``_regular_at_infinity``, which only asks whether there is any.
     """
     ring = basis.ring
     r = ring._from_keyed(basis.reduce_terms(f.terms))
@@ -657,6 +678,8 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
         stream = [(k + dk, ev + de, c) for k, ev, c in elems[i].terms]
         h = ring._from_keyed(basis.reduce_terms(stream, reducers, sk))
         if h.is_zero():
+            if stop_at_syzygy:
+                return None
             syz.append(se)
             continue
         if h.is_constant():
@@ -758,30 +781,102 @@ def _restrict_tfree(ring: PolyRing, ext: PolyRing, gens: Iterable[Polynomial]) -
         Polynomial(ring, g.terms) for g in gens if not g.terms[0][1] >> tshift]))
 
 
-def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """(<basis> : g^inf) by Rabinowitsch elimination; {1} iff g is in the radical."""
+def _top_form(f: Polynomial) -> Polynomial:
+    """The homogeneous part of top degree; a prefix of the terms under grevlex."""
+    degree = f.ring.degree_of_key
+    e = degree(f.terms[0][0])
+    n = 1
+    while n < len(f.terms) and degree(f.terms[n][0]) == e:
+        n += 1
+    return Polynomial(f.ring, f.terms[:n])
+
+
+def _hilbert_numerator(ring: PolyRing, gens: Iterable[Polynomial]) -> list[int]:
+    """N(t) of R/<leads of gens>, lowest power first, without trailing zeros."""
+    degree = ring.degree_of_key
+    guard = ring._evec_guard
+    leads = [(degree(k), ev) for k, ev, _ in (h.terms[0] for h in gens)]
+    num = _numerator(_minimal(leads, guard), guard, ring.width)
+    while num and not num[-1]:
+        num.pop()
+    return num
+
+
+def _regular_at_infinity(basis: GroebnerBasis, g: Polynomial) -> bool:
+    """A certificate that g is a nonzerodivisor modulo <basis> (grevlex).
+
+    Under a graded order the top-degree forms of the reduced basis are
+    the reduced basis of I*, the ideal of top forms of I; LM(I*) =
+    LM(I).  For g* = top(g) of degree e, N(I* + g*) = N(I*) - t^e
+    N(I* : g*) on Hilbert numerators, and I* is contained in I* : g*,
+    so N(I* + g*) = (1 - t^e) N(I*) iff I* : g* = I*.  One ``_sig_step``
+    gives the basis of I* + g*, and it stops at its first regular
+    reduction to zero, which already proves g* a zero divisor.
+
+    If g* is a nonzerodivisor modulo I*, g is one modulo I: take u * g
+    in I with u a nonzero normal form; then u* g* is in I*, so LM(u) is
+    in LM(I*) = LM(I), a contradiction.  Hence (I : g^inf) = I.  The
+    test is one-sided: g = x is a unit modulo <x*y - 1> and so regular,
+    yet its top form is a zero divisor modulo <x*y>; then the answer is
+    False and the caller eliminates.
+    """
     ring = basis.ring
+    top = GroebnerBasis(ring, tuple(_top_form(h) for h in basis.gens))
+    gstar = _top_form(g)
+    new = _sig_step(top, gstar, stop_at_syzygy=True)
+    if not new:
+        return False  # a syzygy, or g* in I*
+    base = _hilbert_numerator(ring, top.gens)
+    e = ring.degree_of_key(gstar.terms[0][0])
+    shifted = base + [0] * e  # (1 - t^e) N(I*)
+    for i, c in enumerate(base):
+        shifted[i + e] -= c
+    return _hilbert_numerator(ring, list(top.gens) + new) == shifted
+
+
+def _rabinowitsch(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
+    """(<basis> : g^inf) as the t-free part of the basis of <basis, t*g - 1>."""
+    ring = basis.ring
+    ext = ring.extend_elim()
+    # t-free generators of a grevlex basis stay a reduced basis under
+    # the elimination order, and a t-free monomial keeps its packed
+    # exponents and key, so the divisor memo carries over
+    ext_basis = GroebnerBasis(ext, tuple(_embed(ext, basis.gens)))
+    ext_basis._divisors = basis._divisors
+    t = ext.var(ext.nvars - 1)
+    rab = t * Polynomial(ext, g.terms) - 1
+    return _restrict_tfree(ring, ext, list(basis.gens) + _sig_step(ext_basis, rab))
+
+
+def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
+    """(<basis> : g^inf); {1} iff g is in the radical.
+
+    ``basis`` itself when ``_regular_at_infinity`` certifies g a
+    nonzerodivisor modulo I = <basis>: then u * g in I forces u in I,
+    so (I : g^inf) = I.  The certificate only looks at top-degree forms,
+    where a g regular modulo I can still be a zero divisor, so a decline
+    proves nothing and ``_rabinowitsch`` decides.  Both need grevlex: the
+    certificate reads top-degree forms, and the elimination order
+    extends the ring's own.  The answer is one reduced basis either way.
+    """
+    if basis.ring.order.kind != "grevlex":
+        raise ContractViolation("saturation needs a grevlex ring")
 
     def compute() -> GroebnerBasis:
-        ext = ring.extend_elim()
-        # t-free generators of a grevlex basis stay a reduced basis
-        # under the elimination order, and a t-free monomial keeps its
-        # packed exponents and key, so the divisor memo carries over
-        ext_basis = GroebnerBasis(ext, tuple(_embed(ext, basis.gens)))
-        ext_basis._divisors = basis._divisors
-        t = ext.var(ext.nvars - 1)
-        rab = t * Polynomial(ext, g.terms) - 1
-        return _restrict_tfree(ring, ext, list(basis.gens) + _sig_step(ext_basis, rab))
+        return basis if _regular_at_infinity(basis, g) else _rabinowitsch(basis, g)
 
     return _memoized(("saturation", basis, g), compute)
 
 
 def saturate(F: "GroebnerBasis | Sequence[Polynomial]", g: Polynomial) -> GroebnerBasis:
-    """Reduced basis of (<F> : g^inf), by elimination.
+    """Reduced basis of (<F> : g^inf), by a certificate or by elimination.
 
-    A fresh variable t is appended as the last slot but ranked first;
-    the basis of <F> + <t*g - 1> is computed under that order and the
-    elements containing t are discarded.
+    When the top form of g is a nonzerodivisor modulo the ideal of top
+    forms of <F>, g is one modulo <F>, and the basis of <F> is returned
+    itself.  That test is one-sided (see ``_regular_at_infinity``), and
+    otherwise a fresh variable t is appended as the last slot but ranked
+    first; the basis of <F> + <t*g - 1> is computed under that order and
+    the elements containing t are discarded.
     """
     ring = F.ring if isinstance(F, GroebnerBasis) else g.ring
     if g.ring != ring:
@@ -816,7 +911,13 @@ def saturate_seq(F: "GroebnerBasis | Sequence[Polynomial]",
 
 
 def radical_member(f: Polynomial, basis: GroebnerBasis) -> bool:
-    """f vanishes on V(<basis>): Rabinowitsch trick over R[t]."""
+    """f vanishes on V(<basis>): Rabinowitsch trick over R[t].
+
+    The saturation is the one ``saturate`` computes.  A certified
+    nonzerodivisor f gives <basis> itself, so f is not in the radical
+    of a proper ideal without any elimination; a declined certificate
+    only means the elimination decides.
+    """
     if basis.is_unit:
         return True
     if f.is_zero():
@@ -943,12 +1044,8 @@ def hilbert_dim_degree(basis: GroebnerBasis) -> tuple[int, int]:
     if basis.is_unit:
         raise ContractViolation("empty variety has no dimension")
     if basis._hilbert is None:
-        ring = basis.ring
-        degree = ring.degree_of_key
-        guard = ring._evec_guard
-        leads = [(degree(k), ev) for k, ev, _ in (g.terms[0] for g in basis.gens)]
-        num = _numerator(_minimal(leads, guard), guard, ring.width)
-        dim = ring.nvars
+        num = _hilbert_numerator(basis.ring, basis.gens)
+        dim = basis.ring.nvars
         while sum(num) == 0:
             # N = (1 - t) Q: the coefficients of Q are the prefix sums of N
             for i in range(1, len(num)):

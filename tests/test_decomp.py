@@ -12,7 +12,6 @@ from equidim import (
     GCache,
     PolyRing,
     PrimeField,
-    buchberger,
     cell_points,
     check_partition,
     enumerate_points,
@@ -271,6 +270,79 @@ def test_equidim_deterministic(R4):
     assert cells_signature(a.cells) == cells_signature(b.cells)
     assert a.annotations == b.annotations
     assert [c.witness_forms for c in a.cells] == [c.witness_forms for c in b.cells]
+
+
+def _cyclic(n, p):
+    """Cyclic n-roots (Bjorck-Froberg 1991): the sums of the n cyclic
+    products of k consecutive variables, k < n, and x0*...*x(n-1) - 1."""
+    ring = PolyRing(PrimeField(p), tuple(f"x{i}" for i in range(n)))
+    xs = ring.gens()
+    F = []
+    for k in range(1, n):
+        f = ring.zero()
+        for i in range(n):
+            m = ring.one()
+            for j in range(k):
+                m = m * xs[(i + j) % n]
+            f = f + m
+        F.append(f)
+    m = ring.one()
+    for x in xs:
+        m = m * x
+    return ring, F + [m - 1]
+
+
+def _product_systems(ring, seed, count):
+    """Systems of 2-3 equations, each a product of 1-3 members of one
+    shared pool of affine forms and binomial quadrics: their zero sets
+    are unions of components of several dimensions."""
+    rng = random.Random(seed)
+    xs = ring.gens()
+    p = ring.field.p
+
+    def c():
+        return rng.randrange(1, p)
+
+    pool = [c() * a + c() * b + c() for a, b in (rng.sample(xs, 2) for _ in range(4))]
+    pool += [c() * a * b - c() * d * e
+             for a, b, d, e in ([rng.choice(xs) for _ in range(4)] for _ in range(4))]
+    systems = []
+    for _ in range(count):
+        F = []
+        for _ in range(rng.randrange(2, 4)):
+            f = ring.one()
+            for g in rng.sample(pool, rng.randrange(1, 4)):
+                f = f * g
+            F.append(f)
+        systems.append(F)
+    return systems
+
+
+def test_backends_agree_on_degrees_at_65521(R4, monkeypatch):
+    """Witness and gb degrees by dimension agree where no point oracle reaches."""
+    certified = {True: 0, False: 0}
+    original = groebner._regular_at_infinity
+
+    def counting(basis, g):
+        out = original(basis, g)
+        certified[out] += 1
+        return out
+
+    monkeypatch.setattr(groebner, "_regular_at_infinity", counting)
+    cases = [_cyclic(n, 65521) for n in (3, 4, 5)]
+    cases += [(R4, F) for F in _product_systems(R4, 7, 20)]
+    dims = set()
+    for ring, F in cases:
+        degrees = []
+        for backend in ("gb", "witness"):
+            out = equidim(F, ring, DecompConfig(backend=backend, seed=3))
+            assert out.backend == backend
+            degrees.append(out.degrees_by_dimension())
+        assert degrees[0] == degrees[1], (ring, F)
+        dims.add(len(degrees[0]))
+    assert dims >= {1, 2, 3}  # sets with one, two and three dimensions occur
+    # gb subtractions went both through the certificate and past it
+    assert certified[True] > 0 and certified[False] > 0
 
 
 def _count_calls(monkeypatch, name):

@@ -35,7 +35,9 @@ from equidim import groebner
 from equidim.groebner import (
     _embed,
     _interreduce,
+    _rabinowitsch,
     _reduce_terms,
+    _regular_at_infinity,
     _restrict_tfree,
     _spoly_terms,
     extend_basis,
@@ -429,7 +431,8 @@ def test_signature_extension_matches_scratch(p, monkeypatch):
 
 
 def test_saturation_reduces_no_pair_to_zero(monkeypatch):
-    """t*g - 1 is a nonzerodivisor modulo <P>: the Koszul criterion finds every syzygy."""
+    """t*g - 1 is a nonzerodivisor modulo <P>: in the elimination the
+    Koszul criterion finds every syzygy."""
     ring = PolyRing(PrimeField(101), ("x", "y", "z", "w"))
     rng = random.Random(2024)
     counts = _count_regular_reductions(monkeypatch)
@@ -439,7 +442,7 @@ def test_saturation_reduces_no_pair_to_zero(monkeypatch):
         g = random_poly(ring, rng, 3, 2)
         if base.is_unit or g.is_zero() or g.is_constant() or dimension(base) == 0:
             continue
-        saturate(base, g)
+        _rabinowitsch(base, g)
         done += 1
     assert counts["regular"] > 0
     assert counts["zero"] == 0
@@ -460,14 +463,69 @@ def test_saturate_by_zero_rejected(ring_xy):
         saturate([x], ring_xy.zero())
 
 
-def test_saturate_over_elimination_order_rejected():
+def test_saturate_over_elimination_order_rejected(monkeypatch):
     # the elimination seeds its basis assuming grevlex on the source
-    # ring; over another order the output would not be a basis
+    # ring, and the certificate reads top-degree forms; over another
+    # order neither holds, so the call raises before either runs
     R = PolyRing(PrimeField(101), ("x", "y", "z"), MonomialOrder.elim_block(1))
     x, y, z = R.gens()
     basis = buchberger([x**2 + y * z + 3, x * y - z**2 + 1], ring=R)
+    counts = _count_calls(monkeypatch, "_regular_at_infinity", "_rabinowitsch")
     with pytest.raises(ContractViolation):
         saturate(basis, x + y + 1)
+    assert counts == {"_regular_at_infinity": 0, "_rabinowitsch": 0}
+
+
+@pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
+def test_certificate_accepts_only_unchanged_saturations(p):
+    """Whenever the certificate accepts (basis, g), the elimination returns the basis."""
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(p)
+    accepted = declined = 0
+    for trial in range(40):
+        a, b = (random_poly(ring, rng, 3, 2) for _ in range(2))
+        gens = [a * b, random_poly(ring, rng, 3, 2)][: 1 + trial % 2]
+        base = groebner_of(ring, [f for f in gens if not f.is_zero()])
+        if base.is_unit or base.is_zero_ideal:
+            continue
+        for g in (a, b, random_poly(ring, rng, 3, 2)):
+            if g.is_zero() or g.is_constant():
+                continue
+            elim = _rabinowitsch(base, g)
+            if _regular_at_infinity(base, g):
+                accepted += 1
+                assert elim == base
+            else:
+                declined += 1
+            assert saturate(base, g) == elim
+    assert accepted > 0 and declined > 0
+
+
+def test_certificate_declines_a_zero_divisor_at_infinity():
+    # x is a unit modulo <x*y - 1>, but its top form x is a zero divisor
+    # modulo <x*y>: the certificate declines and the elimination runs
+    ring = PolyRing(PrimeField(101), ("x", "y"))
+    x, y = ring.gens()
+    base = groebner_of(ring, [x * y - 1])
+    assert not _regular_at_infinity(base, x)
+    assert saturate(base, x) == base
+
+
+def test_certificate_declines_a_zero_divisor():
+    ring = PolyRing(PrimeField(101), ("x", "y"))
+    x, y = ring.gens()
+    base = groebner_of(ring, [x * y])
+    assert not _regular_at_infinity(base, x)
+    assert [str(g) for g in saturate(base, x)] == ["y"]
+
+
+def test_certified_saturation_returns_the_basis_itself(monkeypatch):
+    ring = PolyRing(PrimeField(101), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    base = groebner_of(ring, [x**2 + y * z - 1, y**2 - x * z + 2])
+    counts = _count_calls(monkeypatch, "_rabinowitsch")
+    assert saturate(base, x + y + z + 3) is base
+    assert counts == {"_rabinowitsch": 0}
 
 
 def test_saturation_soundness(ring_xyz, rng):
@@ -534,9 +592,9 @@ def test_saturate_output_needs_no_interreduction(ring_xyz, rng):
 
 
 def test_divisor_memo_shared_with_saturation_embedding(rng):
-    """normal_form through a divisor memo that a saturation filled through
+    """normal_form through a divisor memo that an elimination filled through
     its t-embedding equals a memo-free reduction, and so does the
-    saturation after normal forms filled the memo first."""
+    elimination after normal forms filled the memo first."""
     ring = PolyRing(PrimeField(7), ("x", "y", "z"))
     tshift = ring.nvars * ring.width  # the t slot of extend_elim()
     cases = 0
@@ -553,14 +611,14 @@ def test_divisor_memo_shared_with_saturation_embedding(rng):
         sat = _scratch_saturation(plain, g)
 
         first = GroebnerBasis(ring, gens)
-        assert saturate(first, g) == sat
+        assert _rabinowitsch(first, g) == sat
         assert any(ev >> tshift for ev in first._divisors)
         assert [normal_form(f, first) for f in fs] == expected
 
         second = GroebnerBasis(ring, gens)
         assert [normal_form(f, second) for f in fs] == expected
         assert second._divisors
-        assert saturate(second, g) == sat
+        assert _rabinowitsch(second, g) == sat
         cases += 1
     assert cases > 10
 
