@@ -81,8 +81,8 @@ def _sat0(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
 
     The basis itself when it is <1> or g is a nonzero constant.
     ``zerodim.saturation`` records why that route is kept beside the
-    elimination of ``saturate``.  Adding generators has one route in
-    both dimensions: ``extend_basis``.
+    certificate and colon ideals of ``saturate``.  Adding generators has
+    one route in both dimensions: ``extend_basis``.
     """
     if basis.is_unit or g.is_constant():
         return basis

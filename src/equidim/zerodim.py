@@ -20,7 +20,7 @@ zero-dimensional I(X).  The saturation's reduced
 Groebner basis comes off the same echelon: the pivot columns are the
 new staircase, each free column gives a new basis element, and the old
 generators' tails are reduced modulo K by one matrix product.  Reduced
-bases are unique, so it agrees bit-for-bit with the elimination route.
+bases are unique, so it agrees bit-for-bit with ``groebner.saturate``.
 Adding generators to W has no route here: ``extend_basis`` does it in
 every dimension.
 
@@ -284,10 +284,10 @@ def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     u + sum_i (R t)_i * m_(piv_i), t reduced modulo K; those of minimal
     lead form the reduced basis.
 
-    Kept beside the signature-based elimination of
-    ``groebner.saturate``: routing zero-dimensional saturations through
-    it instead took sos(3,4) from 0.58 to 1.08 s and ps(5) from 25.6 to
-    58.7 s (witness backend, in-process runs on a 2-vCPU host).
+    Kept beside ``groebner.saturate``: routing zero-dimensional
+    saturations through its certificate and colon ideals instead took
+    sos(3,4) from 0.12 to 0.34 s and ps(5) from 6.1 to 14.6 s (witness
+    backend, generator seed 0, in-process runs on a 2-vCPU host).
     """
     q = quotient(basis)
     if f not in q.saturated:

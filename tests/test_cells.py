@@ -227,7 +227,7 @@ def test_rad_member_witness_matches_gb(R3):
 @pytest.mark.parametrize("p", [7, 65521, 2**31 - 1])
 def test_gb_queries_on_zero_dim_ideal_read_the_quotient(p, monkeypatch):
     # a gb cell with a zero-dimensional I(X) answers rad_member and
-    # subtract from zerodim.saturation, in agreement with elimination
+    # subtract from zerodim.saturation, in agreement with groebner.saturate
     ring = PolyRing(PrimeField(p), ("x", "y", "z"))
     x, y, z = ring.gens()
     basis = buchberger([x**2 * (x - 1) * (x - 2), y**2 - x, z**3 - y * z])

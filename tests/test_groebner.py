@@ -35,10 +35,11 @@ from equidim import groebner
 from equidim.groebner import (
     _embed,
     _interreduce,
-    _rabinowitsch,
     _reduce_terms,
     _regular_at_infinity,
     _restrict_tfree,
+    _saturation,
+    _sig_step,
     _spoly_terms,
     extend_basis,
     hilbert_dim_degree,
@@ -348,17 +349,20 @@ def _count_regular_reductions(monkeypatch):
     """Count the signature-bounded reductions and those that give zero.
 
     Also keeps the signed reducer list of every extension step (the
-    step grows one list in place) under the key "steps".
+    step grows one list in place) under the key "steps", and the
+    signature key of every reduction to zero under "zero_sigs".
     """
-    counts = {"regular": 0, "zero": 0, "steps": {}}
+    counts = {"regular": 0, "zero": 0, "steps": {}, "zero_sigs": []}
     original = groebner._reduce_terms
 
-    def counting(ring, terms, reducers, divisors=None, extra=(), bound=None):
-        out = original(ring, terms, reducers, divisors, extra, bound)
+    def counting(ring, terms, reducers, divisors=None, extra=(), bound=None, log=None):
+        out = original(ring, terms, reducers, divisors, extra, bound, log)
         if bound is not None:
             counts["regular"] += 1
             counts["zero"] += not out
             counts["steps"][id(extra)] = (ring, extra)
+            if not out:
+                counts["zero_sigs"].append(bound)
         return out
 
     monkeypatch.setattr(groebner, "_reduce_terms", counting)
@@ -368,11 +372,11 @@ def _count_regular_reductions(monkeypatch):
 def _assert_no_singular_element(ring, reducers):
     """No new element is a multiple of another with the same signature.
 
-    Entries are (lead key, lead evec, tail, signature key).
+    Entries are (lead key, lead evec, tail, signature key, index).
     """
     signed = [red for red in reducers if red[3] >= 0]
-    for lk, le, _, sk in signed:
-        for lk2, le2, _, sk2 in signed:
+    for lk, le, _, sk, _ in signed:
+        for lk2, le2, _, sk2, _ in signed:
             if le2 != le and ring.divides(le, le2):
                 assert lk2 - lk + sk != sk2
 
@@ -430,22 +434,34 @@ def test_signature_extension_matches_scratch(p, monkeypatch):
         _assert_no_singular_element(step_ring, reducers)
 
 
-def test_saturation_reduces_no_pair_to_zero(monkeypatch):
-    """t*g - 1 is a nonzerodivisor modulo <P>: in the elimination the
-    Koszul criterion finds every syzygy."""
+def test_colon_cofactors_are_syzygies_at_their_signatures(monkeypatch):
+    """Each cofactor u of a colon step has u * g in <P>, is a normal form
+    modulo P, and has its syzygy's signature as its leading monomial."""
     ring = PolyRing(PrimeField(101), ("x", "y", "z", "w"))
     rng = random.Random(2024)
-    counts = _count_regular_reductions(monkeypatch)
-    done = 0
+    done = found = 0
     while done < 20:
-        base = groebner_of(ring, [random_poly(ring, rng, 4, 2) for _ in range(2)])
-        g = random_poly(ring, rng, 3, 2)
-        if base.is_unit or g.is_zero() or g.is_constant() or dimension(base) == 0:
+        a, b = (random_poly(ring, rng, 3, 2) for _ in range(2))
+        base = groebner_of(ring, [a * b, random_poly(ring, rng, 4, 2)])
+        if base.is_unit or a.is_constant() or dimension(base) == 0:
             continue
-        _rabinowitsch(base, g)
+        counts = _count_regular_reductions(monkeypatch)
+        cofactors = _sig_step(base, a, colon=True)
+        monkeypatch.undo()
         done += 1
-    assert counts["regular"] > 0
-    assert counts["zero"] == 0
+        if cofactors == [ring.one()]:
+            assert ideal_member(a, base)
+            continue
+        assert [u.terms[0][0] for u in cofactors] == counts["zero_sigs"]
+        leads = [u.terms[0][1] for u in cofactors]
+        for u in cofactors:
+            assert u.lead_coeff() == 1
+            assert normal_form(u * a, base).is_zero()
+            assert normal_form(u, base) == u
+        for e, e2 in itertools.permutations(leads, 2):
+            assert not ring.divides(e, e2)
+        found += len(cofactors)
+    assert found > 0
 
 
 # -- saturation ------------------------------------------------------------------
@@ -464,21 +480,21 @@ def test_saturate_by_zero_rejected(ring_xy):
 
 
 def test_saturate_over_elimination_order_rejected(monkeypatch):
-    # the elimination seeds its basis assuming grevlex on the source
-    # ring, and the certificate reads top-degree forms; over another
-    # order neither holds, so the call raises before either runs
+    # the certificate reads top-degree forms, which only a graded order
+    # puts first; over another order the call raises before the
+    # certificate or a colon step runs
     R = PolyRing(PrimeField(101), ("x", "y", "z"), MonomialOrder.elim_block(1))
     x, y, z = R.gens()
     basis = buchberger([x**2 + y * z + 3, x * y - z**2 + 1], ring=R)
-    counts = _count_calls(monkeypatch, "_regular_at_infinity", "_rabinowitsch")
+    counts = _count_calls(monkeypatch, "_regular_at_infinity", "_sig_step")
     with pytest.raises(ContractViolation):
         saturate(basis, x + y + 1)
-    assert counts == {"_regular_at_infinity": 0, "_rabinowitsch": 0}
+    assert counts == {"_regular_at_infinity": 0, "_sig_step": 0}
 
 
 @pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
 def test_certificate_accepts_only_unchanged_saturations(p):
-    """Whenever the certificate accepts (basis, g), the elimination returns the basis."""
+    """Whenever the certificate accepts (basis, g), the saturation is the basis."""
     ring = PolyRing(PrimeField(p), ("x", "y", "z"))
     rng = random.Random(p)
     accepted = declined = 0
@@ -491,19 +507,20 @@ def test_certificate_accepts_only_unchanged_saturations(p):
         for g in (a, b, random_poly(ring, rng, 3, 2)):
             if g.is_zero() or g.is_constant():
                 continue
-            elim = _rabinowitsch(base, g)
+            scratch = _scratch_saturation(base, g)
             if _regular_at_infinity(base, g):
                 accepted += 1
-                assert elim == base
+                assert scratch == base
             else:
                 declined += 1
-            assert saturate(base, g) == elim
+            assert saturate(base, g) == scratch
     assert accepted > 0 and declined > 0
 
 
 def test_certificate_declines_a_zero_divisor_at_infinity():
     # x is a unit modulo <x*y - 1>, but its top form x is a zero divisor
-    # modulo <x*y>: the certificate declines and the elimination runs
+    # modulo <x*y>: the certificate declines, and the colon step reaches
+    # a constant, which proves x a unit
     ring = PolyRing(PrimeField(101), ("x", "y"))
     x, y = ring.gens()
     base = groebner_of(ring, [x * y - 1])
@@ -523,9 +540,9 @@ def test_certified_saturation_returns_the_basis_itself(monkeypatch):
     ring = PolyRing(PrimeField(101), ("x", "y", "z"))
     x, y, z = ring.gens()
     base = groebner_of(ring, [x**2 + y * z - 1, y**2 - x * z + 2])
-    counts = _count_calls(monkeypatch, "_rabinowitsch")
+    counts = _count_calls(monkeypatch, "_sig_step")
     assert saturate(base, x + y + z + 3) is base
-    assert counts == {"_rabinowitsch": 0}
+    assert counts == {"_sig_step": 1}  # the certificate's own, no colon step
 
 
 def test_saturation_soundness(ring_xyz, rng):
@@ -577,7 +594,7 @@ def test_saturate_seq_ring_from_first_input(ring_xyz):
 
 
 def test_saturate_output_needs_no_interreduction(ring_xyz, rng):
-    """The t-free part of the reduced elimination basis is already reduced."""
+    """The saturation comes back as a reduced basis."""
     proper = 0
     for _ in range(20):
         F = [random_poly(ring_xyz, rng) for _ in range(rng.randrange(1, 3))]
@@ -591,36 +608,87 @@ def test_saturate_output_needs_no_interreduction(ring_xyz, rng):
     assert proper
 
 
-def test_divisor_memo_shared_with_saturation_embedding(rng):
-    """normal_form through a divisor memo that an elimination filled through
-    its t-embedding equals a memo-free reduction, and so does the
-    elimination after normal forms filled the memo first."""
+def test_colon_saturation_leaves_normal_forms_memo_free(rng):
+    """normal_form through a divisor memo that colon steps filled equals a
+    memo-free reduction, and so does the saturation after normal forms
+    filled the memo first."""
     ring = PolyRing(PrimeField(7), ("x", "y", "z"))
-    tshift = ring.nvars * ring.width  # the t slot of extend_elim()
     cases = 0
     for _ in range(30):
-        gens = tuple(groebner_of(ring, [random_poly(ring, rng) for _ in range(2)]))
-        g = random_poly(ring, rng)
-        if not gens or gens[0].is_one() or g.is_constant():
+        a, b = (random_poly(ring, rng) for _ in range(2))
+        gens = tuple(groebner_of(ring, [a * b, random_poly(ring, rng)]))
+        if not gens or gens[0].is_one() or a.is_constant():
             continue
         fs = [random_poly(ring, rng, terms=6, max_deg=4) for _ in range(6)]
         plain = GroebnerBasis(ring, gens)
         expected = [ring._from_keyed(_reduce_terms(ring, f.terms, plain.reducers()))
                     for f in fs]
         assert not plain._divisors  # a plain reduction leaves no memo
-        sat = _scratch_saturation(plain, g)
+        if _regular_at_infinity(plain, a):
+            continue  # no colon step would run
+        sat = _scratch_saturation(plain, a)
 
         first = GroebnerBasis(ring, gens)
-        assert _rabinowitsch(first, g) == sat
-        assert any(ev >> tshift for ev in first._divisors)
+        assert _saturation(first, a) == sat
+        assert first._divisors
         assert [normal_form(f, first) for f in fs] == expected
 
         second = GroebnerBasis(ring, gens)
         assert [normal_form(f, second) for f in fs] == expected
         assert second._divisors
-        assert _rabinowitsch(second, g) == sat
+        assert _saturation(second, a) == sat
         cases += 1
     assert cases > 10
+
+
+def _count_colon_steps(monkeypatch):
+    """Count the colon-mode signature steps."""
+    counts = {"colon": 0}
+    original = groebner._sig_step
+
+    def counting(basis, f, stop_at_syzygy=False, colon=False):
+        counts["colon"] += colon
+        return original(basis, f, stop_at_syzygy, colon)
+
+    monkeypatch.setattr(groebner, "_sig_step", counting)
+    return counts
+
+
+@pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
+def test_colon_saturation_matches_scratch(p, monkeypatch):
+    """The colon chain alone, with the certificate switched off, against
+    Buchberger on <base, t*g - 1> from scratch."""
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    monkeypatch.setattr(groebner, "_regular_at_infinity", lambda basis, g: False)
+    counts = _count_colon_steps(monkeypatch)
+    rng = random.Random(p)
+    longest = 0
+    for trial in range(30):
+        a, b = (random_poly(ring, rng, 3, 2) for _ in range(2))
+        gens = [a * a * b, random_poly(ring, rng, 3, 2)][: 1 + trial % 2]
+        base = groebner_of(ring, [f for f in gens if not f.is_zero()])
+        if base.is_unit or base.is_zero_ideal:
+            continue
+        for g in (a, b, random_poly(ring, rng, 3, 2)):
+            if g.is_zero() or g.is_constant():
+                continue
+            counts["colon"] = 0
+            assert _saturation(base, g) == _scratch_saturation(base, g)
+            longest = max(longest, counts["colon"])
+    assert longest >= 3  # two colon ideals that grew, then one step with no syzygy
+
+    zero = GroebnerBasis(ring, ())
+    cases = [
+        (groebner_of(ring, [x**2 * y]), x, [y], 3),  # <x^2*y> : x = <x*y>, then <y>
+        (groebner_of(ring, [x**2 - y, y * z]), x**2 - y, [ring.one()], 1),  # g in I
+        (groebner_of(ring, [x * y - 1]), x, [x * y - 1], 1),  # g a unit modulo I
+        (zero, x + y + 1, [], 1),
+    ]
+    for base, g, expected, steps in cases:
+        counts["colon"] = 0
+        assert list(_saturation(base, g).gens) == expected
+        assert counts["colon"] == steps
 
 
 # -- membership -------------------------------------------------------------------
@@ -638,6 +706,17 @@ def test_radical_member_examples(ring_xy):
     assert radical_member(x, buchberger([x**2]))
     assert not radical_member(y, buchberger([x]))
     assert radical_member(x + y, buchberger([x**2, y**2]))
+
+
+@pytest.mark.parametrize("member", [ideal_member, radical_member])
+@pytest.mark.parametrize("shortcut", ["zero polynomial", "unit basis"])
+def test_membership_rejects_another_ring(member, shortcut, ring_xy, ring_xyz):
+    # both shortcuts once answered True before the rings were compared
+    x, y = ring_xy.gens()
+    basis = buchberger([x * y] if shortcut == "zero polynomial" else [x, x + 1])
+    f = ring_xyz.zero() if shortcut == "zero polynomial" else ring_xyz.gens()[0]
+    with pytest.raises(ContractViolation, match="different rings"):
+        member(f, basis)
 
 
 def test_ideal_member_implies_radical_member(ring_xyz, rng):
@@ -659,7 +738,7 @@ def test_memo_scope_keeps_saturate_and_radical_member(ring_xyz, rng):
     outside = [(saturate(G, f), radical_member(f, G)) for G, f in cases]
     assert any(not sat.is_unit for sat, _ in outside)
     with memo_scope():
-        # the elimination is shared, so ask in both orders; the second
+        # the saturation is shared, so ask in both orders; the second
         # round is answered from the memo
         first = [(radical_member(f, G), saturate(G, f)) for G, f in cases]
         assert [(sat, rm) for rm, sat in first] == outside

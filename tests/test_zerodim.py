@@ -1,6 +1,7 @@
 """Differential tests: the linear-algebra zero-dimensional toolkit must
-agree bit-for-bit with the elimination/Buchberger routes (reduced bases
-are unique), and its predicates with the Rabinowitsch tests.
+agree bit-for-bit with the colon-ideal saturation and Buchberger routes
+(reduced bases are unique), and its predicates with ``radical_member``
+and ``extend_basis``.
 ``low_degree_colon`` is checked against a reference written from its
 definition: one dense Macaulay matrix per power and degree."""
 
