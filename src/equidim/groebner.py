@@ -48,13 +48,16 @@ step finds no syzygy or reaches {1}.  The chain is cheaper than
 eliminating t from I + <t*g - 1>: over the saturations of one
 families-gb benchmark pass the elimination took about 1.8 times as long.
 
-Polynomials are reduced by the heap kernel ``_reduce_terms``, and
-matrices echelonised mod p by ``_rref``, the package's one echelon
-routine: every echelon in ``zerodim`` goes through it.  The only other
-elimination is ``_f4_round``'s pass over the pivot columns of its known
-reducers, before the rest of its matrix goes to ``_rref``.  The kernel
-sums coefficients as plain integers and reduces one mod p only when its
-monomial is popped.  Every reduction modulo a fixed basis
+Polynomials are reduced by the heap kernel ``_reduce_terms``.  The
+exact linear algebra mod p is one core of two routines: ``_rref``, the
+package's one echelon routine, and ``_matmul``, matrix products that
+are exact on float64 BLAS for every p < 2^31.  Every echelon in
+``zerodim`` and in the F4 rounds goes through ``_rref``, and
+``_f4_round`` reduces its rows by its pivot rows as a block triangular
+solve of ``_matmul`` products before the rest goes to ``_rref``.
+
+The heap kernel sums coefficients as plain integers and reduces one mod p
+only when its monomial is popped.  Every reduction modulo a fixed basis
 (``normal_form``, the P part of ``_sig_step`` and of its cofactors, the
 columns of ``zerodim.low_degree_colon``) looks the divisor of a monomial
 up in the basis's divisor memo, which maps each monomial met to its
@@ -315,17 +318,20 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     Faugere's F4 (JPAA 1999) with Gebauer-Moeller pair elimination and
     the normal selection: each round takes every pair whose lcm has
     the lowest total degree.  A round with four or more pairs builds one
-    Macaulay matrix (``_f4_round``).  A degree with at most three pairs
-    reduces one S-polynomial with the heap kernel ``_reduce_terms`` and
-    returns the rest to the queue, where the new generator may prune
-    them.  Most degrees of small systems, such as quadrics in three
-    variables over GF(5..11), hold one to three pairs, and there a
-    matrix costs more than it saves: sending every round through numpy
-    made 901 such systems about 10% slower (2.1 -> 2.3 s in one process
-    on a 2-vCPU host), and matrix rounds of two or three pairs cost
-    about 0.5 ms each.  Reducing those one pair at a time took the 901
+    Macaulay matrix and reduces it by block elimination (``_f4_round``).
+    A degree with at most three pairs reduces one S-polynomial with the
+    heap kernel ``_reduce_terms`` and returns the rest to the queue,
+    where the new generator may prune them.  Most degrees of small
+    systems, such as quadrics in three variables over GF(5..11), hold
+    one to three pairs.  With the earlier round, which cleared one pivot
+    column at a time, a matrix cost more than it saved there: reducing
+    rounds of up to three pairs one pair at a time took the 901
     tiny-field benchmark systems (workload seed 4242, one process) from
     0.78 to 0.75 s and left ps(5) on the witness backend unchanged.
+    With the block elimination the choice no longer shows: sending
+    rounds of two or three pairs through the matrix left the tiny-field
+    systems at 0.26 s and the families-witness systems at 0.64-0.66 s
+    (workload seed 7, one process, three passes each).
 
     This is the route for bases with no known part; ``extend_basis``
     adds generators to a basis already known.  Building a basis from
@@ -435,17 +441,24 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
     clears its lead column with one multiple.  Both halves of every pair
     enter; symbolic preprocessing adds, for every monomial divisible
     by a lead, one reducer row with that lead.  The rows with distinct
-    leads are the pivot rows; the other rows are reduced by them, one
-    pivot column at a time from the largest monomial down, with all
-    affected rows updated together mod p.  What remains lives on the
-    monomials no lead divides, and its echelon form gives the new
+    leads are the pivot rows, and the other rows are reduced by them as
+    one block elimination (Faugere-Lachartre, PASCO 2010).  In the
+    matrix [A B; C D] the pivot rows come first, A on their lead columns
+    and B on the free columns, the monomials no lead divides; [C D] are
+    the rows to reduce.  A = I + N is unit upper triangular, since every
+    pivot row is monic with its other terms right of its lead.  X A = C
+    is solved one level at a time, where a pivot row's level is one
+    above the highest level among the pivot rows with a term on its
+    lead column, so each level is one ``_matmul``.  D - X B is what the
+    rows leave on the free columns, and its echelon form gives the new
     elements, reduced by the basis and by each other.
     """
     p = ring.field.p
     guard = ring._evec_guard
     by_lead = {g.terms[0][1]: g for g in gens}
-    pivot_of: dict[int, tuple[Polynomial, int, int]] = {}  # lead evec -> (g, dev, dk)
-    rest: list[tuple[Polynomial, int, int]] = []
+    rest: list[tuple[Polynomial, int, int]] = []  # (g, dev, dk): the row m * g
+    rows: list[tuple[Polynomial, int, int]] = []  # the pivot rows
+    pivots = set()  # their leads
     seen: set[tuple[int, int]] = set()
     for _, lk, i, j, le in batch:
         for g in (gens[i], gens[j]):
@@ -454,87 +467,104 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
                 continue
             seen.add((ge, le))
             row = (g, le - ge, lk - gk)
-            if le in pivot_of:
+            if le in pivots:
                 rest.append(row)
             else:
-                pivot_of[le] = row
+                pivots.add(le)
+                rows.append(row)
+    if not rest:
+        return []
+    rows = rest + rows  # preprocessing appends more pivot rows
 
-    # symbolic preprocessing: every monomial met gets a column, and a
-    # pivot row when some lead divides it
-    key_of: dict[int, int] = {}
-    queue = list(pivot_of.values()) + rest
-    while queue:
-        g, dev, dk = queue.pop()
-        for k, ev, _ in g.terms:
-            ev += dev
-            if ev in key_of:
-                continue
-            k += dk
-            key_of[ev] = k
-            if ev in pivot_of:
-                continue
-            for rk, re, _ in reducers:
-                if rk > k:
-                    break
-                diff = ev - re
-                if diff >= 0 and not (diff & guard):
-                    row = (by_lead[re], diff, k - rk)
-                    pivot_of[ev] = row
-                    queue.append(row)
-                    break
-
-    evecs = sorted(key_of, key=key_of.__getitem__, reverse=True)
-    col = {ev: c for c, ev in enumerate(evecs)}
-
-    coeffs_of: dict[int, tuple[list[int], np.ndarray]] = {}
-
-    def place(row):
-        """(column indices, coefficients) of the row m * g."""
-        g, dev, _ = row
-        ge = g.terms[0][1]
-        hit = coeffs_of.get(ge)
+    # symbolic preprocessing: every monomial met gets a number, and a
+    # pivot row when some lead divides it; the rows' terms are recorded
+    # by monomial number, row after row
+    found: list[tuple[int, int]] = []  # (key, evec) by monomial number
+    number: dict[int, int] = {}
+    terms: list[int] = []
+    coeffs: list[int] = []
+    cache: dict[int, tuple[list[int], list[int]]] = {}  # lead -> (evecs, coeffs)
+    for g, dev, dk in rows:  # rows grows as pivot rows are added
+        hit = cache.get(g.terms[0][1])
         if hit is None:
-            hit = coeffs_of[ge] = ([ev for _, ev, _ in g.terms],
-                                   np.array([c for _, _, c in g.terms], dtype=np.int64))
-        evs, coeffs = hit
-        return np.array([col[ev + dev] for ev in evs], dtype=np.intp), coeffs
+            hit = cache[g.terms[0][1]] = ([ev for _, ev, _ in g.terms],
+                                          [c for _, _, c in g.terms])
+        evs = [ev + dev for ev in hit[0]]
+        ts = list(map(number.get, evs))
+        i = -1
+        for _ in range(ts.count(None)):
+            i = ts.index(None, i + 1)
+            ev, k = evs[i], g.terms[i][0] + dk
+            ts[i] = number[ev] = len(found)
+            found.append((k, ev))
+            if ev not in pivots:
+                red = _first_divisor(reducers, guard, k, ev)
+                if red is not None:
+                    pivots.add(ev)
+                    rows.append((by_lead[red[1]], ev - red[1], k - red[0]))
+        terms += ts
+        coeffs += hit[1]
 
-    # the rows to reduce, stored by column so a column read is contiguous
-    rest_t = np.zeros((len(evecs), len(rest)), dtype=np.int64)
-    for r, row in enumerate(rest):
-        idx, coeffs = place(row)
-        rest_t[idx, r] = coeffs
-    pivots = sorted(col[ev] for ev in pivot_of)
-    for c in pivots:
-        f = rest_t[c]
-        hit = np.flatnonzero(f)
-        if hit.size:
-            idx, coeffs = place(pivot_of[evecs[c]])
-            idx = idx[:, None]
-            rest_t[idx, hit] = (rest_t[idx, hit] - coeffs[:, None] * f[hit]) % p
+    nrest, npiv, ncols = len(rest), len(rows) - len(rest), len(found)
+    order = sorted(range(ncols), key=lambda t: found[t][0], reverse=True)
+    col_of = np.empty(ncols, dtype=np.intp)  # columns by descending monomial
+    col_of[order] = np.arange(ncols)
+    lengths = np.array([len(g.terms) for g, _, _ in rows], dtype=np.intp)
+    # the pivot row of each term, or a negative number in a row to reduce
+    pivot_of = np.repeat(np.arange(-nrest, npiv), lengths)
+    cols = col_of[np.array(terms, dtype=np.intp)]
+    leads = cols[(np.cumsum(lengths) - lengths)[nrest:]]
+    slot = np.full(ncols, -1, dtype=np.intp)  # the pivot row of each lead column
+    slot[leads] = np.arange(npiv)
+    # level of a pivot row: the longest chain of pivot rows, each with a
+    # term on the next one's lead column, that ends at it; the chains
+    # run to the right, so this settles in as many passes as the longest
+    edge = (pivot_of >= 0) & (slot[cols] >= 0) & (slot[cols] != pivot_of)
+    src, dst = pivot_of[edge], slot[cols[edge]]
+    level = np.zeros(npiv, dtype=np.intp)
+    while True:
+        nxt = np.zeros(npiv, dtype=np.intp)
+        np.maximum.at(nxt, dst, level[src] + 1)
+        if np.array_equal(nxt, level):
+            break
+        level = nxt
+    by_level = np.argsort(level, kind="stable")
+    free = np.flatnonzero(slot < 0)
 
-    free = np.ones(len(evecs), dtype=bool)
-    free[pivots] = False
-    free_cols = np.flatnonzero(free)
-    R, _ = _rref(rest_t[free_cols].T, p)
+    # [A B; C D]: the pivot rows and their lead columns in level order,
+    # then the rows to reduce and the free columns; A = I + N
+    row_at = np.empty(nrest + npiv, dtype=np.intp)
+    row_at[nrest + by_level] = np.arange(npiv)
+    row_at[:nrest] = np.arange(npiv, npiv + nrest)
+    col_at = np.empty(ncols, dtype=np.intp)
+    col_at[leads[by_level]] = np.arange(npiv)
+    col_at[free] = np.arange(npiv, ncols)
+    M = np.zeros((npiv + nrest, ncols), dtype=np.int64)
+    M[row_at[pivot_of + nrest], col_at[cols]] = coeffs
+    A, B, C, D = M[:npiv, :npiv], M[:npiv, npiv:], M[npiv:, :npiv], M[npiv:, npiv:]
+    # X A = C: each level depends only on the levels before it, whose
+    # X overwrites C
+    ends = np.cumsum(np.bincount(level)).tolist()
+    for a, b in zip(ends, ends[1:]):
+        C[:, a:b] = (C[:, a:b] - _matmul(C[:, :a], A[:a, a:b], p)) % p
+    R, _ = _rref((D - _matmul(C, B, p)) % p, p)
     out = []
     for row in R:
         nz = np.flatnonzero(row)
-        terms = []
-        for c, v in zip(free_cols[nz].tolist(), row[nz].tolist()):
-            ev = evecs[c]
-            terms.append((key_of[ev], ev, v))
-        out.append(Polynomial(ring, tuple(terms)))
+        out.append(Polynomial(ring, tuple(
+            (*found[order[c]], v) for c, v in zip(free[nz].tolist(), row[nz].tolist()))))
     return out
 
 
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (rref, pivot columns).
 
-    Entries stay in [0, p) with p < 2^31, so a row update a - c * b is
-    exact in int64.  A run of columns that is zero below the current
-    row is crossed with one scan, and the loop ends when the rows left
-    are zero, so a matrix of rank r costs r eliminations.
+    Each pivot is one dense rank-one update of the columns from the
+    pivot on (the pivot row is zero left of it); entries stay in [0, p)
+    with p < 2^31, so the update a - c * b is exact in int64.  A run of
+    columns that is zero below the current row is crossed with one scan,
+    and the loop ends when the rows left are zero, so a matrix of rank r
+    costs r updates.
     """
     m = np.asarray(mat, dtype=np.int64) % p
     rows, cols = m.shape
@@ -551,17 +581,54 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
+        row = m[r, c:]
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
         col = m[:, c].copy()
         col[r] = 0
-        nzr = np.flatnonzero(col)
-        if nzr.size:
-            m[nzr] = (m[nzr] - np.outer(col[nzr], m[r])) % p
+        tail = m[:, c:]
+        tail -= np.outer(col, row)
+        tail %= p
         pivots.append(c)
         r += 1
         c += 1
     return m[:r], pivots
+
+
+# the 16-bit limbs of entries below 2^31 have products below 2^32, so
+# float64 sums of up to LIMB_INNER of them are exact
+LIMB_INNER = 1 << 21
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for entries in [0, p), exactly, on float64 BLAS.
+
+    One float64 product is exact while every dot product stays below
+    2^53, inner * (p - 1)^2 < 2^53.  Past that both factors are split
+    into 16-bit limbs, A = A1 * 2^16 + A0, and the four limb products,
+    each exact for inner dimensions up to 2^21, are reduced mod p and
+    recombined in int64; a longer inner dimension is summed in chunks.
+    """
+    inner = A.shape[1]
+    if inner * (p - 1) ** 2 < 2**53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
+    if inner > LIMB_INNER:
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for s in range(0, inner, LIMB_INNER):
+            out += _matmul(A[:, s:s + LIMB_INNER], B[s:s + LIMB_INNER], p)
+        return out % p
+    A1, A0 = (A >> 16).astype(np.float64), (A & 0xFFFF).astype(np.float64)
+    B1, B0 = (B >> 16).astype(np.float64), (B & 0xFFFF).astype(np.float64)
+
+    def limb(X, Y):
+        return (X @ Y).astype(np.int64) % p
+
+    hi = (limb(A1, B1) << 16) + limb(A1, B0) + limb(A0, B1)
+    return (((hi % p) << 16) + limb(A0, B0)) % p
+
+
+def _matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    return _matmul(A, v.reshape(-1, 1), p).reshape(-1)
 
 
 def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ...]:

@@ -32,16 +32,18 @@ m of degree <= MAX_DEG; a kernel vector a has a * f^k in <W>, so NF(a)
 is a candidate unless it is zero.  The column of m = x_i * m' is
 NF(x_i * NF(m' * f^k)), the parent column's terms shifted by one
 variable (packed exponents and order keys both add) and reduced once.
-At each degree the matrix of all columns so far is echelonised by
-``_rref``, and each free column c of this degree gives the kernel
-vector m_c - sum_i R[i, c] * m_(piv_i); the free columns of earlier
-degrees gave zero normal forms, or the search would have stopped there.
+At each degree ``_rref`` echelonises the earlier degrees' pivot
+columns together with the new columns; every earlier free column lies
+in the span of those pivots, so leaving it out changes neither the
+pivots nor the kernel vectors.  Each free column c of this degree gives
+the kernel vector m_c - sum_i R[i, c] * m_(piv_i); the free columns of
+earlier degrees gave zero normal forms, or the search would have
+stopped there.
 
-Matrix products run in float64 BLAS when every dot product is exactly
-representable below 2^53, in int64 otherwise, and in exact object
-arithmetic for characteristics too large for either envelope.  Every
-row echelon form comes from ``groebner._rref``, which the F4 rounds of
-``buchberger`` share.
+Matrix products and row echelon forms come from ``groebner._matmul``
+and ``groebner._rref``, the linear-algebra core that the F4 rounds of
+``buchberger`` share.  Every product is exact on float64 BLAS, split
+into 16-bit limbs where one float64 product could round.
 """
 
 from __future__ import annotations
@@ -53,21 +55,9 @@ import numpy as np
 from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
-    GroebnerBasis, _reduce_terms, _rref, extend_basis, standard_monomials,
+    GroebnerBasis, _matmul, _matvec, _reduce_terms, _rref, extend_basis,
+    standard_monomials,
 )
-
-
-def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    inner = A.shape[1]
-    if inner * (p - 1) ** 2 < 2**53:
-        return np.rint(A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
-    if inner * (p - 1) ** 2 < 2**63:
-        return (A @ B) % p
-    return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
-
-
-def _matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    return _matmul(A, v.reshape(-1, 1), p).reshape(-1)
 
 
 class QuotientStructure:
@@ -214,7 +204,9 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
         frontier = [(0, 0, cols[0])]
         seen = {0}
         rows: dict[int, int] = {}  # evec -> row of the Macaulay matrix
-        A = np.zeros((0, 0), dtype=np.int64)
+        first = 0  # columns before it were tried at an earlier degree
+        basic: list[int] = []  # the earlier degrees' pivot columns
+        A = np.zeros((0, 0), dtype=np.int64)  # their columns, then the new ones
         for d in range(1, MAX_DEG + 1):
             if d + fdeg > ring.cap:
                 raise DegreeOverflow(f"product degree {d + fdeg} exceeds cap {ring.cap}")
@@ -231,23 +223,23 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
             frontier = nxt
             monos += [(mk, ev) for mk, ev, _ in nxt]
             cols += [col for _, _, col in nxt]
-            old = A.shape[1]  # columns whose kernel vectors were tried
-            for col in cols[old:]:
+            for col in cols[first:]:
                 for tev in col:
                     rows.setdefault(tev, len(rows))
-            A = np.pad(A, ((0, len(rows) - A.shape[0]), (0, len(cols) - old)))
-            for j, col in enumerate(cols[old:], old):
+            idx = basic + list(range(first, len(cols)))  # A's columns among cols
+            A = np.pad(A, ((0, len(rows) - A.shape[0]), (0, len(cols) - first)))
+            for j, col in enumerate(cols[first:], len(basic)):
                 for tev, (_, c) in col.items():
                     A[rows[tev], j] = c
             R, piv = _rref(A, p)
             pivset = set(piv)
             out: list[Polynomial] = []
-            for c in range(old, len(cols)):
+            for c in range(len(basic), len(idx)):
                 if c in pivset:
                     continue
                 a = np.zeros(len(cols), dtype=np.int64)
-                a[c] = 1
-                a[piv] = -R[:, c] % p
+                a[idx[c]] = 1
+                a[[idx[i] for i in piv]] = -R[:, c] % p
                 nf = reduce([(*monos[i], int(a[i])) for i in np.flatnonzero(a)])
                 if nf:
                     h = ring._from_keyed(nf).monic()
@@ -255,6 +247,9 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
                         out.append(h)
             if out:
                 return out
+            first = len(cols)
+            basic = [idx[i] for i in piv]
+            A = A[:, piv]
         fk = fk * f
     return []
 

@@ -400,7 +400,7 @@ def test_is_proper_gb_answers_by_dimension(R3):
     assert [X.is_proper(f) for f in (x, y, z, x + z, y - 3)] == [True, False, True, True, True]
 
 
-def _rabinowitsch_proper(X, f):
+def _saturation_proper(X, f):
     """The former gb criterion: sat(I(X), f) is contained in rad I(X)."""
     if f.is_zero():
         return X.is_empty()
@@ -417,7 +417,7 @@ def _dense_quadric(ring, rng):
     return f
 
 
-def test_is_proper_gb_agrees_with_rabinowitsch_in_decompositions(monkeypatch):
+def test_is_proper_gb_agrees_with_saturation_in_decompositions(monkeypatch):
     systems = []
     rng = random.Random(13)
     for p in (5, 7, 11):
@@ -433,7 +433,7 @@ def test_is_proper_gb_agrees_with_rabinowitsch_in_decompositions(monkeypatch):
     def checked(X, f):
         got = is_proper(X, f)
         if X.backend == "gb":
-            assert got == _rabinowitsch_proper(X, f), (X, f)
+            assert got == _saturation_proper(X, f), (X, f)
             answers.append(got)
         return got
 

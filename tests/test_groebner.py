@@ -194,6 +194,104 @@ def test_f4_unit_inside_matrix_round(monkeypatch):
     assert extend_basis(GroebnerBasis(ring, ()), polys).is_unit
 
 
+def _f4_round_reference(ring, gens, reducers, batch):
+    """One F4 round reduced one pivot column at a time: the loop that the
+    block elimination of _f4_round replaces, with the same rows."""
+    p = ring.field.p
+    guard = ring._evec_guard
+    by_lead = {g.terms[0][1]: g for g in gens}
+    pivot_of, rest, seen = {}, [], set()
+    for _, lk, i, j, le in batch:
+        for g in (gens[i], gens[j]):
+            gk, ge, _ = g.terms[0]
+            if (ge, le) in seen:
+                continue
+            seen.add((ge, le))
+            row = (g, le - ge, lk - gk)
+            if le in pivot_of:
+                rest.append(row)
+            else:
+                pivot_of[le] = row
+    key_of = {}
+    queue = list(pivot_of.values()) + rest
+    while queue:
+        g, dev, dk = queue.pop()
+        for k, ev, _ in g.terms:
+            ev += dev
+            if ev in key_of:
+                continue
+            k += dk
+            key_of[ev] = k
+            if ev in pivot_of:
+                continue
+            for rk, re, _ in reducers:
+                if rk > k:
+                    break
+                diff = ev - re
+                if diff >= 0 and not (diff & guard):
+                    row = (by_lead[re], diff, k - rk)
+                    pivot_of[ev] = row
+                    queue.append(row)
+                    break
+    evecs = sorted(key_of, key=key_of.__getitem__, reverse=True)
+    col = {ev: c for c, ev in enumerate(evecs)}
+
+    def place(row):
+        g, dev, _ = row
+        return ([col[ev + dev] for _, ev, _ in g.terms],
+                np.array([c for _, _, c in g.terms], dtype=np.int64))
+
+    rest_t = np.zeros((len(evecs), len(rest)), dtype=np.int64)
+    for r, row in enumerate(rest):
+        idx, coeffs = place(row)
+        rest_t[idx, r] = coeffs
+    pivots = sorted(col[ev] for ev in pivot_of)
+    for c in pivots:
+        f = rest_t[c]
+        hit = np.flatnonzero(f)
+        if hit.size:
+            idx, coeffs = place(pivot_of[evecs[c]])
+            idx = np.array(idx)[:, None]
+            rest_t[idx, hit] = (rest_t[idx, hit] - coeffs[:, None] * f[hit]) % p
+    pivset = set(pivots)
+    free_cols = [c for c in range(len(evecs)) if c not in pivset]
+    R, _ = _rref_reference(rest_t[free_cols].T.tolist(), p)
+    return [Polynomial(ring, tuple((key_of[evecs[free_cols[c]]], evecs[free_cols[c]], v)
+                                   for c, v in enumerate(row) if v))
+            for row in R]
+
+
+@pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
+def test_f4_round_matches_per_pivot_reference(p, monkeypatch):
+    f4_round = groebner._f4_round
+    seen = {"rounds": 0, "zero": 0, "deep": 0}
+
+    def checked_round(ring, gens, reducers, batch):
+        out = f4_round(ring, gens, reducers, batch)
+        assert out == _f4_round_reference(ring, gens, reducers, batch)
+        seen["rounds"] += 1
+        seen["zero"] += not out
+        seen["deep"] += len(batch) >= 8
+        return out
+
+    monkeypatch.setattr(groebner, "_f4_round", checked_round)
+    rng = random.Random(p)
+    systems = [gen_ps(4, rng, p), gen_sos(2, 4, rng, p)]
+    for system in systems:
+        ring = system.ring()
+        F = system.polynomials(ring)
+        buchberger(F)
+        # a witness slice: the inputs and a random affine form
+        buchberger(F + [sum((rng.randrange(p) * x for x in ring.gens()), ring.const(1))])
+    ring = PolyRing(PrimeField(p), ("w", "x", "y", "z"))
+    for trial in range(10):
+        polys = [random_poly(ring, rng, 4, 2 + trial % 2) for _ in range(3 + trial % 2)]
+        buchberger([f for f in polys if not f.is_zero()] or [ring.one()])
+    # rounds that leave new elements and rounds that reduce to zero,
+    # some of them with many pairs
+    assert seen["rounds"] > seen["zero"] > 0 and seen["deep"] > 0, seen
+
+
 def _rref_reference(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Gaussian elimination on Python integers: the loop that _rref vectorises."""
     m = [[v % p for v in row] for row in rows]
@@ -221,6 +319,7 @@ def test_rref_matches_reference(p):
     rng = random.Random(p)
     shapes = [(0, 4), (3, 0), (1, 1)] + [(rng.randrange(1, 9), rng.randrange(1, 12))
                                           for _ in range(40)]
+    shapes += [(rng.randrange(10, 30), rng.randrange(10, 30)) for _ in range(10)]
     for nrows, ncols in shapes:
         rows = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(ncols)]
                 for _ in range(nrows)]
@@ -228,9 +327,17 @@ def test_rref_matches_reference(p):
             rows[1] = [0] * ncols  # a zero row
             # a combination of two rows: rank deficient
             rows[2] = [(3 * a + (p - 1) * b) % p for a, b in zip(rows[0], rows[-1])]
+        if nrows >= 10:
+            # rank at most 3: every row a combination of the first three
+            for i in range(3, nrows):
+                cs = [rng.randrange(p) for _ in range(3)]
+                rows[i] = [sum(c * rows[k][j] for k, c in enumerate(cs)) % p
+                           for j in range(ncols)]
         if ncols > 3:
             for row in rows:
                 row[0] = 0  # leading zero column, crossed in one scan
+                row[ncols // 2] = 0  # and zero columns inside and at the end
+                row[-1] = 0
         mat = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
         R, pivots = groebner._rref(mat, p)
         ref, ref_pivots = _rref_reference(rows, p)
@@ -238,6 +345,24 @@ def test_rref_matches_reference(p):
         assert R.shape == (len(ref_pivots), ncols)
         assert R.tolist() == ref
         assert mat.tolist() == rows  # the input is not modified
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+def test_matmul_matches_object_arithmetic(p):
+    rng = np.random.default_rng(p)
+    shapes = [(1, 1, 1), (5, 7, 3), (30, 40, 20), (3, 200, 4), (1, 2**21 + 5, 2)]
+    for rows, inner, cols in shapes:
+        A = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+        B = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+        A[0, :3] = B[:3, 0] = p - 1  # the largest entries
+        want = (A.astype(object) @ B.astype(object)) % p
+        got = groebner._matmul(A, B, p)
+        assert got.dtype == np.int64
+        assert (got == want).all(), (p, rows, inner, cols)
+    v = rng.integers(0, p, size=9, dtype=np.int64)
+    M = rng.integers(0, p, size=(4, 9), dtype=np.int64)
+    assert groebner._matvec(M, v, p).tolist() == [
+        sum(int(a) * int(b) for a, b in zip(row, v)) % p for row in M]
 
 
 def test_extend_basis_agrees_with_full_run(ring_xyz, rng):

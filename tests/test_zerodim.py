@@ -81,7 +81,7 @@ def test_multiplication_matrices_act_correctly(ring):
                 assert (col == vec).all()
 
 
-def test_nilpotency_matches_rabinowitsch(ring):
+def test_nilpotency_matches_radical_member(ring):
     rng = random.Random(7)
     x, y, z = ring.gens()
     probes = [x, y, x + y, x * y - 1, x + 2 * y - z, z**2]
@@ -100,7 +100,7 @@ def test_invertibility_matches_unit_extension(ring):
             assert zerodim.properness(gb, f) == direct, (gb, f)
 
 
-def test_saturation_matches_elimination(ring):
+def test_saturation_matches_saturate(ring):
     rng = random.Random(11)
     x, y, z = ring.gens()
     probes = [x, y, x - 1, x + y]
@@ -118,7 +118,7 @@ def test_saturation_nonreduced_points(ring):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 65521, 2147483647])
-def test_saturation_kernel_read_matches_elimination(p):
+def test_saturation_kernel_read_matches_saturate(p):
     ring = PolyRing(PrimeField(p), ("x", "y", "z"))
     x, y, z = ring.gens()
     # invertible f: the basis itself comes back
