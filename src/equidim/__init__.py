@@ -64,7 +64,7 @@ from .verify import (
     monomial_facets_oracle,
 )
 from .systems import SystemFile, gen_ps, gen_sos, parse_system
-# unused by the package; loaded only because perfbench still traces its layer
+# stubs that only raise; loaded only because perfbench still traces their layer
 from . import fastred  # noqa: F401
 
 __all__ = [

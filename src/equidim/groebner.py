@@ -292,6 +292,9 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") ->
             return f
         return basis.ring._from_keyed(basis.reduce_terms(f.terms))
     ring = f.ring
+    basis = list(basis)
+    if any(g.ring != ring for g in basis):
+        raise ContractViolation("polynomial and basis from different rings")
     reducers = _prep_reducers([g.monic() for g in basis if not g.is_zero()])
     if f.is_zero() or not reducers:
         return f
@@ -317,21 +320,10 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
 
     Faugere's F4 (JPAA 1999) with Gebauer-Moeller pair elimination and
     the normal selection: each round takes every pair whose lcm has
-    the lowest total degree.  A round with four or more pairs builds one
+    the lowest total degree.  A round of several pairs builds one
     Macaulay matrix and reduces it by block elimination (``_f4_round``).
-    A degree with at most three pairs reduces one S-polynomial with the
-    heap kernel ``_reduce_terms`` and returns the rest to the queue,
-    where the new generator may prune them.  Most degrees of small
-    systems, such as quadrics in three variables over GF(5..11), hold
-    one to three pairs.  With the earlier round, which cleared one pivot
-    column at a time, a matrix cost more than it saved there: reducing
-    rounds of up to three pairs one pair at a time took the 901
-    tiny-field benchmark systems (workload seed 4242, one process) from
-    0.78 to 0.75 s and left ps(5) on the witness backend unchanged.
-    With the block elimination the choice no longer shows: sending
-    rounds of two or three pairs through the matrix left the tiny-field
-    systems at 0.26 s and the families-witness systems at 0.64-0.66 s
-    (workload seed 7, one process, three passes each).
+    A round of one pair reduces its S-polynomial with the heap kernel
+    ``_reduce_terms``, which skips the matrix's symbolic preprocessing.
 
     This is the route for bases with no known part; ``extend_basis``
     adds generators to a basis already known.  Building a basis from
@@ -415,8 +407,6 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         cut = 1
         while cut < len(pairs) and pairs[cut][0] == d:
             cut += 1
-        if cut <= 3:
-            cut = 1
         batch, pairs = pairs[:cut], pairs[cut:]
         if cut == 1:
             _, _, i, j, le = batch[0]

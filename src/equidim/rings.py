@@ -10,9 +10,11 @@ Monomials are stored as two plain integers:
   of a product is the sum of keys.
 
 For grevlex the key fields are the front partial sums of the exponent
-vector (total degree first); for a block elimination order the fields
-are the partial sums of the leading block followed by those of the
-remaining block.  Both layouts make comparison a single int comparison.
+vector, total degree in the top field.  The one elimination order,
+which ``PolyRing.extend_elim`` builds, ranks the last variable first
+and breaks ties by grevlex on the others: its key is the grevlex key of
+the other variables with the last variable's exponent in the top field.
+Both layouts make comparison a single int comparison.
 
 Exponents are capped (default 255 per monomial degree); overflow is a
 hard error rather than silent wraparound.
@@ -34,47 +36,33 @@ class MonomialOrder:
     """Total multiplicative well-order on monomials.
 
     ``grevlex()`` is the graded reverse lexicographic order.
-    ``elim_block(k, block=None)`` compares first on the leading block
-    (grevlex restricted to it), breaking ties by grevlex on the rest;
-    the block defaults to the first ``k`` variables but may be any set
-    of ``k`` variable slots.
+    ``elim_block()`` ranks the last variable first and breaks ties by
+    grevlex on the other variables; ``PolyRing.extend_elim`` builds it.
     """
 
-    __slots__ = ("kind", "block_size", "block")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, block_size: int = 0, block: tuple[int, ...] | None = None):
+    def __init__(self, kind: str):
+        if kind not in ("grevlex", "elim"):
+            raise ContractViolation(f"unknown order kind {kind!r}")
         self.kind = kind
-        self.block_size = block_size
-        self.block = block
 
     @staticmethod
     def grevlex() -> "MonomialOrder":
         return MonomialOrder("grevlex")
 
     @staticmethod
-    def elim_block(k: int, block: Sequence[int] | None = None) -> "MonomialOrder":
-        if k < 1:
-            raise ContractViolation("elimination block must have at least one variable")
-        blk = tuple(block) if block is not None else tuple(range(k))
-        if len(blk) != k:
-            raise ContractViolation("block size mismatch")
-        return MonomialOrder("elim", k, blk)
+    def elim_block() -> "MonomialOrder":
+        return MonomialOrder("elim")
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.block_size == other.block_size
-            and self.block == other.block
-        )
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.block_size, self.block))
+        return hash(self.kind)
 
     def __repr__(self) -> str:
-        if self.kind == "grevlex":
-            return "grevlex"
-        return f"elim_block({self.block_size}, block={self.block})"
+        return "grevlex" if self.kind == "grevlex" else "elim_block()"
 
 
 DEFAULT_DEGREE_CAP = 255
@@ -85,7 +73,7 @@ class PolyRing:
 
     __slots__ = (
         "field", "names", "order", "nvars", "cap", "width",
-        "_evec_guard", "_key_groups", "_key_parts",
+        "_evec_guard", "_key_mult", "_key_mask",
     )
 
     def __init__(
@@ -109,38 +97,13 @@ class PolyRing:
         self.width = width
         n = self.nvars
         self._evec_guard = sum(1 << (i * width + width - 1) for i in range(n))
-        # key field groups: a list of variable-index sequences; the key is the
-        # concatenation of front partial sums within each group, most
-        # significant group first.
-        if self.order.kind == "grevlex":
-            groups = [tuple(range(n))]
-        elif self.order.kind == "elim":
-            blk = self.order.block
-            if any(i < 0 or i >= n for i in blk):
-                raise ContractViolation("elimination block out of range")
-            rest = tuple(i for i in range(n) if i not in blk)
-            if not rest:
-                raise ContractViolation("elimination block must be proper")
-            groups = [blk, rest]
-        else:
-            raise ContractViolation(f"unknown order kind {self.order.kind!r}")
-        self._key_groups = groups
-        # per group: (slots to gather or None, input shift, field mask,
-        # prefix-sum multiplier, output shift); see key_of_evec
-        parts = []
-        out_shift = n * width
-        for group in groups:
-            m = len(group)
-            out_shift -= m * width
-            contiguous = group == tuple(range(group[0], group[0] + m))
-            parts.append((
-                None if contiguous else tuple(i * width for i in group),
-                group[0] * width,
-                (1 << (m * width)) - 1,
-                sum(1 << (j * width) for j in range(m)),
-                out_shift,
-            ))
-        self._key_parts = tuple(parts)
+        self._key_mult = sum(1 << (i * width) for i in range(n))
+        # the key fields kept from the prefix-sum product: all of them
+        # for grevlex, all but the top one under elim; see key_of_evec
+        kept = n if self.order.kind == "grevlex" else n - 1
+        if kept < 1:
+            raise ContractViolation("elimination order needs a variable besides the last")
+        self._key_mask = (1 << (kept * width)) - 1
 
     # -- packing ---------------------------------------------------------
 
@@ -165,45 +128,29 @@ class PolyRing:
     def key_of_evec(self, evec: int) -> int:
         """Order key of a packed monomial: one int, compared as an int.
 
-        Each key group (all variables for grevlex; the block, then the
-        rest, for an elimination order) contributes the front partial
-        sums s_j = e_0 + ... + e_j of its exponents, in its slot order,
-        one ``width``-bit field each, with the full sum s_(m-1) in the
-        most significant field; earlier groups sit above later ones.
+        Under grevlex, field j holds the front partial sum
+        s_j = e_0 + ... + e_j, so the top field is the total degree.
+        Multiplying the evec by 1 + 2^w + ... + 2^((n-1)w) puts s_j in
+        field j, and masking to n fields gives the key in one multiply.
+        The multiply is exact: a field of the product holds a sum of
+        exponents of one monomial, at most its total degree, which stays
+        below the guard bit, so no field carries into the next.
 
-        With the group's exponents packed as X = sum_j e_j 2^(j*w),
-        the product X * (1 + 2^w + ... + 2^((m-1)w)) holds in field j
-        the sum of the e_l with l <= j, so masking it to m fields gives
-        the prefix sums in one multiply.  The multiply is exact: a
-        field of the product holds a sum of exponents of one monomial,
-        at most its total degree, which stays below the guard bit, so
-        no field carries into the next.  A group whose slots are not
-        consecutive and ascending is first gathered into X field by
-        field.
+        Under elim the top field holds the last variable's exponent
+        instead of s_(n-1); that exponent already sits in the evec's top
+        field, so it is kept from the evec and the rest from the product.
         """
-        key = 0
-        w = self.width
-        for slots, shift, mask, mult, out_shift in self._key_parts:
-            if slots is None:
-                x = (evec >> shift) & mask
-            else:
-                x = 0
-                f = (1 << w) - 1
-                for j, s in enumerate(slots):
-                    x |= ((evec >> s) & f) << (j * w)
-            key |= ((x * mult) & mask) << out_shift
-        return key
+        mask = self._key_mask
+        return ((evec * self._key_mult) & mask) | (evec & ~mask)
 
     def degree_of_key(self, key: int) -> int:
-        """Total degree is the sum of the top field of every group."""
+        """Total degree: the top field, plus the next one under elim."""
         w = self.width
-        mask = (1 << w) - 1
-        deg = 0
-        shift = self.nvars * self.width
-        for group in self._key_groups:
-            shift -= w  # top field of this group
-            deg += (key >> shift) & mask
-            shift -= w * (len(group) - 1)
+        f = (1 << w) - 1
+        shift = (self.nvars - 1) * w
+        deg = (key >> shift) & f
+        if self.order.kind == "elim":
+            deg += (key >> (shift - w)) & f
         return deg
 
     def divides(self, evec_a: int, evec_b: int) -> bool:
@@ -285,15 +232,12 @@ class PolyRing:
 
     # -- ring derivations --------------------------------------------------
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.names, order, self.cap)
-
     def extend_elim(self, tname: str = "@t") -> "PolyRing":
         """Append an auxiliary variable as the last slot, ranked first.
 
-        The returned ring carries the block elimination order whose
-        leading block is the new variable, with ties broken by grevlex
-        on the original variables; user variables keep their slots.
+        The returned ring carries the elimination order: the new
+        variable ranks first, with ties broken by grevlex on the
+        original variables; user variables keep their slots.
         Only a grevlex ring may be extended: then the order restricted
         to monomials free of the new variable is this ring's own order,
         and such a monomial has the same packed exponents and key in
@@ -304,8 +248,7 @@ class PolyRing:
         name = tname
         while name in self.names:
             name += "_"
-        order = MonomialOrder.elim_block(1, block=(self.nvars,))
-        return PolyRing(self.field, self.names + (name,), order, self.cap)
+        return PolyRing(self.field, self.names + (name,), MonomialOrder.elim_block(), self.cap)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -323,14 +266,12 @@ class PolyRing:
         return f"{self.field}[{', '.join(self.names)}; {self.order}]"
 
 
-def mono_cmp(ring: PolyRing, exps_a: Sequence[int], exps_b: Sequence[int],
-             order: MonomialOrder | None = None) -> int:
-    """Compare two exponent vectors; returns negative/zero/positive."""
+def mono_cmp(ring: PolyRing, exps_a: Sequence[int], exps_b: Sequence[int]) -> int:
+    """Compare two exponent vectors in the ring's order; returns negative/zero/positive."""
     if len(exps_a) != len(exps_b) or len(exps_a) != ring.nvars:
         raise ContractViolation("exponent vector length mismatch")
-    r = ring if order is None or order == ring.order else ring.with_order(order)
-    ka = r.key_of_evec(r.pack_evec(exps_a))
-    kb = r.key_of_evec(r.pack_evec(exps_b))
+    ka = ring.key_of_evec(ring.pack_evec(exps_a))
+    kb = ring.key_of_evec(ring.pack_evec(exps_b))
     return (ka > kb) - (ka < kb)
 
 
@@ -441,8 +382,8 @@ class Polynomial:
         p = ring.field.p
         if not self.terms or not other.terms:
             return ring.zero()
-        # degree-cap check on the product of the leading terms is enough
-        # for grevlex; for block orders check the max degree pair.
+        # the product's degree is the sum of the factors' degrees; under
+        # grevlex that is the lead terms', under elim total_degree scans.
         maxdeg = self.total_degree() + other.total_degree()
         if maxdeg > ring.cap:
             raise DegreeOverflow(f"product degree {maxdeg} exceeds cap {ring.cap}")

@@ -10,7 +10,6 @@ from equidim import (
     ContractViolation,
     DecompConfig,
     GroebnerBasis,
-    MonomialOrder,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -608,12 +607,12 @@ def test_saturate_over_elimination_order_rejected(monkeypatch):
     # the certificate reads top-degree forms, which only a graded order
     # puts first; over another order the call raises before the
     # certificate or a colon step runs
-    R = PolyRing(PrimeField(101), ("x", "y", "z"), MonomialOrder.elim_block(1))
-    x, y, z = R.gens()
-    basis = buchberger([x**2 + y * z + 3, x * y - z**2 + 1], ring=R)
+    R = PolyRing(PrimeField(101), ("x", "y")).extend_elim()
+    x, y, t = R.gens()
+    basis = buchberger([t**2 + x * y + 3, t * x - y**2 + 1], ring=R)
     counts = _count_calls(monkeypatch, "_regular_at_infinity", "_sig_step")
     with pytest.raises(ContractViolation):
-        saturate(basis, x + y + 1)
+        saturate(basis, t + x + 1)
     assert counts == {"_regular_at_infinity": 0, "_sig_step": 0}
 
 
@@ -833,10 +832,19 @@ def test_radical_member_examples(ring_xy):
     assert radical_member(x + y, buchberger([x**2, y**2]))
 
 
-@pytest.mark.parametrize("member", [ideal_member, radical_member])
-@pytest.mark.parametrize("shortcut", ["zero polynomial", "unit basis"])
+@pytest.mark.parametrize("shortcut, member", [
+    *itertools.product(["zero polynomial", "unit basis"], [ideal_member, radical_member]),
+    ("sequence basis", normal_form),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_membership_rejects_another_ring(member, shortcut, ring_xy, ring_xyz):
-    # both shortcuts once answered True before the rings were compared
+    # both shortcuts once answered True before the rings were compared,
+    # and a basis given as a plain sequence once reduced f unchanged
+    if shortcut == "sequence basis":
+        x, y = PolyRing(PrimeField(7), ("x", "y")).gens()
+        a = PolyRing(PrimeField(11), ("a", "b", "c")).gens()[0]
+        with pytest.raises(ContractViolation, match="different rings"):
+            member(x * y + x, [a + 1])
+        return
     x, y = ring_xy.gens()
     basis = buchberger([x * y] if shortcut == "zero polynomial" else [x, x + 1])
     f = ring_xyz.zero() if shortcut == "zero polynomial" else ring_xyz.gens()[0]
