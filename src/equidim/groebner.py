@@ -13,7 +13,8 @@ Reduced Groebner bases come from one of two routes:
   of Eder-Roune 2013).  ``extend_basis`` (on both cell backends, so
   also for zero-dimensional witness slices), the certificate and the
   colon ideals behind ``saturate`` and ``radical_member`` use it; the
-  Koszul criterion discards every pair whose signature lies in LM(P).
+  Koszul criterion drops every pair whose signature lies in LM(P) when
+  the pair is made, so such a pair never enters the step's queue.
   From the zero ideal ``extend_basis`` takes no step: {f / lc(f)} is
   already the reduced basis of <f>.
   The step returns its new elements without interreducing them, and
@@ -28,10 +29,15 @@ top-degree forms of the reduced basis of I are the reduced basis of
 I*, the ideal of top forms, with LM(I*) = LM(I).  If the top form g* is a
 nonzerodivisor modulo I*, so is g modulo I (Kreuzer-Robbiano,
 Computational Commutative Algebra 2, 4.3).  One ``_sig_step`` of I* by
-g* decides it: a regular reduction to zero proves g* a zero divisor and
-ends the step at once, and otherwise the Hilbert numerators of I* and
-I* + g* (Bayer-Stillman 1992) must differ by the factor (1 - t^deg g*).
-The test is one-sided.  g may be regular modulo I while g* is a zero
+g* decides it from its own syzygies: a regular reduction to zero proves
+g* a zero divisor and ends the step at once, and a step that processes
+every pair signature without one proves g* a nonzerodivisor.  Once all
+pairs are processed, the signatures of the reductions to zero together
+with the Koszul signatures LM(I*) generate the lead module of the
+syzygies (Eder and Faugere, "A survey on signature-based algorithms",
+JSC 80, 2017), whose signatures are the leads of I* : g*; with no
+reduction to zero LM(I* : g*) = LM(I*), so I* : g* = I*.  The test is
+one-sided.  g may be regular modulo I while g* is a zero
 divisor modulo I*, as g = x is a unit modulo <x*y - 1>; the colon steps
 then run, so a declined certificate costs time and never correctness.
 
@@ -56,8 +62,11 @@ are exact on float64 BLAS for every p < 2^31.  Every echelon in
 ``_f4_round`` reduces its rows by its pivot rows as a block triangular
 solve of ``_matmul`` products before the rest goes to ``_rref``.
 
-The heap kernel sums coefficients as plain integers and reduces one mod p
-only when its monomial is popped.  Every reduction modulo a fixed basis
+The heap kernel holds plain negated order keys in its heap and sums
+coefficients by key as plain integers, reducing one mod p only when its
+key is popped; it returns the remainder's terms in the order it pops
+them, strictly descending, so its callers build a ``Polynomial`` from
+them with no sort.  Every reduction modulo a fixed basis
 (``normal_form``, the P part of ``_sig_step`` and of its cofactors, the
 columns of ``zerodim.low_degree_colon``) looks the divisor of a monomial
 up in the basis's divisor memo, which maps each monomial met to its
@@ -97,7 +106,7 @@ from __future__ import annotations
 from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -201,20 +210,26 @@ def _first_divisor(reducers, guard: int, k: int, ev: int):
 
 def _reduce_terms(ring: PolyRing, terms, reducers, divisors: dict | None = None,
                   extra=(), bound: int | None = None,
-                  log: list | None = None) -> dict[int, tuple[int, int]]:
-    """Fully reduce a term stream; returns {evec: (key, coeff)} remainder.
+                  log: list | None = None) -> list[tuple[int, int, int]]:
+    """Fully reduce a term stream; returns the remainder's (key, evec, coeff) terms.
 
     Heap-driven: monomials are processed in strictly decreasing order,
     so once a monomial is popped no further contributions to it can
-    appear and it can be finalized or rewritten on the spot.  Sums are
-    kept as plain integers and reduced mod p once, when the monomial is
-    popped.
+    appear and it can be finalized or rewritten on the spot.  The
+    remainder's terms come out in that order, strictly descending, with
+    coefficients in [1, p), so they are a ``Polynomial``'s terms as
+    they stand.  The heap holds plain negated order keys, and the
+    coefficient sums are kept by key as plain integers, reduced mod p
+    once, when the key is popped; a key's evec is looked up only then.
+    Keys are additive and distinct monomials have distinct keys, so the
+    key of a term shifted by a reducer's cofactor is one addition.
 
     A term is rewritten by the first reducer, in ascending lead key,
     whose lead divides it.  ``reducers`` are (lead key, lead evec,
     tail) entries, ascending.  When they are the fixed reducers of one
-    basis, ``divisors`` is that basis's memo: it maps a monomial to its
-    first dividing reducer, or None, and is filled on first sight.
+    basis, ``divisors`` is that basis's memo: it maps a monomial (its
+    evec) to its first dividing reducer, or None, and is filled on first
+    sight.
 
     ``extra`` entries carry their signature key and their index as a
     fourth and fifth entry, and are scanned on every pop, only below
@@ -228,9 +243,9 @@ def _reduce_terms(ring: PolyRing, terms, reducers, divisors: dict | None = None,
     """
     p = ring.field.p
     guard = ring._evec_guard
-    acc: dict[int, int] = {}
-    heap: list[tuple[int, int]] = []
-    out: dict[int, tuple[int, int]] = {}
+    acc: dict[int, int] = {}  # key -> coefficient sum
+    evecs: dict[int, int] = {}  # key -> evec
+    out: list[tuple[int, int, int]] = []
     memo = {} if divisors is None else divisors
     memo_get = memo.get
     acc_get = acc.get
@@ -238,18 +253,20 @@ def _reduce_terms(ring: PolyRing, terms, reducers, divisors: dict | None = None,
     push = heappush
     pop = heappop
     for k, ev, c in terms:
-        v = acc_get(ev)
+        v = acc_get(k)
         if v is None:
-            acc[ev] = c
-            push(heap, (-k, ev))
+            acc[k] = c
+            evecs[k] = ev
         else:
-            acc[ev] = v + c
+            acc[k] = v + c
+    heap = [-k for k in acc]
+    heapify(heap)
     while heap:
-        nk, ev = pop(heap)
-        c = acc_pop(ev) % p
+        k = -pop(heap)
+        c = acc_pop(k) % p
         if not c:
             continue
-        k = -nk
+        ev = evecs[k]
         hit = memo_get(ev, _UNSEEN)
         if hit is _UNSEEN:
             hit = _first_divisor(reducers, guard, k, ev)
@@ -267,19 +284,20 @@ def _reduce_terms(ring: PolyRing, terms, reducers, divisors: dict | None = None,
                         log.append((red[4], k - red[0], d, p - c))
                     break
         if hit is None:
-            out[ev] = (k, c)
+            out.append((k, ev, c))
             continue
         dk = k - hit[0]
         dev = ev - hit[1]
         m = p - c
         for tk, tev, tc in hit[2]:
-            nev = tev + dev
-            v = acc_get(nev)
+            nk = tk + dk
+            v = acc_get(nk)
             if v is None:
-                acc[nev] = m * tc
-                push(heap, (-(tk + dk), nev))
+                acc[nk] = m * tc
+                evecs[nk] = tev + dev
+                push(heap, -nk)
             else:
-                acc[nev] = v + m * tc
+                acc[nk] = v + m * tc
     return out
 
 
@@ -290,7 +308,7 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") ->
             raise ContractViolation("polynomial and basis from different rings")
         if f.is_zero() or basis.is_zero_ideal:
             return f
-        return basis.ring._from_keyed(basis.reduce_terms(f.terms))
+        return Polynomial(basis.ring, tuple(basis.reduce_terms(f.terms)))
     ring = f.ring
     basis = list(basis)
     if any(g.ring != ring for g in basis):
@@ -298,7 +316,7 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") ->
     reducers = _prep_reducers([g.monic() for g in basis if not g.is_zero()])
     if f.is_zero() or not reducers:
         return f
-    return ring._from_keyed(_reduce_terms(ring, f.terms, reducers))
+    return Polynomial(ring, tuple(_reduce_terms(ring, f.terms, reducers)))
 
 
 def _spoly_terms(ring: PolyRing, f: Polynomial, g: Polynomial, lcm_ev: int):
@@ -395,7 +413,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     # seed with the reduced inputs, smallest leading terms first
     inputs.sort(key=lambda f: f.terms[0][0])
     for f in inputs:
-        r = ring._from_keyed(_reduce_terms(ring, f.terms, reducers))
+        r = Polynomial(ring, tuple(_reduce_terms(ring, f.terms, reducers)))
         if r.is_zero():
             continue
         if r.is_constant():
@@ -411,7 +429,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         if cut == 1:
             _, _, i, j, le = batch[0]
             stream = _spoly_terms(ring, gens[i], gens[j], le)
-            r = ring._from_keyed(_reduce_terms(ring, stream, reducers))
+            r = Polynomial(ring, tuple(_reduce_terms(ring, stream, reducers)))
             new = [r.monic()] if not r.is_zero() else []
         else:
             new = _f4_round(ring, gens, reducers, batch)
@@ -658,8 +676,8 @@ def _interreduce(ring: PolyRing, gens: list[Polynomial]) -> tuple[Polynomial, ..
             if hit is _UNSEEN:
                 hit = divisors[ev] = _first_divisor(reducers, guard, k, ev)
             if hit is not None:
-                g = Polynomial(ring, g.terms[:1] + ring._from_keyed(
-                    _reduce_terms(ring, tail, reducers, divisors)).terms)
+                g = Polynomial(ring, g.terms[:1] + tuple(
+                    _reduce_terms(ring, tail, reducers, divisors)))
                 break
         reduced.append(g)
     reduced.sort(key=lambda f: f.terms[0][0], reverse=True)
@@ -673,12 +691,13 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
     One signature-based (F5C) step.  Every new element carries a
     monomial signature s, standing for s * e_f; f, reduced by the basis
     P and made monic, has signature 1.  Pair signatures are processed
-    once each, in increasing order.  A signature divisible by a lead of
-    P (Koszul) or by a recorded syzygy is skipped; otherwise the
-    latest-added element whose signature divides it (rewrite criterion)
-    is multiplied up to that signature and regular-reduced: elements of
-    P always reduce, a new element only when its multiplied signature is
-    strictly smaller.
+    once each, in increasing order.  A pair whose signature a lead of P
+    divides (Koszul) is never queued: that test depends on P alone, so
+    it is made when the pair is.  A popped signature divisible by a
+    recorded syzygy is skipped; otherwise the latest-added element whose
+    signature divides it (rewrite criterion) is multiplied up to that
+    signature and regular-reduced: elements of P always reduce, a new
+    element only when its multiplied signature is strictly smaller.
 
     The elements are returned as they are, monic but not interreduced:
     P's generators together with them form a Groebner basis.  An empty
@@ -687,7 +706,10 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
     A regular reduction to zero at signature s gives a u with LM(u) = s
     outside LM(P) and u * f in <P>: f is a zero divisor modulo <P>.
     With ``stop_at_syzygy`` the step returns None at the first one, for
-    ``_regular_at_infinity``, which only asks whether there is any.
+    ``_regular_at_infinity``, which only asks whether there is any.  A
+    step that returns its elements instead has processed every pair
+    signature without one, which proves f a nonzerodivisor modulo <P>
+    (see below).
 
     With ``colon`` every element h also carries a cofactor u, a normal
     form modulo P with LM(u) its signature and h = u * f modulo <P>.
@@ -702,7 +724,7 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
     a unit modulo <P>) also returns.
     """
     ring = basis.ring
-    r = ring._from_keyed(basis.reduce_terms(f.terms))
+    r = Polynomial(ring, tuple(basis.reduce_terms(f.terms)))
     if r.is_zero():
         return [ring.one()] if colon else []
     if r.is_constant():
@@ -712,6 +734,7 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
     lcm = ring.lcm_evec
     keyfn = ring.key_of_evec
     degree = ring.degree_of_key
+    guard = ring._evec_guard
     inv = ring.field.inv
     p_leads = basis.lead_evecs()
     sigs: list[tuple[int, int]] = []  # (key, evec) of each new element
@@ -722,14 +745,22 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
     cofactors: list[Polynomial] = []  # with colon, of each new element
     found: list[Polynomial] = []  # with colon, monic cofactors of the syzygies
 
+    def push(sk: int, se: int):
+        """Queue a pair signature, unless a lead of P divides it (Koszul)."""
+        for pe in p_leads:
+            d = se - pe
+            if d >= 0 and not d & guard:
+                return
+        heappush(heap, (sk, se))
+
     def add(sk: int, se: int, h: Polynomial, u: Polynomial | None):
         c = h.terms[0][2]
         h = h.monic()
         lk, le, _ = h.terms[0]
         for pe in p_leads:
             lam = lcm(le, pe)
-            if lam != le + pe:  # coprime pairs lie in LM(P)
-                heappush(heap, (sk + keyfn(lam) - lk, se + lam - le))
+            if lam != le + pe:  # the signature of a coprime pair is se * pe
+                push(sk + keyfn(lam) - lk, se + lam - le)
         for (s2k, s2e), h2 in zip(sigs, elems):
             k2, e2, _ = h2.terms[0]
             lam = lcm(le, e2)
@@ -737,9 +768,9 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
             a = sk + lamk - lk
             b = s2k + lamk - k2
             if a > b:
-                heappush(heap, (a, se + lam - le))
+                push(a, se + lam - le)
             elif b > a:
-                heappush(heap, (b, s2e + lam - e2))
+                push(b, s2e + lam - e2)
         insort(reducers, (lk, le, h.terms[1:], sk, len(elems)), key=lambda red: red[0])
         sigs.append((sk, se))
         elems.append(h)
@@ -751,7 +782,7 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
         stream = [(k + dk, ev + de, c) for k, ev, c in cofactors[i].terms]
         for j, dkj, dej, m in log:
             stream += [(k + dkj, ev + dej, m * c) for k, ev, c in cofactors[j].terms]
-        return ring._from_keyed(basis.reduce_terms(stream))
+        return Polynomial(ring, tuple(basis.reduce_terms(stream)))
 
     add(0, 0, r, ring.one())
     last = None
@@ -761,7 +792,13 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
         if sk == last:
             continue
         last = sk
-        if any(divides(e, se) for e in p_leads) or any(divides(z, se) for z in syz):
+        skip = False
+        for z in syz:  # the syzygy criterion
+            d = se - z
+            if d >= 0 and not d & guard:
+                skip = True
+                break
+        if skip:
             continue
         i = len(sigs) - 1
         while not divides(sigs[i][1], se):
@@ -774,7 +811,7 @@ def _sig_step(basis: GroebnerBasis, f: Polynomial, stop_at_syzygy: bool = False,
         stream = [(k + dk, ev + de, c) for k, ev, c in elems[i].terms]
         if colon:
             log = []
-        h = ring._from_keyed(basis.reduce_terms(stream, reducers, sk, log))
+        h = Polynomial(ring, tuple(basis.reduce_terms(stream, reducers, sk, log)))
         if h.is_zero():
             if stop_at_syzygy:
                 return None
@@ -909,11 +946,16 @@ def _regular_at_infinity(basis: GroebnerBasis, g: Polynomial) -> bool:
 
     Under a graded order the top-degree forms of the reduced basis are
     the reduced basis of I*, the ideal of top forms of I; LM(I*) =
-    LM(I).  For g* = top(g) of degree e, N(I* + g*) = N(I*) - t^e
-    N(I* : g*) on Hilbert numerators, and I* is contained in I* : g*,
-    so N(I* + g*) = (1 - t^e) N(I*) iff I* : g* = I*.  One ``_sig_step``
-    gives the basis of I* + g*, and it stops at its first regular
-    reduction to zero, which already proves g* a zero divisor.
+    LM(I).  One ``_sig_step`` of I* by g* = top(g) decides whether g* is
+    a nonzerodivisor modulo I*, from the step's own syzygies.  It stops
+    at its first regular reduction to zero, which proves g* a zero
+    divisor, and it returns no element when g* lies in I*.  A step that
+    returns its elements has processed every pair signature with no
+    reduction to zero.  Then the Koszul signatures LM(I*) alone generate
+    the lead module of the syzygies of (g*, I*) (Eder and Faugere, JSC
+    80, 2017), whose signatures are the leads of I* : g*; so LM(I* : g*)
+    = LM(I*), and I* : g* = I* since it contains I*.  Every element of
+    the step is a form of positive degree, so it never meets a constant.
 
     If g* is a nonzerodivisor modulo I*, g is one modulo I: take u * g
     in I with u a nonzero normal form; then u* g* is in I*, so LM(u) is
@@ -922,25 +964,16 @@ def _regular_at_infinity(basis: GroebnerBasis, g: Polynomial) -> bool:
     yet its top form is a zero divisor modulo <x*y>; then the answer is
     False and the caller takes colon steps.
     """
-    ring = basis.ring
-    top = GroebnerBasis(ring, tuple(_top_form(h) for h in basis.gens))
-    gstar = _top_form(g)
-    new = _sig_step(top, gstar, stop_at_syzygy=True)
-    if not new:
-        return False  # a syzygy, or g* in I*
-    base = _hilbert_numerator(ring, top.gens)
-    e = ring.degree_of_key(gstar.terms[0][0])
-    shifted = base + [0] * e  # (1 - t^e) N(I*)
-    for i, c in enumerate(base):
-        shifted[i + e] -= c
-    return _hilbert_numerator(ring, list(top.gens) + new) == shifted
+    top = GroebnerBasis(basis.ring, tuple(_top_form(h) for h in basis.gens))
+    return bool(_sig_step(top, _top_form(g), stop_at_syzygy=True))
 
 
 def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     """(<basis> : g^inf); {1} iff g is in the radical.
 
     ``basis`` itself when ``_regular_at_infinity`` certifies g a
-    nonzerodivisor modulo I = <basis>: then u * g in I forces u in I,
+    nonzerodivisor modulo I = <basis>, by a signature step of the top
+    forms that finds no syzygy: then u * g in I forces u in I,
     so (I : g^inf) = I.  The certificate only looks at top-degree forms,
     where a g regular modulo I can still be a zero divisor, so a decline
     proves nothing.  Then the saturation is the union of the chain
@@ -972,12 +1005,13 @@ def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
 def saturate(F: "GroebnerBasis | Sequence[Polynomial]", g: Polynomial) -> GroebnerBasis:
     """Reduced basis of (<F> : g^inf), by a certificate or by colon ideals.
 
-    When the top form of g is a nonzerodivisor modulo the ideal of top
-    forms of <F>, g is one modulo <F>, and the basis of <F> is returned
-    itself.  That test is one-sided (see ``_regular_at_infinity``), and
-    otherwise the colon ideals <F> : g, (<F> : g) : g, ... are read off
-    the syzygies of signature steps by g until they stop growing (see
-    ``_saturation``).
+    Both read the syzygies of signature steps by g.  When one step of the
+    top forms of <F> by the top form of g finds none, that top form is a
+    nonzerodivisor modulo the ideal of top forms, so g is one modulo
+    <F>, and the basis of <F> is returned itself.  That test is
+    one-sided (see ``_regular_at_infinity``), and otherwise the colon
+    ideals <F> : g, (<F> : g) : g, ... are read off the syzygies of
+    colon steps by g until they stop growing (see ``_saturation``).
     """
     ring = F.ring if isinstance(F, GroebnerBasis) else g.ring
     if g.ring != ring:
@@ -1015,9 +1049,10 @@ def radical_member(f: Polynomial, basis: GroebnerBasis) -> bool:
     """f vanishes on V(<basis>): (<basis> : f^inf) is <1>.
 
     The saturation is the one ``saturate`` computes.  A certified
-    nonzerodivisor f gives <basis> itself, so f is not in the radical
-    of a proper ideal without any colon step; a declined certificate
-    only means the colon ideals decide.
+    nonzerodivisor f, one whose top form's signature step finds no
+    syzygy, gives <basis> itself, so f is not in the radical of a
+    proper ideal without any colon step; a declined certificate only
+    means the colon ideals decide.
     """
     if f.ring != basis.ring:
         raise ContractViolation("polynomial and basis from different rings")

@@ -140,7 +140,7 @@ class QuotientStructure:
             raise ContractViolation("polynomial and basis from different rings")
         nf = _reduce_terms(self.ring, f.terms, self.reducers, self.divisors)
         v = np.zeros(self.D, dtype=np.int64)
-        for ev, (_, c) in nf.items():
+        for _, ev, c in nf:
             v[self.index[ev]] = c
         return v
 
@@ -197,7 +197,7 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
     for k in range(1, MAX_POWER + 1):
         fdeg = fk.total_degree()
         # a-monomials (key, evec) in degree-by-degree order and their
-        # Macaulay columns NF(m * f^k), as {evec: (key, coeff)}; the
+        # Macaulay columns NF(m * f^k), as (key, evec, coeff) terms; the
         # frontier keeps the last degree's, for the next degree's shifts
         monos = [(0, 0)]
         cols = [reduce(fk.terms)]
@@ -219,17 +219,17 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
                     seen.add(ev)
                     # NF(x_i * m' * f^k) = NF(x_i * NF(m' * f^k))
                     nxt.append((mk + dk, ev, reduce(
-                        [(tk + dk, tev + dev, c) for tev, (tk, c) in col.items()])))
+                        [(tk + dk, tev + dev, c) for tk, tev, c in col])))
             frontier = nxt
             monos += [(mk, ev) for mk, ev, _ in nxt]
             cols += [col for _, _, col in nxt]
             for col in cols[first:]:
-                for tev in col:
+                for _, tev, _ in col:
                     rows.setdefault(tev, len(rows))
             idx = basic + list(range(first, len(cols)))  # A's columns among cols
             A = np.pad(A, ((0, len(rows) - A.shape[0]), (0, len(cols) - first)))
             for j, col in enumerate(cols[first:], len(basic)):
-                for tev, (_, c) in col.items():
+                for _, tev, c in col:
                     A[rows[tev], j] = c
             R, piv = _rref(A, p)
             pivset = set(piv)
@@ -242,7 +242,7 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
                 a[[idx[i] for i in piv]] = -R[:, c] % p
                 nf = reduce([(*monos[i], int(a[i])) for i in np.flatnonzero(a)])
                 if nf:
-                    h = ring._from_keyed(nf).monic()
+                    h = Polynomial(ring, tuple(nf)).monic()
                     if h not in out:
                         out.append(h)
             if out:

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -63,7 +64,8 @@ def _is_reduced_gb(gb):
                 assert not ring.divides(h.terms[0][1], g.terms[0][1])
     for f, g in itertools.combinations(gens, 2):
         lcm = ring.lcm_evec(f.terms[0][1], g.terms[0][1])
-        s = ring._from_keyed(_reduce_terms(ring, _spoly_terms(ring, f, g, lcm), gb.reducers()))
+        s = Polynomial(ring, tuple(
+            _reduce_terms(ring, _spoly_terms(ring, f, g, lcm), gb.reducers())))
         assert s.is_zero()
     return True
 
@@ -84,6 +86,119 @@ def test_normal_form_subtracts_ideal_member(ring_xyz, rng):
         f = random_poly(ring_xyz, rng)
         r = normal_form(f, G)
         assert ideal_member(f - r, G)
+
+
+# -- reduction kernel --------------------------------------------------------------
+
+def _reduce_terms_reference(ring, terms, reducers, divisors=None, extra=(), bound=None, log=None):
+    """The kernel as it was before its heap held plain keys: (-key, evec)
+    heap entries, sums kept by evec, and the remainder returned as
+    {evec: (key, coeff)}."""
+    p = ring.field.p
+    guard = ring._evec_guard
+    acc: dict[int, int] = {}
+    heap: list[tuple[int, int]] = []
+    out: dict[int, tuple[int, int]] = {}
+    memo = {} if divisors is None else divisors
+    memo_get = memo.get
+    acc_get = acc.get
+    acc_pop = acc.pop
+    push = heapq.heappush
+    pop = heapq.heappop
+    for k, ev, c in terms:
+        v = acc_get(ev)
+        if v is None:
+            acc[ev] = c
+            push(heap, (-k, ev))
+        else:
+            acc[ev] = v + c
+    while heap:
+        nk, ev = pop(heap)
+        c = acc_pop(ev) % p
+        if not c:
+            continue
+        k = -nk
+        hit = memo_get(ev, groebner._UNSEEN)
+        if hit is groebner._UNSEEN:
+            hit = groebner._first_divisor(reducers, guard, k, ev)
+            if divisors is not None:
+                memo[ev] = hit
+        if extra:
+            top = k if hit is None else hit[0] - 1
+            for red in extra:
+                if red[0] > top:
+                    break
+                d = ev - red[1]
+                if d >= 0 and not (d & guard) and k - red[0] + red[3] < bound:
+                    hit = red
+                    if log is not None:
+                        log.append((red[4], k - red[0], d, p - c))
+                    break
+        if hit is None:
+            out[ev] = (k, c)
+            continue
+        dk = k - hit[0]
+        dev = ev - hit[1]
+        m = p - c
+        for tk, tev, tc in hit[2]:
+            nev = tev + dev
+            v = acc_get(nev)
+            if v is None:
+                acc[nev] = m * tc
+                push(heap, (-(tk + dk), nev))
+            else:
+                acc[nev] = v + m * tc
+    return out
+
+
+def _random_stream(ring, rng, count):
+    """Unsorted terms with repeated monomials and coefficients up to p^2."""
+    p = ring.field.p
+    monos = [random_poly(ring, rng, 1, 5).terms for _ in range(count)]
+    monos = [t[0][:2] for t in monos if t]
+    return [(k, ev, rng.randrange(p * p)) for k, ev in monos + rng.sample(monos, len(monos) // 2)]
+
+
+@pytest.mark.parametrize("p", [5, 65521, 2**31 - 1])
+def test_reduce_terms_matches_reference(p):
+    """The int-keyed kernel against the evec-keyed one it replaced: the same
+    remainder, now as terms in strictly descending order, the same rewrite
+    log and the same divisor memo, with and without signed extra reducers."""
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(p)
+    rewrites = remainders = 0
+    for trial in range(60):
+        basis = groebner_of(ring, [random_poly(ring, rng, 3, 3) for _ in range(2 + trial % 2)])
+        if basis.is_unit:
+            continue
+        reducers = basis.reducers()
+        stream = _random_stream(ring, rng, 12)
+        extra, bound = (), None
+        if trial % 2:
+            # monic extra reducers with signature keys, ascending by lead key
+            extra = []
+            for index in range(3):
+                h = random_poly(ring, rng, 3, 3)
+                if h.is_zero() or h.is_constant():
+                    continue
+                h = h.monic()
+                sig = random_poly(ring, rng, 1, 2).terms
+                sig_key = sig[0][0] if sig else 0
+                extra.append((h.terms[0][0], h.terms[0][1], h.terms[1:], sig_key, index))
+            extra.sort(key=lambda red: red[0])
+            bound = ring.key_of_evec(ring.pack_evec((2, 1, 1)))
+        memo, memo_ref = ({}, {}) if trial % 3 else (None, None)
+        log, log_ref = ([], []) if trial % 4 == 1 else (None, None)
+        got = _reduce_terms(ring, stream, reducers, memo, extra, bound, log)
+        want = _reduce_terms_reference(ring, stream, reducers, memo_ref, extra, bound, log_ref)
+        assert got == sorted(((k, ev, c) for ev, (k, c) in want.items()), reverse=True)
+        assert all(k > k2 for (k, _, _), (k2, _, _) in zip(got, got[1:]))
+        assert all(0 < c < p for _, _, c in got)
+        assert log == log_ref
+        assert memo == memo_ref
+        rewrites += bool(log)
+        remainders += bool(got)
+    assert rewrites > 0 and remainders > 0
 
 
 # -- buchberger ------------------------------------------------------------------
@@ -419,8 +534,8 @@ def _interreduce_reference(ring, gens):
         if not any(ring.divides(g.terms[0][1], lm) for g in minimal):
             minimal.append(gens[i])
     reducers = groebner._prep_reducers(minimal)
-    reduced = [Polynomial(ring, g.terms[:1] + ring._from_keyed(
-        _reduce_terms(ring, g.terms[1:], reducers)).terms) for g in minimal]
+    reduced = [Polynomial(ring, g.terms[:1] + tuple(
+        _reduce_terms(ring, g.terms[1:], reducers))) for g in minimal]
     reduced.sort(key=lambda f: f.terms[0][0], reverse=True)
     return tuple(reduced)
 
@@ -473,10 +588,11 @@ def _count_regular_reductions(monkeypatch):
     """Count the signature-bounded reductions and those that give zero.
 
     Also keeps the signed reducer list of every extension step (the
-    step grows one list in place) under the key "steps", and the
-    signature key of every reduction to zero under "zero_sigs".
+    step grows one list in place) under the key "steps", the signature
+    key of every regular reduction, one per processed pair signature,
+    under "sigs", and that of every reduction to zero under "zero_sigs".
     """
-    counts = {"regular": 0, "zero": 0, "steps": {}, "zero_sigs": []}
+    counts = {"regular": 0, "zero": 0, "steps": {}, "sigs": [], "zero_sigs": []}
     original = groebner._reduce_terms
 
     def counting(ring, terms, reducers, divisors=None, extra=(), bound=None, log=None):
@@ -485,6 +601,7 @@ def _count_regular_reductions(monkeypatch):
             counts["regular"] += 1
             counts["zero"] += not out
             counts["steps"][id(extra)] = (ring, extra)
+            counts["sigs"].append(bound)
             if not out:
                 counts["zero_sigs"].append(bound)
         return out
@@ -588,6 +705,35 @@ def test_colon_cofactors_are_syzygies_at_their_signatures(monkeypatch):
     assert found > 0
 
 
+@pytest.mark.parametrize("colon", [False, True], ids=["extension", "colon"])
+def test_pair_pruning_keeps_every_processed_signature(colon, monkeypatch):
+    """Two fixed signature steps process the same pair signatures, in the
+    same order, with the same reductions to zero, as they did before the
+    Koszul criterion moved from the pop to pair creation; the keys were
+    recorded then."""
+    ring = PolyRing(PrimeField(101), ("x", "y", "z", "w"))
+    x, y, z, w = ring.gens()
+    q1, q2, q4 = x * y - z**2 + w, y * z - w**2 + x, z * w - x**2 + 2 * y + 1
+    c1, c2 = x**2 * y + z**3 - w, y**2 * w - x * z + 2
+    if colon:
+        gens, f = [q1 * q4, q2, c1], q4
+        sigs = [134480384, 268959744, 268960768, 268960769, 402915328, 403439616,
+                403440129, 403441152, 537395713, 537396226, 671351297, 671613952,
+                805830656, 939786240, 939786752, 1073741824, 1208221696]
+    else:
+        gens, f = [q1 * c2, q2, c1], c2
+        sigs = [134479872, 268959744, 268960769, 268960770, 402915841, 403439616,
+                403440129, 403440642, 537395713, 537396226, 671350784, 671351297,
+                805306368, 805830656, 939786752]
+    base = groebner_of(ring, gens)
+    counts = _count_regular_reductions(monkeypatch)
+    _sig_step(base, f, colon=colon)
+    assert (counts["regular"], counts["zero"]) == (len(sigs), 8)
+    assert counts["sigs"] == sigs
+    assert counts["zero_sigs"] == [268960769, 403439616, 403440129, 537395713,
+                                   537396226, 671351297, 805830656, 939786752]
+
+
 # -- saturation ------------------------------------------------------------------
 
 def test_saturate_spec_examples(ring_xy):
@@ -639,6 +785,47 @@ def test_certificate_accepts_only_unchanged_saturations(p):
                 declined += 1
             assert saturate(base, g) == scratch
     assert accepted > 0 and declined > 0
+
+
+def _regular_at_infinity_hilbert(basis, g):
+    """The certificate as a Hilbert-series identity: g* is a nonzerodivisor
+    modulo I* iff N(I* + g*) = (1 - t^e) N(I*), e = deg g*, with the basis
+    of I* + g* from one signature step that stops at its first syzygy."""
+    ring = basis.ring
+    top = GroebnerBasis(ring, tuple(groebner._top_form(h) for h in basis.gens))
+    gstar = groebner._top_form(g)
+    new = _sig_step(top, gstar, stop_at_syzygy=True)
+    if not new:
+        return False  # a syzygy, or g* in I*
+    base = groebner._hilbert_numerator(ring, top.gens)
+    e = ring.degree_of_key(gstar.terms[0][0])
+    shifted = base + [0] * e  # (1 - t^e) N(I*)
+    for i, c in enumerate(base):
+        shifted[i + e] -= c
+    return groebner._hilbert_numerator(ring, list(top.gens) + new) == shifted
+
+
+@pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
+def test_certificate_matches_hilbert_identity(p):
+    """A signature step with no regular reduction to zero accepts exactly
+    where the Hilbert numerators say g* is a nonzerodivisor modulo I*."""
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(1000 + p)
+    verdicts = []
+    for trial in range(40):
+        a, b = (random_poly(ring, rng, 3, 2) for _ in range(2))
+        # a * b makes a and b zero divisors unless the other is in the ideal
+        gens = [a * b, random_poly(ring, rng, 3, 2), random_poly(ring, rng, 2, 3)]
+        base = groebner_of(ring, [f for f in gens[: 1 + trial % 3] if not f.is_zero()])
+        if base.is_unit or base.is_zero_ideal:
+            continue
+        for g in (a, b, random_poly(ring, rng, 3, 2), random_poly(ring, rng, 2, 1)):
+            if g.is_zero() or g.is_constant():
+                continue
+            verdict = _regular_at_infinity(base, g)
+            assert verdict == _regular_at_infinity_hilbert(base, g)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_certificate_declines_a_zero_divisor_at_infinity():
@@ -745,7 +932,7 @@ def test_colon_saturation_leaves_normal_forms_memo_free(rng):
             continue
         fs = [random_poly(ring, rng, terms=6, max_deg=4) for _ in range(6)]
         plain = GroebnerBasis(ring, gens)
-        expected = [ring._from_keyed(_reduce_terms(ring, f.terms, plain.reducers()))
+        expected = [Polynomial(ring, tuple(_reduce_terms(ring, f.terms, plain.reducers())))
                     for f in fs]
         assert not plain._divisors  # a plain reduction leaves no memo
         if _regular_at_infinity(plain, a):
