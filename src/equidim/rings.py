@@ -553,150 +553,148 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*^()]))")
+# One token per match: an integer literal, a name, an operator, or any
+# other non-blank character, which no grammar rule takes; findall skips
+# only blanks, so every character of a line is read.
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()]|\S")
+# a character the tokenizer's last alternative takes
+_STRAY = re.compile(r"[^\s\dA-Za-z_*^()+-]")
+_OPERATORS = frozenset(("+", "-", "*", "**", "^", "(", ")"))
 
 
-def parse_polynomial(ring: PolyRing, text: str, line: int = 0) -> Polynomial:
-    """Parse ``+ - * ^`` expressions over the ring's variables.
+class _Unread(Exception):
+    """The token index where reading stopped, and why."""
 
-    Integer literals are reduced mod p; implicit multiplication is
-    rejected; parentheses are allowed for grouping.
+
+def _shown(token: str) -> str:
+    return "^" if token == "**" else token
+
+
+def _as_poly(ring: PolyRing, f) -> Polynomial:
+    if isinstance(f, Polynomial):
+        return f
+    c, ev, _ = f
+    if not c:
+        return ring.zero()
+    return Polynomial(ring, ((ring.key_of_evec(ev), ev, c),))
+
+
+def parse_polynomial(ring: PolyRing, text: str, line: int = 0, indent: int = 0) -> Polynomial:
+    """Parse one polynomial over the ring's variables.
+
+    Grammar, with blanks allowed between tokens::
+
+        sum     := [+|-] product { (+|-) product }
+        product := power { * power }
+        power   := atom [ (^|**) integer ]
+        atom    := integer | name | ( sum )
+
+    ``**`` is a synonym for ``^``.  A sign may only start a sum, so
+    ``x - -1`` and ``x*-1`` are rejected.  Integer literals are reduced
+    mod p, exponents are integer literals, and a name must be one of the
+    ring's variables.  Implicit multiplication
+    (``2x``, ``x y``, ``(x)(y)``) is rejected.  A monomial of degree
+    above the ring's cap raises ``DegreeOverflow``.
+
+    Errors are ``ParseError`` with ``line`` and a 1-based column; a
+    character outside the grammar is reported before any other error on
+    the line.  ``indent`` is the width of the text cut from the front of
+    the raw line, so that columns count from the raw line.
     """
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
-            break
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1) + 1))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2) + 1))
-        else:
-            op = "^" if m.group(3) == "**" else m.group(3)
-            tokens.append(("op", op, m.start(3) + 1))
-    tokens.append(("end", "", len(text) + 1))
-    idx = [0]
+    toks = _TOKEN.findall(text)
+    toks.append("")  # end of input
     p = ring.field.p
-    w = ring.width
     cap = ring.cap
-    slot = {name: i for i, name in enumerate(ring.names)}
+    w = ring.width
+    slot = {name: 1 << (i * w) for i, name in enumerate(ring.names)}
 
     # A product of atoms stays one term (coeff, evec, degree), with the
-    # coefficient reduced mod p, and sums gather terms in one dict.  A
+    # coefficient reduced mod p, and a sum gathers terms in one dict.  A
     # parenthesised sum is a Polynomial, and so is every product it
     # enters; a term whose degree would pass the cap is turned into a
-    # Polynomial too, so that the operation raises as it always has.
+    # Polynomial too, so that the operation raises DegreeOverflow.
 
-    def as_poly(f) -> Polynomial:
-        if isinstance(f, Polynomial):
-            return f
-        c, ev, _ = f
-        if not c:
-            return ring.zero()
-        return Polynomial(ring, ((ring.key_of_evec(ev), ev, c),))
-
-    def peek():
-        return tokens[idx[0]]
-
-    def advance():
-        t = tokens[idx[0]]
-        idx[0] += 1
-        return t
-
-    def parse_atom():
-        kind, val, col = peek()
-        if kind == "int":
-            advance()
-            return (int(val) % p, 0, 0)
-        if kind == "name":
-            advance()
-            i = slot.get(val)
-            if i is None:
-                raise ParseError(f"unknown identifier {val!r}", line, col)
-            return (1, 1 << (i * w), 1)
-        if kind == "op" and val == "(":
-            advance()
-            e = parse_expr()
-            k2, v2, c2 = peek()
-            if k2 != "op" or v2 != ")":
-                raise ParseError("expected ')'", line, c2)
-            advance()
-            return e
-        raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
-
-    def parse_power():
-        base = parse_atom()
-        kind, val, col = peek()
-        if kind == "op" and val == "^":
-            advance()
-            k2, v2, c2 = peek()
-            if k2 != "int":
-                raise ParseError("exponent must be an integer literal", line, c2)
-            advance()
-            e = int(v2)
-            if not isinstance(base, Polynomial):
-                c, ev, deg = base
-                if e == 0:
-                    return (1, 0, 0)
-                if not c:
-                    return base
-                if deg * e <= cap:
-                    return (pow(c, e, p), ev * e, deg * e)
-            return as_poly(base) ** e
-        return base
-
-    def parse_factor():
-        f = parse_power()
-        while True:
-            kind, val, col = peek()
-            if kind == "op" and val == "*":
-                advance()
-                g = parse_power()
-                if isinstance(f, Polynomial) or isinstance(g, Polynomial):
-                    f = as_poly(f) * as_poly(g)
-                    continue
-                c = f[0] * g[0] % p
-                if not c:
-                    f = (0, 0, 0)
-                elif f[2] + g[2] <= cap:
-                    f = (c, f[1] + g[1], f[2] + g[2])
-                else:
-                    f = as_poly(f) * as_poly(g)
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                raise ParseError("implicit multiplication is not accepted", line, col)
-            else:
-                return f
-
-    def parse_expr() -> Polynomial:
+    def read_sum(i: int) -> tuple[Polynomial, int]:
+        """The sum that starts at toks[i], and the index after it."""
         acc: dict[int, int] = {}
-
-        def add(f, sign: int) -> None:
+        sign = 1
+        t = toks[i]
+        while True:
+            if t == "+" or t == "-":
+                sign = 1 if t == "+" else -1
+                i += 1
+            f = None
+            while True:
+                t = toks[i]
+                i += 1
+                ev = slot.get(t)
+                if ev is not None:
+                    a = (1, ev, 1)
+                elif t.isdecimal():
+                    a = (int(t) % p, 0, 0)
+                elif t == "(":
+                    a, i = read_sum(i)
+                    if toks[i] != ")":
+                        raise _Unread(i, "expected ')'")
+                    i += 1
+                elif t and t not in _OPERATORS:
+                    raise _Unread(i - 1, f"unknown identifier {t!r}")
+                else:
+                    raise _Unread(i - 1, f"expected a term, found {_shown(t) or 'end of input'!r}")
+                t = toks[i]
+                if t == "^" or t == "**":
+                    e = toks[i + 1]
+                    if not e.isdecimal():
+                        raise _Unread(i + 1, "exponent must be an integer literal")
+                    i += 2
+                    e = int(e)
+                    if isinstance(a, Polynomial):
+                        a = a ** e
+                    elif e == 0:
+                        a = (1, 0, 0)
+                    elif a[0] and a[2] * e <= cap:
+                        a = (pow(a[0], e, p), a[1] * e, a[2] * e)
+                    elif a[0]:
+                        a = _as_poly(ring, a) ** e
+                    t = toks[i]
+                if f is None:
+                    f = a
+                elif isinstance(f, tuple) and isinstance(a, tuple) and f[2] + a[2] <= cap:
+                    c = f[0] * a[0] % p
+                    f = (c, f[1] + a[1], f[2] + a[2]) if c else (0, 0, 0)
+                else:
+                    f = _as_poly(ring, f) * _as_poly(ring, a)
+                if t != "*":
+                    break
+                i += 1
             if isinstance(f, Polynomial):
                 for _, ev, c in f.terms:
                     acc[ev] = acc.get(ev, 0) + sign * c
             else:
                 acc[f[1]] = acc.get(f[1], 0) + sign * f[0]
+            if t != "+" and t != "-":
+                if t == "(" or (t and t not in _OPERATORS):
+                    raise _Unread(i, "implicit multiplication is not accepted")
+                return ring._from_dict({ev: c % p for ev, c in acc.items()}), i
 
-        sign = 1
-        kind, val, _ = peek()
-        while True:
-            if kind == "op" and val in "+-":
-                advance()
-                sign = 1 if val == "+" else -1
-            add(parse_factor(), sign)
-            kind, val, _ = peek()
-            if kind != "op" or val not in "+-":
-                return ring._from_dict({ev: c % p for ev, c in acc.items()})
-
-    result = parse_expr()
-    kind, val, col = peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {val!r}", line, col)
-    return result
+    try:
+        f, i = read_sum(0)
+        if toks[i]:
+            raise _Unread(i, f"trailing input {_shown(toks[i])!r}")
+        return f
+    except (_Unread, DegreeOverflow, ValueError) as exc:
+        # a stray character is the line's error, whatever stopped the
+        # read (an int() of too many digits raises ValueError)
+        stray = _STRAY.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray.group()!r}", line,
+                             indent + stray.start() + 1) from None
+        if not isinstance(exc, _Unread):
+            raise
+        index, message = exc.args
+        col = next((m.start() for j, m in enumerate(_TOKEN.finditer(text)) if j == index),
+                   len(text))
+        raise ParseError(message, line, indent + col + 1) from None
 
 
 def random_affine_forms(ring: PolyRing, count: int, rng) -> list[Polynomial]:

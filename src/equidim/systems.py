@@ -7,9 +7,29 @@ Format (UTF-8, ``#`` comments)::
     x*y - z^2
     x + y
 
-The ``char`` line is optional and defaults to 65521.  Polynomials use
-``+ - * ^`` with integer literals reduced mod p; implicit
-multiplication is rejected.
+Everything after a ``#`` is a comment, and blank lines are skipped.  The
+first line left is the ``vars`` header: distinct names
+``[A-Za-z_][A-Za-z_0-9]*`` separated by commas.  An optional ``char``
+line may follow before any polynomial; p defaults to 65521.  Every
+other line is one polynomial, in this grammar, with blanks allowed
+between tokens::
+
+    sum     := [+|-] product { (+|-) product }
+    product := power { * power }
+    power   := atom [ (^|**) integer ]
+    atom    := integer | name | ( sum )
+
+``**`` is a synonym for ``^``.  A sign may only start a sum, so
+``x - -1`` is rejected; write ``x + 1``.  Integer literals are reduced
+mod p, and exponents are integer literals.  Implicit multiplication
+(``2x``, ``x y``, ``(x)(y)``) is rejected.  A monomial of degree above
+the ring's cap (255) raises ``DegreeOverflow``.
+
+Other errors are ``ParseError`` with a 1-based line and column.  Lines
+count as ``str.splitlines`` does, so CRLF endings are one line break.
+Columns count characters from the start of the raw line, indentation
+included, and a character outside the grammar is reported before any
+other error on its line.
 """
 
 from __future__ import annotations
@@ -61,57 +81,48 @@ def parse_system(text: str) -> SystemFile:
     variables: tuple[str, ...] | None = None
     characteristic: int | None = None
     sources: list[str] = []
-    seen_poly = False
+    polys: list[Polynomial] = []
+    ring: PolyRing | None = None  # built at the first polynomial line
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        indent = len(code) - len(code.lstrip())
         if variables is None:
             if not _VARS_HEADER.match(line):
-                raise ParseError("expected a 'vars' header line", lineno, 1)
+                raise ParseError("expected a 'vars' header line", lineno, indent + 1)
             names = [v.strip() for v in line[4:].split(",") if v.strip()]
             if not names:
-                raise ParseError("no variables declared", lineno, 5)
+                raise ParseError("no variables declared", lineno, indent + 5)
             for v in names:
                 if not _IDENT.match(v):
-                    raise ParseError(f"bad variable name {v!r}", lineno, line.find(v) + 1)
+                    raise ParseError(f"bad variable name {v!r}", lineno,
+                                     indent + line.find(v) + 1)
             if len(names) != len(set(names)):
-                raise ParseError("duplicate variable names", lineno, 5)
+                raise ParseError("duplicate variable names", lineno, indent + 5)
             variables = tuple(names)
             continue
-        if _CHAR_HEADER.match(line) and not seen_poly and characteristic is None:
+        if _CHAR_HEADER.match(line) and ring is None and characteristic is None:
             body = line[4:].strip()
             if not body.isdigit():
-                raise ParseError("characteristic must be an integer", lineno, 6)
+                raise ParseError("characteristic must be an integer", lineno, indent + 6)
             characteristic = int(body)
             try:
                 PrimeField(characteristic)
             except ContractViolation as exc:
-                raise ParseError(str(exc), lineno, 6) from None
+                raise ParseError(str(exc), lineno, indent + 6) from None
             continue
-        seen_poly = True
+        if ring is None:
+            ring = PolyRing(PrimeField(characteristic or DEFAULT_CHAR), variables)
         sources.append(line)
+        polys.append(parse_polynomial(ring, line, lineno, indent))
     if variables is None:
         raise ParseError("empty input: missing 'vars' header", 1, 1)
     characteristic = characteristic or DEFAULT_CHAR
-    ring = PolyRing(PrimeField(characteristic), variables)
-    # validate every polynomial now so errors surface with line numbers
-    lineno_of = _source_lines(text, sources)
-    polys = tuple(parse_polynomial(ring, src, line=ln) for src, ln in zip(sources, lineno_of))
-    return SystemFile(variables, characteristic, tuple(sources), (ring, polys))
-
-
-def _source_lines(text: str, sources: Sequence[str]) -> list[int]:
-    out = []
-    idx = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if idx < len(sources) and line == sources[idx]:
-            out.append(lineno)
-            idx += 1
-    while len(out) < len(sources):
-        out.append(0)
-    return out
+    if ring is None:
+        ring = PolyRing(PrimeField(characteristic), variables)
+    return SystemFile(variables, characteristic, tuple(sources), (ring, tuple(polys)))
 
 
 def _dense_poly_of_degree(ring: PolyRing, var_slots: Sequence[int], deg: int, rng) -> Polynomial:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -101,6 +102,14 @@ def test_run_parse_error_exit_code(tmp_path):
     code, out, err = run_cli(["run", str(path)])
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("blank", [" ", "\t"])
+def test_run_reports_line_and_column_of_bad_character(monkeypatch, blank):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"vars x0, x1\nchar 7\nx0*x1 - 1\nx0 +{blank}$\n"))
+    code, out, err = run_cli(["run", "-"])
+    assert code == 1 and out == ""
+    assert err == "error: line 4, col 6: unexpected character '$'\n"
 
 
 def test_run_bad_char_flag(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -263,6 +264,240 @@ def test_print_parse_roundtrip(ring_xyz, rng):
     for _ in range(60):
         f = random_poly(ring_xyz, rng)
         assert parse_polynomial(ring_xyz, poly_to_string(f)) == f
+
+
+# -- parser against the recursive-descent reference ---------------------------
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*^()]))")
+
+
+def _parse_reference(ring, text, line=0):
+    """The token-tuple recursive-descent parser that the flat reader replaced.
+
+    Its terms, messages, lines and columns are the ones the reader must
+    keep, except the column of an unexpected character after a blank: it
+    names the blank.
+    """
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            break
+        pos = m.end()
+        if m.group(1):
+            tokens.append(("int", m.group(1), m.start(1) + 1))
+        elif m.group(2):
+            tokens.append(("name", m.group(2), m.start(2) + 1))
+        else:
+            op = "^" if m.group(3) == "**" else m.group(3)
+            tokens.append(("op", op, m.start(3) + 1))
+    tokens.append(("end", "", len(text) + 1))
+    idx = [0]
+    p = ring.field.p
+    w = ring.width
+    cap = ring.cap
+    slot = {name: i for i, name in enumerate(ring.names)}
+
+    def as_poly(f):
+        if isinstance(f, Polynomial):
+            return f
+        c, ev, _ = f
+        if not c:
+            return ring.zero()
+        return Polynomial(ring, ((ring.key_of_evec(ev), ev, c),))
+
+    def peek():
+        return tokens[idx[0]]
+
+    def advance():
+        t = tokens[idx[0]]
+        idx[0] += 1
+        return t
+
+    def parse_atom():
+        kind, val, col = peek()
+        if kind == "int":
+            advance()
+            return (int(val) % p, 0, 0)
+        if kind == "name":
+            advance()
+            i = slot.get(val)
+            if i is None:
+                raise ParseError(f"unknown identifier {val!r}", line, col)
+            return (1, 1 << (i * w), 1)
+        if kind == "op" and val == "(":
+            advance()
+            e = parse_expr()
+            k2, v2, c2 = peek()
+            if k2 != "op" or v2 != ")":
+                raise ParseError("expected ')'", line, c2)
+            advance()
+            return e
+        raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+
+    def parse_power():
+        base = parse_atom()
+        kind, val, col = peek()
+        if kind == "op" and val == "^":
+            advance()
+            k2, v2, c2 = peek()
+            if k2 != "int":
+                raise ParseError("exponent must be an integer literal", line, c2)
+            advance()
+            e = int(v2)
+            if not isinstance(base, Polynomial):
+                c, ev, deg = base
+                if e == 0:
+                    return (1, 0, 0)
+                if not c:
+                    return base
+                if deg * e <= cap:
+                    return (pow(c, e, p), ev * e, deg * e)
+            return as_poly(base) ** e
+        return base
+
+    def parse_factor():
+        f = parse_power()
+        while True:
+            kind, val, col = peek()
+            if kind == "op" and val == "*":
+                advance()
+                g = parse_power()
+                if isinstance(f, Polynomial) or isinstance(g, Polynomial):
+                    f = as_poly(f) * as_poly(g)
+                    continue
+                c = f[0] * g[0] % p
+                if not c:
+                    f = (0, 0, 0)
+                elif f[2] + g[2] <= cap:
+                    f = (c, f[1] + g[1], f[2] + g[2])
+                else:
+                    f = as_poly(f) * as_poly(g)
+            elif kind in ("int", "name") or (kind == "op" and val == "("):
+                raise ParseError("implicit multiplication is not accepted", line, col)
+            else:
+                return f
+
+    def parse_expr():
+        acc = {}
+
+        def add(f, sign):
+            if isinstance(f, Polynomial):
+                for _, ev, c in f.terms:
+                    acc[ev] = acc.get(ev, 0) + sign * c
+            else:
+                acc[f[1]] = acc.get(f[1], 0) + sign * f[0]
+
+        sign = 1
+        kind, val, _ = peek()
+        while True:
+            if kind == "op" and val in "+-":
+                advance()
+                sign = 1 if val == "+" else -1
+            add(parse_factor(), sign)
+            kind, val, _ = peek()
+            if kind != "op" or val not in "+-":
+                return ring._from_dict({ev: c % p for ev, c in acc.items()})
+
+    result = parse_expr()
+    kind, val, col = peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {val!r}", line, col)
+    return result
+
+
+_PARSE_PRIMES = (5, 65521, 2**31 - 1)
+_BLANKS = ("", "", " ", " ", "  ", "\t")
+
+
+def _random_expression(rng, names, p, depth=0):
+    """A random sum in the parser's grammar, with uneven spacing."""
+    def gap():
+        return rng.choice(_BLANKS)
+
+    parts = []
+    for k in range(rng.randint(1, 4)):
+        if k:
+            parts.append(gap() + rng.choice("+-") + gap())
+        elif rng.random() < 0.3:
+            parts.append(rng.choice("+-") + gap())
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if r < 0.35:
+                atom = rng.choice(names)
+            elif r < 0.7:
+                # literals below p, at p and multiples, and far above
+                atom = str(rng.choice([rng.randrange(p), p, 2 * p + rng.randrange(p),
+                                       rng.randrange(10**12)]))
+            elif depth < 2:
+                atom = "(" + gap() + _random_expression(rng, names, p, depth + 1) + gap() + ")"
+            else:
+                atom = rng.choice(names)
+            if rng.random() < 0.35:
+                atom += gap() + rng.choice(("^", "**")) + gap() + str(rng.randrange(4))
+            factors.append(atom)
+        parts.append((gap() + "*" + gap()).join(factors))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("p", _PARSE_PRIMES)
+def test_parse_matches_reference_on_random_expressions(p):
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(p)
+    for _ in range(300):
+        text = rng.choice(_BLANKS) + _random_expression(rng, ring.names, p) + rng.choice(_BLANKS)
+        assert parse_polynomial(ring, text).terms == _parse_reference(ring, text).terms, text
+
+
+def test_parse_matches_reference_on_fixed_shapes():
+    ring = PolyRing(PrimeField(7), ("x", "y"))
+    for text in ["x^0", "(x + y)^0", "(x + 1)^3", "(x - y)**2*(x + 1)", "((x))", "-(x - 1)",
+                 "+x", "0*x^200*y^200", "0^0", "7*x + 14", "x**2",
+                 "(0)^0", "(x^100)^2*y^55", "x^255"]:
+        assert parse_polynomial(ring, text).terms == _parse_reference(ring, text).terms, text
+
+
+def _outcome(parse, ring, text):
+    try:
+        parse(ring, text, 7)
+    except (ParseError, DegreeOverflow) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    raise AssertionError(f"{text!r} parsed")
+
+
+@pytest.mark.parametrize("text", [
+    "2x", "x y", "(x)(y)", "x (y)", "2 3", "x^", "x^y", "x^-1", "x^(2)", "(x + 1", "x )",
+    "x - -1", "x*-1", "", "   ", "q + 1", "x + q^y", "x**", "x**2**3", "x^2^3", "x + **2",
+    "x +", "*x", "()", "x^300", "x^200*y^100", "(x + 1)^300", "(x + y)^200*x^100",
+    "x$", "(x$", "x^300+$", "x^y$", "q+$", "é", "x²",
+    # int() refuses a literal this long on Python >= 3.11; the stray wins
+    pytest.param("9" * 5000 + "$", id="long-literal-then-stray"),
+])
+def test_parse_errors_match_reference(text):
+    ring = PolyRing(PrimeField(65521), ("x", "y"))
+    assert _outcome(parse_polynomial, ring, text) == _outcome(_parse_reference, ring, text)
+
+
+@pytest.mark.parametrize("blank", [" ", "\t"])
+def test_parse_error_names_the_unexpected_character(blank):
+    ring = PolyRing(PrimeField(7), ("x0", "x1"))
+    text = f"x0 +{blank}$"
+    # the reference reported the blank before the character
+    assert _outcome(_parse_reference, ring, text)[1:] == (
+        f"line 7, col 5: unexpected character {blank!r}", 7, 5)
+    assert _outcome(parse_polynomial, ring, text)[1:] == (
+        "line 7, col 6: unexpected character '$'", 7, 6)
+
+
+def test_parse_columns_add_the_indentation(ring_xy):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(ring_xy, "x + q", line=2, indent=3)
+    assert (exc.value.line, exc.value.col) == (2, 8)
+    assert str(exc.value) == "line 2, col 8: unknown identifier 'q'"
 
 
 # -- random affine forms -------------------------------------------------------

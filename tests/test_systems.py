@@ -85,6 +85,58 @@ def test_error_carries_line_number():
         raise AssertionError("expected a parse error")
 
 
+@pytest.mark.parametrize("indented, col", [
+    ("   x + q", 8),           # three blanks before the source
+    ("\tx + q  # note", 6),   # a tab, and a trailing comment
+    ("x + q", 5),
+])
+def test_error_column_counts_from_the_raw_line(indented, col):
+    with pytest.raises(ParseError) as exc:
+        parse_system(f"vars x\n{indented}\n")
+    assert (exc.value.line, exc.value.col) == (2, col)
+    assert str(exc.value) == f"line 2, col {col}: unknown identifier 'q'"
+
+
+def test_header_error_columns_count_from_the_raw_line():
+    with pytest.raises(ParseError) as exc:
+        parse_system("  vars x, 1y\n")
+    assert (exc.value.line, exc.value.col) == (1, 11)
+    with pytest.raises(ParseError) as exc:
+        parse_system("vars x\n\tchar 6\nx\n")
+    assert (exc.value.line, exc.value.col) == (2, 7)
+
+
+# blank lines, comment-only lines, CRLF endings and a duplicated
+# polynomial line; each "@" marks a slot for a bad source
+_LINE_TEMPLATE = [
+    "# a system with gaps",
+    "",
+    "vars x, y",
+    "   # comment only",
+    "char 7",
+    "",
+    "@x + y",
+    "@x + y",
+    "# between",
+    "  @x*y - 1   # trailing comment",
+    "",
+    "@y^2",
+]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_error_line_numbers(eol):
+    slots = [k for k, ln in enumerate(_LINE_TEMPLATE) if "@" in ln]
+    good = eol.join(ln.replace("@", "") for ln in _LINE_TEMPLATE) + eol
+    assert parse_system(good).sources == ("x + y", "x + y", "x*y - 1", "y^2")
+    for k in slots:
+        lines = [ln.replace("@", "q + " if j == k else "") for j, ln in enumerate(_LINE_TEMPLATE)]
+        with pytest.raises(ParseError) as exc:
+            parse_system(eol.join(lines) + eol)
+        assert exc.value.line == k + 1
+        assert exc.value.col == _LINE_TEMPLATE[k].index("@") + 1
+
+
 # -- gen_ps -------------------------------------------------------------------------
 
 def test_gen_ps_shape():
