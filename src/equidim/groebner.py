@@ -54,13 +54,20 @@ step finds no syzygy or reaches {1}.  The chain is cheaper than
 eliminating t from I + <t*g - 1>: over the saturations of one
 families-gb benchmark pass the elimination took about 1.8 times as long.
 
-Polynomials are reduced by the heap kernel ``_reduce_terms``.  The
-exact linear algebra mod p is one core of two routines: ``_rref``, the
-package's one echelon routine, and ``_matmul``, matrix products that
-are exact on float64 BLAS for every p < 2^31.  Every echelon in
-``zerodim`` and in the F4 rounds goes through ``_rref``, and
-``_f4_round`` reduces its rows by its pivot rows as a block triangular
-solve of ``_matmul`` products before the rest goes to ``_rref``.
+Polynomials are reduced one at a time by the heap kernel
+``_reduce_terms``, and many at once by ``_block_reduce``.  The exact
+linear algebra mod p is one core of three routines: ``_rref``, the
+package's one echelon routine; ``_matmul``, matrix products that are
+exact on float64 BLAS for every p < 2^31; and ``_block_reduce``, one
+Macaulay matrix of shifted rows built by symbolic preprocessing and
+reduced by a block triangular solve of ``_matmul`` products
+(Faugere-Lachartre).  The block elimination has two callers.
+``_f4_round`` passes the S-pair rows of one F4 degree, with one of
+them per lcm as a given pivot row, and sends what is left on the free
+columns to ``_rref``.  ``zerodim.low_degree_colon`` passes the new
+Macaulay columns of one degree of its separator search, and each row
+it gets back is that column's normal form.  Every echelon in
+``zerodim`` and in the F4 rounds goes through ``_rref``.
 
 The heap kernel holds plain negated order keys in its heap and sums
 coefficients by key as plain integers, reducing one mod p only when its
@@ -68,11 +75,12 @@ key is popped; it returns the remainder's terms in the order it pops
 them, strictly descending, so its callers build a ``Polynomial`` from
 them with no sort.  Every reduction modulo a fixed basis
 (``normal_form``, the P part of ``_sig_step`` and of its cofactors, the
-columns of ``zerodim.low_degree_colon``) looks the divisor of a monomial
-up in the basis's divisor memo, which maps each monomial met to its
-first dividing reducer (or to none) and is filled on first use.  The
-memo is filled by ``_first_divisor``, a scan of the reducers ascending
-by lead key that stops at the first lead above the monomial.
+symbolic preprocessing of ``zerodim.low_degree_colon``'s columns) looks
+the divisor of a monomial up in the basis's divisor memo, which maps
+each monomial met to its first dividing reducer (or to none) and is
+filled on first use.  The memo is filled by ``_first_divisor``, a scan
+of the reducers ascending by lead key that stops at the first lead
+above the monomial.
 ``_interreduce`` uses the same memo and scan to find out whether a tail
 holds a term some lead divides, and sends only such a tail through the
 kernel: any other tail would come back unchanged.  On top of them:
@@ -95,10 +103,11 @@ produced the basis {1} is returned, since empty cells arise constantly
 during decomposition.
 
 Inside ``memo_scope()`` (one ``decomp.equidim`` call) ``groebner_of``,
-``extend_basis`` and the saturation shared by ``saturate`` and
-``radical_member`` are computed once per distinct input value; the
-memo is dropped when the scope ends, and it cannot change a result
-because a reduced basis is unique for its ideal and order.
+``extend_basis``, the saturation shared by ``saturate`` and
+``radical_member``, and ``zerodim.quotient`` are computed once per
+distinct input value; the memo is dropped when the scope ends, and it
+cannot change a result because a reduced basis is unique for its ideal
+and order, and a quotient is a function of its basis.
 """
 
 from __future__ import annotations
@@ -107,7 +116,7 @@ from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -123,7 +132,7 @@ class GroebnerBasis:
     equality.  The empty tuple represents the zero ideal.
     """
 
-    __slots__ = ("ring", "gens", "_reducers", "_divisors", "_quotient", "_hilbert")
+    __slots__ = ("ring", "gens", "_reducers", "_divisors", "_quotient", "_hilbert", "_hash")
 
     def __init__(self, ring: PolyRing, gens: tuple[Polynomial, ...]):
         self.ring = ring
@@ -134,6 +143,7 @@ class GroebnerBasis:
         self._divisors: dict = {}
         self._quotient = None  # zero-dimensional structure, filled lazily
         self._hilbert = None  # (dimension, degree), filled by hilbert_dim_degree
+        self._hash = None  # filled on first use: memo keys hash a basis often
 
     @property
     def is_unit(self) -> bool:
@@ -170,7 +180,9 @@ class GroebnerBasis:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.names, self.gens))
+        if self._hash is None:
+            self._hash = hash((self.ring.names, self.gens))
+        return self._hash
 
     def __repr__(self) -> str:
         return "GB{" + ", ".join(map(str, self.gens)) + "}"
@@ -445,28 +457,15 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
               batch: list[tuple[int, int, int, int, int]]) -> list[Polynomial]:
     """New monic basis elements from one degree's S-pairs, by one Macaulay matrix.
 
-    Rows are multiples m * g of the monic generators, so a pivot row
-    clears its lead column with one multiple.  Both halves of every pair
-    enter; symbolic preprocessing adds, for every monomial divisible
-    by a lead, one reducer row with that lead.  The rows with distinct
-    leads are the pivot rows, and the other rows are reduced by them as
-    one block elimination (Faugere-Lachartre, PASCO 2010).  In the
-    matrix [A B; C D] the pivot rows come first, A on their lead columns
-    and B on the free columns, the monomials no lead divides; [C D] are
-    the rows to reduce.  A = I + N is unit upper triangular, since every
-    pivot row is monic with its other terms right of its lead.  X A = C
-    is solved one level at a time, where a pivot row's level is one
-    above the highest level among the pivot rows with a term on its
-    lead column, so each level is one ``_matmul``.  D - X B is what the
-    rows leave on the free columns, and its echelon form gives the new
-    elements, reduced by the basis and by each other.
+    Rows are multiples m * g of the monic generators.  Both halves of
+    every pair enter, and the first row with each lcm is that lead's
+    pivot row; the others are reduced by ``_block_reduce``, whose
+    symbolic preprocessing adds the reducer rows.  The echelon form of
+    what they leave on the free columns gives the new elements, reduced
+    by the basis and by each other.
     """
-    p = ring.field.p
-    guard = ring._evec_guard
-    by_lead = {g.terms[0][1]: g for g in gens}
-    rest: list[tuple[Polynomial, int, int]] = []  # (g, dev, dk): the row m * g
-    rows: list[tuple[Polynomial, int, int]] = []  # the pivot rows
-    pivots = set()  # their leads
+    pivots: dict[int, tuple] = {}  # lcm -> its pivot row
+    rest: list[tuple] = []  # (terms, dev, dk): the row x^dev * g
     seen: set[tuple[int, int]] = set()
     for _, lk, i, j, le in batch:
         for g in (gens[i], gens[j]):
@@ -474,15 +473,61 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
             if (ge, le) in seen:
                 continue
             seen.add((ge, le))
-            row = (g, le - ge, lk - gk)
+            row = (g.terms, le - ge, lk - gk)
             if le in pivots:
                 rest.append(row)
             else:
-                pivots.add(le)
-                rows.append(row)
+                pivots[le] = row
     if not rest:
         return []
-    rows = rest + rows  # preprocessing appends more pivot rows
+    E, mons = _block_reduce(ring, rest, reducers, pivots=list(pivots.values()))
+    R, _ = _rref(E, ring.field.p)
+    return [Polynomial(ring, _row_terms(row, mons)) for row in R]
+
+
+def _block_reduce(ring: PolyRing, rows, reducers, divisors: dict | None = None,
+                  pivots=()) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Rows reduced by reducer multiples as one Macaulay matrix.
+
+    A row is (terms, dev, dk): the polynomial with those (key, evec,
+    coeff) terms, a ``Polynomial``'s (distinct monomials, coefficients
+    in [1, p)), times the monomial of evec dev and key dk.  ``pivots``
+    are rows with monic, distinct leads, taken as pivot rows as they
+    are.  Symbolic preprocessing gives every other monomial met that a
+    lead of ``reducers`` divides one pivot row, a multiple of its first
+    dividing reducer in ascending lead key (``_first_divisor``, through
+    the memo ``divisors`` when given), so the free columns are the
+    monomials no lead divides.  The rows are then reduced as one block
+    elimination (Faugere-Lachartre, PASCO 2010).  In the matrix
+    [A B; C D] the pivot rows come first, A on their lead columns and B
+    on the free columns; [C D] are ``rows``.  A = I + N is unit upper
+    triangular, since every pivot row is monic with its other terms
+    right of its lead.  X A = C is solved one level at a time, where a
+    pivot row's level is one above the highest level among the pivot
+    rows with a term on its lead column, so each level is one
+    ``_matmul``.
+
+    Returns D - X B, row i being ``rows[i]`` minus multiples of pivot
+    rows, on the free columns, and those columns' (key, evec), in
+    descending order.  With ``pivots`` empty, row i is the normal form of
+    ``rows[i]`` modulo the reducers' basis.
+    """
+    p = ring.field.p
+    guard = ring._evec_guard
+    memo = {} if divisors is None else divisors
+    memo_get = memo.get
+    # id of a row's terms or of a reducer -> (terms, offset, evecs, coeffs),
+    # the key of term i being terms[i - offset][0]; a reducer row's lead
+    # is the monomial that called for it, so its key is never read
+    split: dict[int, tuple] = {}
+    table = []  # (split entry, dev, dk), row by row
+    for t, dev, dk in (*rows, *pivots):
+        hit = split.get(id(t))
+        if hit is None:
+            hit = split[id(t)] = (t, 0, [ev for _, ev, _ in t], [c for _, _, c in t])
+        table.append((hit, dev, dk))
+    nrest = len(rows)
+    leads = {t[0][1] + dev for t, dev, _ in pivots}
 
     # symbolic preprocessing: every monomial met gets a number, and a
     # pivot row when some lead divides it; the rows' terms are recorded
@@ -491,39 +536,43 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
     number: dict[int, int] = {}
     terms: list[int] = []
     coeffs: list[int] = []
-    cache: dict[int, tuple[list[int], list[int]]] = {}  # lead -> (evecs, coeffs)
-    for g, dev, dk in rows:  # rows grows as pivot rows are added
-        hit = cache.get(g.terms[0][1])
-        if hit is None:
-            hit = cache[g.terms[0][1]] = ([ev for _, ev, _ in g.terms],
-                                          [c for _, _, c in g.terms])
-        evs = [ev + dev for ev in hit[0]]
+    for (kt, off, evecs, cs), dev, dk in table:  # table grows as pivot rows are added
+        evs = [ev + dev for ev in evecs]
         ts = list(map(number.get, evs))
         i = -1
         for _ in range(ts.count(None)):
             i = ts.index(None, i + 1)
-            ev, k = evs[i], g.terms[i][0] + dk
+            ev, k = evs[i], kt[i - off][0] + dk
             ts[i] = number[ev] = len(found)
             found.append((k, ev))
-            if ev not in pivots:
-                red = _first_divisor(reducers, guard, k, ev)
+            if ev not in leads:
+                red = memo_get(ev, _UNSEEN)
+                if red is _UNSEEN:
+                    red = _first_divisor(reducers, guard, k, ev)
+                    if divisors is not None:
+                        memo[ev] = red
                 if red is not None:
-                    pivots.add(ev)
-                    rows.append((by_lead[red[1]], ev - red[1], k - red[0]))
+                    leads.add(ev)
+                    hit = split.get(id(red))
+                    if hit is None:
+                        tail = red[2]
+                        hit = split[id(red)] = (tail, 1, [red[1]] + [e for _, e, _ in tail],
+                                                [1] + [c for _, _, c in tail])
+                    table.append((hit, ev - red[1], k - red[0]))
         terms += ts
-        coeffs += hit[1]
+        coeffs += cs
 
-    nrest, npiv, ncols = len(rest), len(rows) - len(rest), len(found)
+    npiv, ncols = len(table) - nrest, len(found)
     order = sorted(range(ncols), key=lambda t: found[t][0], reverse=True)
     col_of = np.empty(ncols, dtype=np.intp)  # columns by descending monomial
     col_of[order] = np.arange(ncols)
-    lengths = np.array([len(g.terms) for g, _, _ in rows], dtype=np.intp)
+    lengths = np.array([len(t[2]) for t, _, _ in table], dtype=np.intp)
     # the pivot row of each term, or a negative number in a row to reduce
     pivot_of = np.repeat(np.arange(-nrest, npiv), lengths)
     cols = col_of[np.array(terms, dtype=np.intp)]
-    leads = cols[(np.cumsum(lengths) - lengths)[nrest:]]
+    lead_cols = cols[(np.cumsum(lengths) - lengths)[nrest:]]
     slot = np.full(ncols, -1, dtype=np.intp)  # the pivot row of each lead column
-    slot[leads] = np.arange(npiv)
+    slot[lead_cols] = np.arange(npiv)
     # level of a pivot row: the longest chain of pivot rows, each with a
     # term on the next one's lead column, that ends at it; the chains
     # run to the right, so this settles in as many passes as the longest
@@ -545,7 +594,7 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
     row_at[nrest + by_level] = np.arange(npiv)
     row_at[:nrest] = np.arange(npiv, npiv + nrest)
     col_at = np.empty(ncols, dtype=np.intp)
-    col_at[leads[by_level]] = np.arange(npiv)
+    col_at[lead_cols[by_level]] = np.arange(npiv)
     col_at[free] = np.arange(npiv, ncols)
     M = np.zeros((npiv + nrest, ncols), dtype=np.int64)
     M[row_at[pivot_of + nrest], col_at[cols]] = coeffs
@@ -555,13 +604,13 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
     ends = np.cumsum(np.bincount(level)).tolist()
     for a, b in zip(ends, ends[1:]):
         C[:, a:b] = (C[:, a:b] - _matmul(C[:, :a], A[:a, a:b], p)) % p
-    R, _ = _rref((D - _matmul(C, B, p)) % p, p)
-    out = []
-    for row in R:
-        nz = np.flatnonzero(row)
-        out.append(Polynomial(ring, tuple(
-            (*found[order[c]], v) for c, v in zip(free[nz].tolist(), row[nz].tolist()))))
-    return out
+    return (D - _matmul(C, B, p)) % p, [found[order[c]] for c in free.tolist()]
+
+
+def _row_terms(row: np.ndarray, mons: list[tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """The (key, evec, coeff) terms of a row on the columns ``mons``."""
+    nz = np.flatnonzero(row)
+    return tuple((*mons[c], v) for c, v in zip(nz.tolist(), row[nz].tolist()))
 
 
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -842,7 +891,10 @@ def memo_scope() -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def _memoized(key: tuple, compute: Callable[[], GroebnerBasis]) -> GroebnerBasis:
+_T = TypeVar("_T")
+
+
+def _memoized(key: tuple, compute: Callable[[], _T]) -> _T:
     memo = _MEMO.get()
     if memo is None:
         return compute()

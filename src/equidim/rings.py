@@ -28,8 +28,21 @@ from typing import Iterable, Sequence
 from .gf import ContractViolation, PrimeField
 
 
-class DegreeOverflow(ContractViolation):
-    """A monomial product exceeded the ring's degree cap."""
+class _Located:
+    """An error that may name the 1-based line and column of its text."""
+
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        super().__init__(f"line {line}, col {col}: {message}" if line else message)
+        self.line = line
+        self.col = col
+
+
+class DegreeOverflow(_Located, ContractViolation):
+    """A monomial product exceeded the ring's degree cap.
+
+    Raised while reading text, it names the line and column of the
+    operator that passes the cap (see ``parse_polynomial``).
+    """
 
 
 class MonomialOrder:
@@ -544,13 +557,8 @@ def poly_to_string(f: Polynomial) -> str:
     return " + ".join(parts)
 
 
-class ParseError(ValueError):
+class ParseError(_Located, ValueError):
     """Syntax or validation error in polynomial/system text."""
-
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"line {line}, col {col}: {message}" if line else message)
-        self.line = line
-        self.col = col
 
 
 # One token per match: an integer literal, a name, an operator, or any
@@ -565,9 +573,24 @@ _OPERATORS = frozenset(("+", "-", "*", "**", "^", "(", ")"))
 class _Unread(Exception):
     """The token index where reading stopped, and why."""
 
+    error = ParseError
+
+
+class _TooHigh(_Unread):
+    """The token index of an operator whose result passes the cap, and why."""
+
+    error = DegreeOverflow
+
 
 def _shown(token: str) -> str:
     return "^" if token == "**" else token
+
+
+def _degree(f) -> int:
+    """Degree of a read term or Polynomial; 0 for zero, which no product raises."""
+    if isinstance(f, Polynomial):
+        return max(f.total_degree(), 0)
+    return f[2]
 
 
 def _as_poly(ring: PolyRing, f) -> Polynomial:
@@ -593,13 +616,18 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0, indent: int = 0) 
     ``x - -1`` and ``x*-1`` are rejected.  Integer literals are reduced
     mod p, exponents are integer literals, and a name must be one of the
     ring's variables.  Implicit multiplication
-    (``2x``, ``x y``, ``(x)(y)``) is rejected.  A monomial of degree
-    above the ring's cap raises ``DegreeOverflow``.
+    (``2x``, ``x y``, ``(x)(y)``) is rejected.  A power or product of
+    degree above the ring's cap raises ``DegreeOverflow``; its message
+    names the degree the text asks for, and its column is that of the
+    ``^`` (or ``**``) or ``*`` whose result would pass the cap, so
+    ``x^200*y^100`` names 300 at the ``*``.  A zero factor counts as
+    degree 0, so ``0*x^200*y^200`` is zero.
 
-    Errors are ``ParseError`` with ``line`` and a 1-based column; a
-    character outside the grammar is reported before any other error on
-    the line.  ``indent`` is the width of the text cut from the front of
-    the raw line, so that columns count from the raw line.
+    Other errors are ``ParseError``.  Both carry ``line`` and a 1-based
+    ``col``; a character outside the grammar is reported before any
+    other error on the line.  ``indent`` is the width of the text cut
+    from the front of the raw line, so that columns count from the raw
+    line.
     """
     toks = _TOKEN.findall(text)
     toks.append("")  # end of input
@@ -611,8 +639,8 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0, indent: int = 0) 
     # A product of atoms stays one term (coeff, evec, degree), with the
     # coefficient reduced mod p, and a sum gathers terms in one dict.  A
     # parenthesised sum is a Polynomial, and so is every product it
-    # enters; a term whose degree would pass the cap is turned into a
-    # Polynomial too, so that the operation raises DegreeOverflow.
+    # enters.  Degrees are checked against the cap before each power
+    # and product, so no Polynomial operation passes it.
 
     def read_sum(i: int) -> tuple[Polynomial, int]:
         """The sum that starts at toks[i], and the index after it."""
@@ -646,16 +674,17 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0, indent: int = 0) 
                     e = toks[i + 1]
                     if not e.isdecimal():
                         raise _Unread(i + 1, "exponent must be an integer literal")
-                    i += 2
                     e = int(e)
+                    degree = _degree(a) * e
+                    if degree > cap:
+                        raise _TooHigh(i, f"degree {degree} exceeds cap {cap}")
+                    i += 2
                     if isinstance(a, Polynomial):
                         a = a ** e
                     elif e == 0:
                         a = (1, 0, 0)
-                    elif a[0] and a[2] * e <= cap:
-                        a = (pow(a[0], e, p), a[1] * e, a[2] * e)
                     elif a[0]:
-                        a = _as_poly(ring, a) ** e
+                        a = (pow(a[0], e, p), a[1] * e, a[2] * e)
                     t = toks[i]
                 if f is None:
                     f = a
@@ -663,9 +692,13 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0, indent: int = 0) 
                     c = f[0] * a[0] % p
                     f = (c, f[1] + a[1], f[2] + a[2]) if c else (0, 0, 0)
                 else:
+                    degree = _degree(f) + _degree(a)
+                    if degree > cap:
+                        raise _TooHigh(star, f"degree {degree} exceeds cap {cap}")
                     f = _as_poly(ring, f) * _as_poly(ring, a)
                 if t != "*":
                     break
+                star = i
                 i += 1
             if isinstance(f, Polynomial):
                 for _, ev, c in f.terms:
@@ -682,7 +715,7 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0, indent: int = 0) 
         if toks[i]:
             raise _Unread(i, f"trailing input {_shown(toks[i])!r}")
         return f
-    except (_Unread, DegreeOverflow, ValueError) as exc:
+    except (_Unread, ValueError) as exc:
         # a stray character is the line's error, whatever stopped the
         # read (an int() of too many digits raises ValueError)
         stray = _STRAY.search(text)
@@ -694,7 +727,7 @@ def parse_polynomial(ring: PolyRing, text: str, line: int = 0, indent: int = 0) 
         index, message = exc.args
         col = next((m.start() for j, m in enumerate(_TOKEN.finditer(text)) if j == index),
                    len(text))
-        raise ParseError(message, line, indent + col + 1) from None
+        raise exc.error(message, line, indent + col + 1) from None
 
 
 def random_affine_forms(ring: PolyRing, count: int, rng) -> list[Polynomial]:

@@ -22,10 +22,11 @@ between tokens::
 ``**`` is a synonym for ``^``.  A sign may only start a sum, so
 ``x - -1`` is rejected; write ``x + 1``.  Integer literals are reduced
 mod p, and exponents are integer literals.  Implicit multiplication
-(``2x``, ``x y``, ``(x)(y)``) is rejected.  A monomial of degree above
-the ring's cap (255) raises ``DegreeOverflow``.
+(``2x``, ``x y``, ``(x)(y)``) is rejected.  A power or product of degree
+above the ring's cap (255) raises ``DegreeOverflow``, at the column of
+its ``^`` or ``*``.
 
-Other errors are ``ParseError`` with a 1-based line and column.  Lines
+Other errors are ``ParseError``.  Both carry a 1-based line and column.  Lines
 count as ``str.splitlines`` does, so CRLF endings are one line break.
 Columns count characters from the start of the raw line, indentation
 included, and a character outside the grammar is reported before any

@@ -31,7 +31,12 @@ matrix whose columns are the normal forms NF(m * f^k) of the monomials
 m of degree <= MAX_DEG; a kernel vector a has a * f^k in <W>, so NF(a)
 is a candidate unless it is zero.  The column of m = x_i * m' is
 NF(x_i * NF(m' * f^k)), the parent column's terms shifted by one
-variable (packed exponents and order keys both add) and reduced once.
+variable (packed exponents and order keys both add).  All of one
+degree's new columns are reduced together, as the rows of one
+``groebner._block_reduce``: its symbolic preprocessing gives every
+monomial a lead divides one reducer row (through the basis's divisor
+memo), and its block elimination leaves each row on the free columns,
+the standard monomials, so each row is its column's normal form.
 At each degree ``_rref`` echelonises the earlier degrees' pivot
 columns together with the new columns; every earlier free column lies
 in the span of those pivots, so leaving it out changes neither the
@@ -40,10 +45,16 @@ the kernel vector m_c - sum_i R[i, c] * m_(piv_i); the free columns of
 earlier degrees gave zero normal forms, or the search would have
 stopped there.
 
-Matrix products and row echelon forms come from ``groebner._matmul``
-and ``groebner._rref``, the linear-algebra core that the F4 rounds of
-``buchberger`` share.  Every product is exact on float64 BLAS, split
-into 16-bit limbs where one float64 product could round.
+Matrix products, row echelon forms and the block elimination come from
+``groebner._matmul``, ``groebner._rref`` and ``groebner._block_reduce``,
+the linear-algebra core that the F4 rounds of ``buchberger`` share.
+Every product is exact on float64 BLAS, split into 16-bit limbs where
+one float64 product could round.
+
+Within one ``memo_scope`` (one ``decomp.equidim`` call) a quotient is
+built once per basis value: equal bases reached as separate objects,
+such as one slice saturated by several polynomials, share one
+``QuotientStructure`` and its saturation memo.
 """
 
 from __future__ import annotations
@@ -55,8 +66,8 @@ import numpy as np
 from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
-    GroebnerBasis, _matmul, _matvec, _reduce_terms, _rref, extend_basis,
-    standard_monomials,
+    GroebnerBasis, _block_reduce, _matmul, _matvec, _memoized, _reduce_terms, _row_terms, _rref,
+    extend_basis, standard_monomials,
 )
 
 
@@ -181,6 +192,11 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
     de-duplicated (first occurrence kept); empty if no candidate exists
     within the bounds.  This is a sound candidate source, never a
     complete saturation.
+
+    Each degree's new columns NF(x_i * NF(m' * f^k)) are computed
+    together, as one ``_block_reduce`` through the basis's divisor memo;
+    normal forms modulo a reduced basis are unique, so this gives the
+    columns that reducing each one alone would.
     """
     ring = basis.ring
     p = ring.field.p
@@ -190,18 +206,20 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
         raise ContractViolation("polynomials from different rings")
     if basis.is_zero_ideal:
         return []  # R is a domain: a * f^k = 0 forces a = 0
-    reduce = basis.reduce_terms
+    reducers, divisors = basis.reducers(), basis._divisors
     w = ring.width
     shifts = [(ring.key_of_evec(1 << (i * w)), 1 << (i * w)) for i in range(ring.nvars)]
     fk = f
     for k in range(1, MAX_POWER + 1):
         fdeg = fk.total_degree()
-        # a-monomials (key, evec) in degree-by-degree order and their
-        # Macaulay columns NF(m * f^k), as (key, evec, coeff) terms; the
-        # frontier keeps the last degree's, for the next degree's shifts
+        # a-monomials (key, evec) in degree-by-degree order; one degree's
+        # new Macaulay columns NF(m * f^k) are the rows of one
+        # _block_reduce, and the frontier keeps the last degree's as
+        # (key, evec, coeff) terms, for the next degree's shifts; degree
+        # 1 also takes the column of m = 1, and shifts f^k itself
         monos = [(0, 0)]
-        cols = [reduce(fk.terms)]
-        frontier = [(0, 0, cols[0])]
+        batch = [(fk.terms, 0, 0)]  # (terms, dev, dk): this degree's columns
+        frontier = [(0, 0, fk.terms)]
         seen = {0}
         rows: dict[int, int] = {}  # evec -> row of the Macaulay matrix
         first = 0  # columns before it were tried at an earlier degree
@@ -210,56 +228,61 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
         for d in range(1, MAX_DEG + 1):
             if d + fdeg > ring.cap:
                 raise DegreeOverflow(f"product degree {d + fdeg} exceeds cap {ring.cap}")
-            nxt = []
+            start = len(monos)
             for mk, mev, col in frontier:
                 for dk, dev in shifts:
                     ev = mev + dev
-                    if ev in seen:
-                        continue
-                    seen.add(ev)
-                    # NF(x_i * m' * f^k) = NF(x_i * NF(m' * f^k))
-                    nxt.append((mk + dk, ev, reduce(
-                        [(tk + dk, tev + dev, c) for tk, tev, c in col])))
-            frontier = nxt
-            monos += [(mk, ev) for mk, ev, _ in nxt]
-            cols += [col for _, _, col in nxt]
-            for col in cols[first:]:
-                for _, tev, _ in col:
-                    rows.setdefault(tev, len(rows))
-            idx = basic + list(range(first, len(cols)))  # A's columns among cols
-            A = np.pad(A, ((0, len(rows) - A.shape[0]), (0, len(cols) - first)))
-            for j, col in enumerate(cols[first:], len(basic)):
-                for _, tev, c in col:
-                    A[rows[tev], j] = c
+                    if ev not in seen:
+                        seen.add(ev)
+                        monos.append((mk + dk, ev))
+                        # NF(x_i * m' * f^k) = NF(x_i * NF(m' * f^k))
+                        batch.append((col, dev, dk))
+            E, mons = _block_reduce(ring, batch, reducers, divisors)
+            fresh = monos[start:]
+            frontier = [(*m, _row_terms(row, mons))
+                        for m, row in zip(fresh, E[len(E) - len(fresh):])]
+            used = np.flatnonzero(E.any(axis=0))  # the free columns some row meets
+            at = np.array([rows.setdefault(mons[c][1], len(rows)) for c in used.tolist()],
+                          dtype=np.intp)
+            idx = basic + list(range(first, len(monos)))  # A's columns among monos
+            A = np.pad(A, ((0, len(rows) - A.shape[0]), (0, len(batch))))
+            A[at, len(basic):] = E[:, used].T
             R, piv = _rref(A, p)
             pivset = set(piv)
             out: list[Polynomial] = []
             for c in range(len(basic), len(idx)):
                 if c in pivset:
                     continue
-                a = np.zeros(len(cols), dtype=np.int64)
+                a = np.zeros(len(monos), dtype=np.int64)
                 a[idx[c]] = 1
                 a[[idx[i] for i in piv]] = -R[:, c] % p
-                nf = reduce([(*monos[i], int(a[i])) for i in np.flatnonzero(a)])
+                nf = basis.reduce_terms([(*monos[i], int(a[i])) for i in np.flatnonzero(a)])
                 if nf:
                     h = Polynomial(ring, tuple(nf)).monic()
                     if h not in out:
                         out.append(h)
             if out:
                 return out
-            first = len(cols)
+            first = len(monos)
             basic = [idx[i] for i in piv]
             A = A[:, piv]
+            batch = []
         fk = fk * f
     return []
 
 
 def quotient(basis: GroebnerBasis) -> QuotientStructure:
-    """Build (or fetch the cached) quotient structure of a basis."""
-    q = getattr(basis, "_quotient", None)
+    """Build (or fetch the cached) quotient structure of a basis.
+
+    The structure is kept on the basis and, inside ``memo_scope``, under
+    the basis's value (its ring and generators): an equal basis built as
+    another object gets the same structure, with its ``saturated`` memo.  A
+    quotient is a function of the basis value, so sharing it cannot
+    change a result; the structure holds no reference to any basis.
+    """
+    q = basis._quotient
     if q is None:
-        q = QuotientStructure(basis)
-        basis._quotient = q
+        q = basis._quotient = _memoized(("quotient", basis), lambda: QuotientStructure(basis))
     return q
 
 

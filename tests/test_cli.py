@@ -112,6 +112,13 @@ def test_run_reports_line_and_column_of_bad_character(monkeypatch, blank):
     assert err == "error: line 4, col 6: unexpected character '$'\n"
 
 
+def test_run_reports_line_column_and_degree_of_an_overflow(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("vars x\nx + 1\nx^300 - 1\n"))
+    code, out, err = run_cli(["run", "-"])
+    assert code == 1 and out == ""
+    assert err == "error: line 3, col 2: degree 300 exceeds cap 255\n"
+
+
 def test_run_bad_char_flag(tmp_path):
     path = tmp_path / "sys.txt"
     path.write_text("vars x\nx\n")

@@ -33,11 +33,13 @@ from equidim import (
 )
 from equidim import groebner
 from equidim.groebner import (
+    _block_reduce,
     _embed,
     _interreduce,
     _reduce_terms,
     _regular_at_infinity,
     _restrict_tfree,
+    _row_terms,
     _saturation,
     _sig_step,
     _spoly_terms,
@@ -404,6 +406,50 @@ def test_f4_round_matches_per_pivot_reference(p, monkeypatch):
     # rounds that leave new elements and rounds that reduce to zero,
     # some of them with many pairs
     assert seen["rounds"] > seen["zero"] > 0 and seen["deep"] > 0, seen
+
+
+@pytest.mark.parametrize("p", [5, 65521, 2**31 - 1])
+def test_block_reduce_rows_are_normal_forms(p):
+    """With no pivot rows given, each row _block_reduce returns is the
+    normal form of its input row on the free columns, the monomials no
+    lead divides.  The rows are random polynomials at random shifts, so
+    many rows share monomials; some are repeated, some are zero and some
+    are already reduced.  Half the calls fill the basis's divisor memo,
+    which must then hold what the heap kernel's scan would."""
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    rng = random.Random(p)
+    seen = {"zero": 0, "unchanged": 0, "reduced": 0}
+    for trial in range(40):
+        basis = groebner_of(ring, [random_poly(ring, rng, 4, 3) for _ in range(1 + trial % 3)])
+        if basis.is_unit:
+            continue
+        fresh = GroebnerBasis(ring, basis.gens)  # the reference's own memo
+        polys = [random_poly(ring, rng, 5, 3) for _ in range(6)]
+        polys += [normal_form(f, fresh) for f in polys[:2]] + [ring.zero()]
+        rows = []
+        for f in polys:
+            for _ in range(2):
+                ev = ring.pack_evec([rng.randrange(2) for _ in range(3)])
+                rows.append((f.terms, ev, ring.key_of_evec(ev)))
+        rows += rows[:3]
+        memo = basis._divisors if trial % 2 else None
+        E, mons = _block_reduce(ring, rows, basis.reducers(), memo)
+        assert E.shape == (len(rows), len(mons))
+        assert all(k > k2 for (k, _), (k2, _) in zip(mons, mons[1:]))
+        assert not any(ring.divides(lead, ev) for _, ev in mons for lead in basis.lead_evecs())
+        for (terms, dev, dk), row in zip(rows, E):
+            f = Polynomial(ring, tuple((k + dk, ev + dev, c) for k, ev, c in terms))
+            nf = Polynomial(ring, _row_terms(row, mons))
+            assert nf == normal_form(f, fresh), (basis, f)
+            seen["zero"] += nf.is_zero()
+            seen["unchanged"] += not f.is_zero() and nf == f
+            seen["reduced"] += nf != f
+        if memo is not None:
+            guard = ring._evec_guard
+            assert all(red is groebner._first_divisor(basis.reducers(), guard,
+                                                      ring.key_of_evec(ev), ev)
+                       for ev, red in memo.items())
+    assert all(seen.values()), seen
 
 
 def _rref_reference(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

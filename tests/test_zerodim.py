@@ -26,7 +26,7 @@ from equidim import (
     standard_monomials,
 )
 from equidim import ContractViolation, dimension, ideal_member
-from equidim.groebner import GroebnerBasis, _rref, extend_basis, normal_form
+from equidim.groebner import GroebnerBasis, _rref, extend_basis, memo_scope, normal_form
 from equidim.rings import DegreeOverflow
 from equidim import zerodim
 
@@ -167,6 +167,36 @@ def test_properness_memo_keyed_by_value(ring, first, monkeypatch):
             assert built == [(zerodim.quotient(gb), f)], (gb, f, built)
 
 
+def test_equal_bases_share_one_quotient_in_a_memo_scope(ring, monkeypatch):
+    # inside one decomposition, a basis value gets one quotient and one
+    # saturation memo, whichever object asks; outside, each builds its own
+    built = []
+    matrix_of = zerodim.QuotientStructure.matrix_of
+
+    def counted(q, f):
+        built.append((q, f))
+        return matrix_of(q, f)
+
+    monkeypatch.setattr(zerodim.QuotientStructure, "matrix_of", counted)
+    x, y, z = ring.gens()
+    gens = buchberger([x**2 * (x - 1), y - x, z**2 - 1]).gens
+    f, g = x - 1, -1 + x
+    assert f is not g and f == g
+    with memo_scope():
+        a, b = GroebnerBasis(ring, gens), GroebnerBasis(ring, gens)
+        q = zerodim.quotient(a)
+        assert zerodim.quotient(b) is q
+        sat = zerodim.saturation(a, f)
+        assert sat != a and not sat.is_unit
+        assert zerodim.saturation(b, g) is sat
+        assert built == [(q, f)]
+    built.clear()
+    c, d = GroebnerBasis(ring, gens), GroebnerBasis(ring, gens)
+    assert zerodim.quotient(c) is not zerodim.quotient(d)
+    assert zerodim.saturation(c, f) == zerodim.saturation(d, g) == sat
+    assert [h for _, h in built] == [f, g]
+
+
 @pytest.mark.parametrize("backend", ["gb", "witness"])
 def test_decomposition_leaves_no_reference_cycles(backend):
     # a quotient keeps its basis's reducers, not the basis, so every
@@ -264,7 +294,7 @@ def _colon_cases(ring, rng):
     yield buchberger([x**2, y**2, z**2]), x + y
 
 
-@pytest.mark.parametrize("p", [5, 7, 101, 65521])
+@pytest.mark.parametrize("p", [5, 7, 101, 65521, 2**31 - 1])
 def test_low_degree_colon_matches_reference(p):
     ring = PolyRing(PrimeField(p), ("x", "y", "z"))
     rng = random.Random(p)
@@ -283,7 +313,7 @@ def test_low_degree_colon_matches_reference(p):
     assert empty and found and repeats
 
 
-@pytest.mark.parametrize("p", [5, 7, 101, 65521])
+@pytest.mark.parametrize("p", [5, 7, 101, 65521, 2**31 - 1])
 def test_low_degree_colon_is_sound(p):
     ring = PolyRing(PrimeField(p), ("x", "y", "z"))
     rng = random.Random(1000 + p)
