@@ -19,6 +19,17 @@ Every query reads one saturation (W : f^inf), routed by ``_sat0``:
 new W.  ``is_proper`` keeps one method per backend, each measured the
 faster on its own workload.
 
+A gb cell asks many questions of one basis, so a one-dimensional I(X)
+whose last variable divides no lead first reads its points at infinity:
+``zerodim.at_infinity`` builds their zero-dimensional ideal W_inf once
+per basis value.  ``_sat_exact``, behind ``subtract`` and the
+saturations of ``intersect_proper`` and ``intersect_components``,
+returns I(X) itself when top(f) is a unit modulo W_inf, and otherwise
+starts the colon chain at once; ``rad_member`` answers False when top(f)
+is not nilpotent modulo W_inf.  Witness cells keep ``_sat0``: their
+positive-dimensional bases are each saturated once, so a W_inf built
+for them would not pay for itself.
+
 A witness slice is only valid when it is generic.  ``slices_generic``
 is the one rule that decides, from the equations and p alone, whether
 a slice may stand in for the exact basis: ``decomp.equidim`` runs the
@@ -43,6 +54,8 @@ from .gf import ContractViolation
 from .rings import PolyRing, Polynomial, random_affine_forms
 from .groebner import (
     GroebnerBasis,
+    _colon_saturation,
+    _top_form,
     dimension,
     extend_basis,
     groebner_of,
@@ -91,10 +104,26 @@ def _sat0(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     return saturate(basis, g)
 
 
-def _sat_chain(basis: GroebnerBasis, factors: Sequence[Polynomial]) -> GroebnerBasis:
-    """Successive saturation, routing each step by dimension."""
+def _sat_exact(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
+    """``_sat0`` on a gb cell's I(X), asking its points at infinity first.
+
+    Where ``zerodim.at_infinity`` gives W_inf, top(g) a unit modulo W_inf
+    certifies g a nonzerodivisor modulo I(X), and I(X) itself is the
+    answer.  Otherwise the signature-step certificate, which asks the
+    same question, would decline too, so the colon chain starts at once.
+    """
+    W = None if g.is_constant() else zerodim.at_infinity(basis)
+    if W is None:
+        return _sat0(basis, g)
+    if zerodim.saturation(W, _top_form(g)) is W:
+        return basis
+    return _colon_saturation(basis, g)
+
+
+def _sat_chain(basis: GroebnerBasis, factors: Sequence[Polynomial], sat=_sat0) -> GroebnerBasis:
+    """Successive saturation, each step by ``sat``."""
     for g in factors:
-        basis = _sat0(basis, g)
+        basis = sat(basis, g)
     return basis
 
 
@@ -195,8 +224,19 @@ class AffineCell:
         return self._basis
 
     def rad_member(self, f: Polynomial) -> bool:
-        """f in rad I(X), that is (W : f^inf) = <1>; probabilistic on witness."""
-        return f.is_zero() or _sat0(self.W, f).is_unit
+        """f in rad I(X), that is (W : f^inf) = <1>; probabilistic on witness.
+
+        A gb cell with points at infinity W_inf first reads top(f) modulo
+        W_inf: unless it is nilpotent there, f is not in the radical.
+        """
+        if f.is_zero():
+            return True
+        if self.backend == WITNESS_BACKEND or f.is_constant():
+            return _sat0(self.W, f).is_unit
+        W = zerodim.at_infinity(self.W)
+        if W is not None and not zerodim.saturation(W, _top_form(f)).is_unit:
+            return False
+        return _sat_exact(self.W, f).is_unit
 
     def is_proper(self, f: Polynomial) -> bool:
         """X meet V(f) is empty or has dimension dim X - 1.
@@ -244,7 +284,7 @@ class AffineCell:
             F2 = self.F + (f,)
             W2, forms = make_witness(self.ring, F2, self.G, self.d - 1, rng)
             return AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d - 1, forms)
-        F2 = _sat_chain(extend_basis(self.F, [f]), self.G)
+        F2 = _sat_chain(extend_basis(self.F, [f]), self.G, _sat_exact)
         return AffineCell(self.ring, GB_BACKEND, F2, self.G)
 
     def intersect_components(self, H: Sequence[Polynomial]) -> "AffineCell":
@@ -256,7 +296,7 @@ class AffineCell:
             F2 = self.F + tuple(H)
             W2 = extend_basis(self.W, H)
             return AffineCell(self.ring, WITNESS_BACKEND, F2, self.G, W2, self.d, self.witness_forms)
-        F2 = _sat_chain(extend_basis(self.F, H), self.G)
+        F2 = _sat_chain(extend_basis(self.F, H), self.G, _sat_exact)
         return AffineCell(self.ring, GB_BACKEND, F2, self.G)
 
     def subtract(self, f: Polynomial) -> "AffineCell":
@@ -267,8 +307,9 @@ class AffineCell:
         """
         if f.is_zero():
             raise ContractViolation("cannot remove the zero hypersurface")
+        sat = _sat_exact if self.backend == GB_BACKEND else _sat0
         return AffineCell(self.ring, self.backend, self.F, self.G + (f,),
-                          _sat0(self.W, f), self.d, self.witness_forms)
+                          sat(self.W, f), self.d, self.witness_forms)
 
     # -- presentation --------------------------------------------------------
 

@@ -24,6 +24,15 @@ bases are unique, so it agrees bit-for-bit with ``groebner.saturate``.
 Adding generators to W has no route here: ``extend_basis`` does it in
 every dimension.
 
+A one-dimensional basis whose last variable y divides no lead has a
+zero-dimensional ideal of points at infinity, W_inf, read off its top
+forms with y set to 1 (``at_infinity``).  Two questions about the
+one-dimensional ideal I become questions about W_inf: g* (the top form
+of g) is a unit modulo W_inf exactly when it is a nonzerodivisor modulo
+I*, the certificate that (I : g^inf) = I; and g* not nilpotent modulo
+W_inf proves g outside rad I.  A gb cell reads both through
+``saturation``, on the one W_inf of its basis.
+
 The separator search ``low_degree_colon`` works for any basis, not only
 zero-dimensional ones.  It looks for low-degree elements of the colon
 ideals <W> : f^k (k <= MAX_POWER) with a degree-by-degree Macaulay
@@ -67,7 +76,7 @@ from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
     GroebnerBasis, _block_reduce, _matmul, _matvec, _memoized, _reduce_terms, _row_terms, _rref,
-    extend_basis, standard_monomials,
+    _top_form, dimension, extend_basis, standard_monomials,
 )
 
 
@@ -284,6 +293,55 @@ def quotient(basis: GroebnerBasis) -> QuotientStructure:
     if q is None:
         q = basis._quotient = _memoized(("quotient", basis), lambda: QuotientStructure(basis))
     return q
+
+
+_NO_INFINITY = object()  # "W_inf does not apply" in the memo, where None is a miss
+
+
+def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
+    """W_inf, the points at infinity of a one-dimensional basis; or None.
+
+    It applies when the ring is grevlex, <basis> is one-dimensional and
+    its last variable y, the smallest, divides no lead.  Then y is a
+    nonzerodivisor modulo I*, the ideal of top forms (Bayer and
+    Stillman, Invent. Math. 87, 1987), and R/I* localised at y is
+    A[y, 1/y] with A = R/W_inf artinian of dimension deg I.  W_inf is
+    each generator's top form with y set to 1, plus y - 1.  That is
+    already its reduced basis, with no Groebner computation: setting
+    y = 1 keeps a form's terms apart, and keeps its lead first, since
+    the lead is free of y and every term with y drops in degree; a tail
+    monomial that some lead divides had that lead as a divisor before;
+    and the lead y of y - 1 is coprime to every other lead.
+
+    For a top form g* (f* below), read in A by ``saturation``:
+
+    * g* is a nonzerodivisor modulo I* exactly when it is a unit in A,
+      ``saturation(W_inf, g*) is W_inf``: the verdict of
+      ``groebner._regular_at_infinity``, with no signature step.
+    * If ``saturation(W_inf, f*)`` is not <1>, f is not in rad <basis>:
+      f^k in I gives (f*)^k in I*.
+
+    Built once per basis value in a ``memo_scope``.
+    """
+    W = _memoized(("infinity", basis), lambda: _points_at_infinity(basis))
+    return None if W is _NO_INFINITY else W
+
+
+def _points_at_infinity(basis: GroebnerBasis) -> GroebnerBasis:
+    ring = basis.ring
+    shift = (ring.nvars - 1) * ring.width  # y's field of a packed exponent
+    if (ring.order.kind != "grevlex" or any(ev >> shift for ev in basis.lead_evecs())
+            or basis.is_unit or dimension(basis) != 1):
+        return _NO_INFINITY
+    low = (1 << shift) - 1
+    key = ring.key_of_evec
+    gens = [Polynomial(ring, tuple(sorted(((key(ev & low), ev & low, c)
+                                           for _, ev, c in _top_form(h).terms), reverse=True)))
+            for h in basis.gens]
+    y = 1 << shift
+    gens.append(Polynomial(ring, ((key(y), y, 1), (0, 0, ring.field.p - 1))))
+    gens.sort(key=lambda g: g.terms[0][0], reverse=True)
+    return GroebnerBasis(ring, tuple(gens))
 
 
 def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:

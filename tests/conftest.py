@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from equidim import PolyRing, PrimeField
+from equidim import PolyRing, PrimeField, groebner_of
 
 
 @pytest.fixture
@@ -40,3 +41,31 @@ def random_poly(ring, rng, terms=4, max_deg=3):
             exps[rng.randrange(ring.nvars)] += 1
         out = out + ring.monomial(exps, rng.randrange(p))
     return out
+
+
+def dense_poly(ring, rng, deg):
+    """A random polynomial on every monomial of degree <= deg."""
+    out = ring.zero()
+    for e in itertools.product(range(deg + 1), repeat=ring.nvars):
+        if sum(e) <= deg:
+            out = out + ring.monomial(list(e), rng.randrange(ring.field.p))
+    return out
+
+
+def one_dimensional_cases(p, nvars, seed, trials):
+    """(basis, polynomials to ask about), mostly on one-dimensional bases.
+
+    A product a * b or a * c^2 of dense linear forms and n - 2 dense
+    quadrics: a and b are zero divisors unless the other is in the ideal,
+    and a * c lies in the radical of a * c^2.  Every fourth basis keeps
+    the product alone, of dimension n - 1, and small p puts the last
+    variable in some leads, so some bases have no W_inf.
+    """
+    ring = PolyRing(PrimeField(p), ("x", "y", "z", "w")[:nvars])
+    rng = random.Random(seed)
+    for trial in range(trials):
+        a, b, c = (dense_poly(ring, rng, 1) for _ in range(3))
+        rest = [dense_poly(ring, rng, 2) for _ in range(nvars - 2)]
+        first = a * b if trial % 2 else a * c * c
+        base = groebner_of(ring, [first] + (rest if trial % 4 != 3 else []))
+        yield base, [a, b, a * c, dense_poly(ring, rng, 2)]

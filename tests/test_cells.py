@@ -23,9 +23,11 @@ from equidim import (
     saturate,
     saturate_seq,
 )
-from equidim import cells, zerodim
-from equidim.groebner import is_zero_dim
+from equidim import cells, groebner, zerodim
+from equidim.groebner import extend_basis, is_zero_dim
 from equidim.rings import random_affine_forms
+
+from conftest import one_dimensional_cases
 
 
 def gb_cell(ring, F, G=()):
@@ -250,6 +252,47 @@ def test_gb_queries_on_zero_dim_ideal_read_the_quotient(p, monkeypatch):
         assert X.subtract(f).basis() == saturate(basis, f), f
         assert seen == [f, f], f
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
+def test_gb_queries_at_infinity_agree_with_sat0(p):
+    """subtract, rad_member and the saturations of intersect_components on
+    a gb cell, routed through the points at infinity where they apply,
+    give the answers of ``_sat0``, which saturates every basis."""
+    routed = 0
+    for nvars in (3, 4):
+        for base, asks in one_dimensional_cases(p, nvars, 7 * p + nvars, 10):
+            if base.is_unit:
+                continue
+            ring = base.ring
+            routed += zerodim.at_infinity(base) is not None
+            X = AffineCell(ring, "gb", base, ())
+            for f in asks:
+                sat = cells._sat0(base, f)
+                assert X.subtract(f).W == sat
+                assert X.rad_member(f) == sat.is_unit
+            a, b = asks[:2]
+            Y = AffineCell(ring, "gb", base, (a,))
+            assert Y.intersect_components([b]).F == cells._sat0(extend_basis(base, [b]), a)
+    assert routed > 10
+
+
+def test_gb_subtract_certified_at_infinity_takes_no_signature_step(monkeypatch):
+    ring = PolyRing(PrimeField(101), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    base = groebner_of(ring, [x**2 + y * z - 1, y**2 - x * z + 2])
+    steps = []
+    sig_step = groebner._sig_step
+
+    def counted(*args, **kwargs):
+        steps.append(args)
+        return sig_step(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_sig_step", counted)
+    X = AffineCell(ring, "gb", base, ())
+    assert X.subtract(x + y + z + 3).W is base  # x + y + z + 3 is regular
+    assert not X.rad_member(x + y + z + 3)
+    assert steps == []
 
 
 # -- basis ---------------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from equidim import (
     saturate_seq,
     standard_monomials,
 )
-from equidim import groebner
+from equidim import groebner, zerodim
 from equidim.groebner import (
     _block_reduce,
     _embed,
@@ -49,7 +49,7 @@ from equidim.groebner import (
     memo_scope,
 )
 
-from conftest import random_poly
+from conftest import one_dimensional_cases, random_poly
 
 
 def _is_reduced_gb(gb):
@@ -900,6 +900,57 @@ def test_certified_saturation_returns_the_basis_itself(monkeypatch):
     counts = _count_calls(monkeypatch, "_sig_step")
     assert saturate(base, x + y + z + 3) is base
     assert counts == {"_sig_step": 1}  # the certificate's own, no colon step
+
+
+@pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
+def test_points_at_infinity_decide_the_certificate(p):
+    """W_inf is a reduced basis of deg I points; top(g) is a unit modulo it
+    exactly when the signature step and the Hilbert identity certify g, and
+    top(f) not nilpotent modulo it refutes f in the radical."""
+    seen = {"built": 0, "refused": 0, True: 0, False: 0, "refuted": 0, "nilpotent": 0}
+    for nvars in (3, 4):
+        for base, asks in one_dimensional_cases(p, nvars, p + nvars, 14):
+            ring = base.ring
+            W = zerodim.at_infinity(base)
+            shift = (nvars - 1) * ring.width
+            applies = (not base.is_unit and dimension(base) == 1
+                       and not any(ev >> shift for ev in base.lead_evecs()))
+            if not applies:
+                assert W is None
+                seen["refused"] += 1
+                continue
+            seen["built"] += 1
+            assert W == groebner_of(ring, W.gens)
+            assert quotient_degree(W) == hilbert_dim_degree(base)[1]
+            for g in asks:
+                top = zerodim.saturation(W, groebner._top_form(g))
+                verdict = top is W
+                assert verdict == _regular_at_infinity(base, g)
+                assert verdict == _regular_at_infinity_hilbert(base, g)
+                seen[verdict] += 1
+                if top.is_unit:
+                    seen["nilpotent"] += 1
+                else:
+                    assert not _scratch_saturation(base, g).is_unit
+                    seen["refuted"] += 1
+    assert all(seen.values()), seen
+
+
+def test_points_at_infinity_refused_off_dimension_one():
+    ring = PolyRing(PrimeField(101), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    assert zerodim.at_infinity(groebner_of(ring, [x * y + z**2 - 1])) is None  # dimension 2
+    assert zerodim.at_infinity(groebner_of(ring, [x**2 - 1, y**2 - 2, z**2 - 3])) is None
+    assert zerodim.at_infinity(groebner_of(ring, [ring.one()])) is None
+    # dimension 1, but the last variable divides the lead z^2
+    zlead = groebner_of(ring, [z**2 - x, y - 1])
+    assert dimension(zlead) == 1 and zerodim.at_infinity(zlead) is None
+    line = groebner_of(ring, [x - 2 * z, y + z + 1])
+    W = zerodim.at_infinity(line)
+    assert [str(g) for g in W] == ["x + 99", "y + 1", "z + 100"]  # x - 2, y + 1, z - 1
+    # over an elimination order there are no top forms to read
+    E = ring.extend_elim()
+    assert zerodim.at_infinity(buchberger(_embed(E, [x - 2 * z, y + z + 1]), ring=E)) is None
 
 
 def test_saturation_soundness(ring_xyz, rng):
