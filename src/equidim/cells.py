@@ -19,16 +19,18 @@ Every query reads one saturation (W : f^inf), routed by ``_sat0``:
 new W.  ``is_proper`` keeps one method per backend, each measured the
 faster on its own workload.
 
-A gb cell asks many questions of one basis, so a one-dimensional I(X)
-whose last variable divides no lead first reads its points at infinity:
-``zerodim.at_infinity`` builds their zero-dimensional ideal W_inf once
-per basis value.  ``_sat_exact``, behind ``subtract`` and the
-saturations of ``intersect_proper`` and ``intersect_components``,
-returns I(X) itself when top(f) is a unit modulo W_inf, and otherwise
-starts the colon chain at once; ``rad_member`` answers False when top(f)
-is not nilpotent modulo W_inf.  Witness cells keep ``_sat0``: their
-positive-dimensional bases are each saturated once, so a W_inf built
-for them would not pay for itself.
+A gb cell asks many questions of one basis, so a positive-dimensional
+I(X) whose last d = dim I(X) variables divide no lead first reads its
+points at infinity: ``zerodim.at_infinity`` builds their
+zero-dimensional ideal W_inf once per basis value.  ``_sat_exact``,
+behind ``subtract`` and the saturations of ``intersect_proper`` and
+``intersect_components``, returns I(X) itself when top(f) is a unit
+modulo W_inf.  Otherwise it starts the colon chain at once when d = 1,
+where that verdict is exact, and runs ``_sat0`` when d >= 2, where it
+is one-sided.  ``rad_member`` answers False when top(f) is not
+nilpotent modulo W_inf, in every dimension.  Witness cells keep
+``_sat0``: their positive-dimensional bases are each saturated once,
+so a W_inf built for them would not pay for itself.
 
 A witness slice is only valid when it is generic.  ``slices_generic``
 is the one rule that decides, from the equations and p alone, whether
@@ -109,15 +111,19 @@ def _sat_exact(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
 
     Where ``zerodim.at_infinity`` gives W_inf, top(g) a unit modulo W_inf
     certifies g a nonzerodivisor modulo I(X), and I(X) itself is the
-    answer.  Otherwise the signature-step certificate, which asks the
-    same question, would decline too, so the colon chain starts at once.
+    answer.  On a one-dimensional I(X) a decline is exact: the
+    signature-step certificate, which asks the same question, would
+    decline too, so the colon chain starts at once.  In higher
+    dimension a decline proves nothing, and ``_sat0`` runs the
+    certificate and then the chain.
     """
     W = None if g.is_constant() else zerodim.at_infinity(basis)
-    if W is None:
-        return _sat0(basis, g)
-    if zerodim.saturation(W, _top_form(g)) is W:
-        return basis
-    return _colon_saturation(basis, g)
+    if W is not None:
+        if zerodim.saturation(W, _top_form(g)) is W:
+            return basis
+        if dimension(basis) == 1:
+            return _colon_saturation(basis, g)
+    return _sat0(basis, g)
 
 
 def _sat_chain(basis: GroebnerBasis, factors: Sequence[Polynomial], sat=_sat0) -> GroebnerBasis:
@@ -226,8 +232,10 @@ class AffineCell:
     def rad_member(self, f: Polynomial) -> bool:
         """f in rad I(X), that is (W : f^inf) = <1>; probabilistic on witness.
 
-        A gb cell with points at infinity W_inf first reads top(f) modulo
-        W_inf: unless it is nilpotent there, f is not in the radical.
+        A gb cell with points at infinity W_inf, of any dimension, first
+        reads top(f) modulo W_inf: unless it is nilpotent there, f is not
+        in the radical, since f^k in I(X) puts top(f)^k in the ideal of
+        top forms.
         """
         if f.is_zero():
             return True

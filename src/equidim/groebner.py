@@ -39,13 +39,15 @@ reduction to zero LM(I* : g*) = LM(I*), so I* : g* = I*.  The test is
 one-sided.  g may be regular modulo I while g* is a zero
 divisor modulo I*, as g = x is a unit modulo <x*y - 1>; the colon steps
 then run, so a declined certificate costs time and never correctness.
-The gb cells ask the same question of a one-dimensional basis without
-a signature step: where ``zerodim.at_infinity`` applies, g* is a
-nonzerodivisor modulo I* exactly when it is a unit in the artinian ring
-of the points at infinity, so the certificate is one quotient query.
-15 of the 16 subtractions of ps(5) on the gb backend are certified so.
-Where that query declines, ``_colon_saturation`` starts the chain below
-with a colon step, since the certificate on I itself would decline too.
+The gb cells ask the same question of a basis of any positive
+dimension d without a signature step: where ``zerodim.at_infinity``
+applies, g* a unit in the artinian ring of the points at infinity
+proves g* a nonzerodivisor modulo I*, so the certificate is one
+quotient query.  15 of the 16 subtractions of ps(5) on the gb backend
+are certified so.  For d = 1 the query is exact, and where it declines
+``_colon_saturation`` starts the chain below with a colon step, since
+the certificate on I itself would decline too.  For d >= 2 it is
+one-sided, and a decline runs the certificate.
 
 Past a declined certificate the saturation is the union of the chain of
 colon ideals I_0 = I, I_(k+1) = I_k : g, with no auxiliary variable.
@@ -1055,7 +1057,9 @@ def _colon_saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     The chain starts with a colon step.  ``cells`` calls it once the
     points at infinity of a one-dimensional basis show g* a zero divisor
     modulo I*, the same question the certificate asks, so the certificate
-    on I_0 would only repeat that verdict.  It shares ``_saturation``'s
+    on I_0 would only repeat that verdict.  On a basis of dimension 2 or
+    more the points at infinity can decline where the certificate
+    accepts, so ``cells`` does not call it there.  It shares ``_saturation``'s
     memo entry: both compute the one reduced basis of (<basis> : g^inf).
     """
     return _memoized(("saturation", basis, g), lambda: _colon_chain(basis, g))

@@ -24,14 +24,16 @@ bases are unique, so it agrees bit-for-bit with ``groebner.saturate``.
 Adding generators to W has no route here: ``extend_basis`` does it in
 every dimension.
 
-A one-dimensional basis whose last variable y divides no lead has a
-zero-dimensional ideal of points at infinity, W_inf, read off its top
-forms with y set to 1 (``at_infinity``).  Two questions about the
-one-dimensional ideal I become questions about W_inf: g* (the top form
-of g) is a unit modulo W_inf exactly when it is a nonzerodivisor modulo
-I*, the certificate that (I : g^inf) = I; and g* not nilpotent modulo
-W_inf proves g outside rad I.  A gb cell reads both through
-``saturation``, on the one W_inf of its basis.
+A basis of dimension d >= 1 whose last d variables divide no lead has
+a zero-dimensional ideal of points at infinity, W_inf, read off its top
+forms (``at_infinity``): the last d - 1 variables z are a regular
+sequence modulo I*, the ideal of top forms, so they are set to 0, and
+the variable y before them is set to 1.  Two questions about I become
+questions about W_inf.  g* (the top form of g) a unit modulo W_inf
+certifies it a nonzerodivisor modulo I*, so (I : g^inf) = I; for d = 1
+that test is exact, for d >= 2 one-sided.  g* not nilpotent modulo
+W_inf proves g outside rad I, in every dimension.  A gb cell reads both
+through ``saturation``, on the one W_inf of its basis.
 
 The separator search ``low_degree_colon`` works for any basis, not only
 zero-dimensional ones.  It looks for low-degree elements of the colon
@@ -76,7 +78,7 @@ from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
     GroebnerBasis, _block_reduce, _matmul, _matvec, _memoized, _reduce_terms, _row_terms, _rref,
-    _top_form, dimension, extend_basis, standard_monomials,
+    _top_form, dimension, extend_basis, is_zero_dim, standard_monomials,
 )
 
 
@@ -299,29 +301,45 @@ _NO_INFINITY = object()  # "W_inf does not apply" in the memo, where None is a m
 
 
 def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
-    """W_inf, the points at infinity of a one-dimensional basis; or None.
+    """W_inf, the points at infinity of a positive-dimensional basis; or None.
 
-    It applies when the ring is grevlex, <basis> is one-dimensional and
-    its last variable y, the smallest, divides no lead.  Then y is a
-    nonzerodivisor modulo I*, the ideal of top forms (Bayer and
-    Stillman, Invent. Math. 87, 1987), and R/I* localised at y is
-    A[y, 1/y] with A = R/W_inf artinian of dimension deg I.  W_inf is
-    each generator's top form with y set to 1, plus y - 1.  That is
-    already its reduced basis, with no Groebner computation: setting
-    y = 1 keeps a form's terms apart, and keeps its lead first, since
-    the lead is free of y and every term with y drops in degree; a tail
-    monomial that some lead divides had that lead as a divisor before;
-    and the lead y of y - 1 is coprime to every other lead.
+    It applies when the ring is grevlex, <basis> has dimension d >= 1
+    and its last d variables divide no lead; write y for the first of
+    them and z for the other d - 1.  W_inf is each generator's top form
+    with the terms that hold a z dropped and y set to 1, plus y - 1 and
+    each z.  Its staircase is the deg I monomials in the variables
+    before y.  The reason (Bayer and Stillman, Invent. Math. 87, 1987):
+    under grevlex, when the last variable divides no lead of a
+    homogeneous ideal J, it is a nonzerodivisor modulo J, and J's
+    reduced basis with that variable set to 0, plus the variable, is
+    the reduced basis of J + <x_n>.  Applied to I*, the ideal of top
+    forms, and then d - 2 more times, the z's are a regular sequence
+    modulo I*; y is then a nonzerodivisor modulo I* + <z>, a ring of
+    dimension 1, and that ring localised at y is A[y, 1/y] with
+    A = R/W_inf artinian of dimension deg I.  The generators are
+    already the reduced basis, with no Groebner computation: dropping
+    terms keeps a reduced basis's tails free of leads; setting y = 1
+    keeps a form's terms apart, and its lead first, since the lead is
+    free of y and every term with y drops in degree; a tail monomial
+    that some lead divides had that lead as a divisor before; and the
+    leads y and z are coprime to every other lead.
 
     For a top form g* (f* below), read in A by ``saturation``:
 
-    * g* is a nonzerodivisor modulo I* exactly when it is a unit in A,
-      ``saturation(W_inf, g*) is W_inf``: the verdict of
-      ``groebner._regular_at_infinity``, with no signature step.
+    * If g* is a unit in A, ``saturation(W_inf, g*) is W_inf``, it is a
+      nonzerodivisor modulo I* + <z>, and so modulo I*: if l is a
+      homogeneous nonzerodivisor on a graded module M and g* is one on
+      M / lM, then g* is one on M (take g* m = 0 with m of least
+      degree; then m = l m' and g* m' = 0).  So (I : g^inf) = I with no
+      signature step.  For d = 1 the test is exact, the verdict of
+      ``groebner._regular_at_infinity``.  For d >= 2 it is one-sided:
+      I = <x^2> in GF(p)[x, y, z] has W_inf = <x^2, y - 1, z>, and
+      z is regular modulo I but 0 modulo W_inf.
     * If ``saturation(W_inf, f*)`` is not <1>, f is not in rad <basis>:
-      f^k in I gives (f*)^k in I*.
+      f^k in I gives (f*)^k in I*, in every dimension.
 
-    Built once per basis value in a ``memo_scope``.
+    Built once per basis value in a ``memo_scope``.  A zero-dimensional
+    basis is refused before its Hilbert series is read.
     """
     W = _memoized(("infinity", basis), lambda: _points_at_infinity(basis))
     return None if W is _NO_INFINITY else W
@@ -329,17 +347,22 @@ def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
 
 def _points_at_infinity(basis: GroebnerBasis) -> GroebnerBasis:
     ring = basis.ring
-    shift = (ring.nvars - 1) * ring.width  # y's field of a packed exponent
-    if (ring.order.kind != "grevlex" or any(ev >> shift for ev in basis.lead_evecs())
-            or basis.is_unit or dimension(basis) != 1):
+    if ring.order.kind != "grevlex" or basis.is_unit or is_zero_dim(basis):
+        return _NO_INFINITY
+    k = ring.nvars - dimension(basis)  # y is x_k, counting from 0; the z's follow it
+    shift = k * ring.width  # y's field of a packed exponent
+    if any(ev >> shift for ev in basis.lead_evecs()):
         return _NO_INFINITY
     low = (1 << shift) - 1
+    zs = shift + ring.width  # the z's fields
     key = ring.key_of_evec
     gens = [Polynomial(ring, tuple(sorted(((key(ev & low), ev & low, c)
-                                           for _, ev, c in _top_form(h).terms), reverse=True)))
+                                           for _, ev, c in _top_form(h).terms if not ev >> zs),
+                                          reverse=True)))
             for h in basis.gens]
     y = 1 << shift
     gens.append(Polynomial(ring, ((key(y), y, 1), (0, 0, ring.field.p - 1))))
+    gens += (ring.var(i) for i in range(k + 1, ring.nvars))
     gens.sort(key=lambda g: g.terms[0][0], reverse=True)
     return GroebnerBasis(ring, tuple(gens))
 

@@ -52,20 +52,25 @@ def dense_poly(ring, rng, deg):
     return out
 
 
-def one_dimensional_cases(p, nvars, seed, trials):
-    """(basis, polynomials to ask about), mostly on one-dimensional bases.
+def product_cases(p, nvars, dim, seed, trials):
+    """(basis, polynomials to ask about), mostly on bases of dimension dim.
 
-    A product a * b or a * c^2 of dense linear forms and n - 2 dense
+    A product a * b or a * c^2 of dense linear forms and n - dim - 1 dense
     quadrics: a and b are zero divisors unless the other is in the ideal,
     and a * c lies in the radical of a * c^2.  Every fourth basis keeps
-    the product alone, of dimension n - 1, and small p puts the last
-    variable in some leads, so some bases have no W_inf.
+    the product alone, of dimension n - 1, and small p puts one of the
+    last dim variables in some leads, so some bases have no W_inf.
     """
     ring = PolyRing(PrimeField(p), ("x", "y", "z", "w")[:nvars])
     rng = random.Random(seed)
     for trial in range(trials):
         a, b, c = (dense_poly(ring, rng, 1) for _ in range(3))
-        rest = [dense_poly(ring, rng, 2) for _ in range(nvars - 2)]
+        rest = [dense_poly(ring, rng, 2) for _ in range(nvars - dim - 1)]
         first = a * b if trial % 2 else a * c * c
         base = groebner_of(ring, [first] + (rest if trial % 4 != 3 else []))
         yield base, [a, b, a * c, dense_poly(ring, rng, 2)]
+
+
+def one_dimensional_cases(p, nvars, seed, trials):
+    """``product_cases`` of dimension 1."""
+    return product_cases(p, nvars, 1, seed, trials)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,7 +28,7 @@ from equidim import cells, groebner, zerodim
 from equidim.groebner import extend_basis, is_zero_dim
 from equidim.rings import random_affine_forms
 
-from conftest import one_dimensional_cases
+from conftest import one_dimensional_cases, product_cases
 
 
 def gb_cell(ring, F, G=()):
@@ -259,28 +260,27 @@ def test_gb_queries_at_infinity_agree_with_sat0(p):
     """subtract, rad_member and the saturations of intersect_components on
     a gb cell, routed through the points at infinity where they apply,
     give the answers of ``_sat0``, which saturates every basis."""
-    routed = 0
-    for nvars in (3, 4):
-        for base, asks in one_dimensional_cases(p, nvars, 7 * p + nvars, 10):
-            if base.is_unit:
-                continue
-            ring = base.ring
-            routed += zerodim.at_infinity(base) is not None
-            X = AffineCell(ring, "gb", base, ())
-            for f in asks:
-                sat = cells._sat0(base, f)
-                assert X.subtract(f).W == sat
-                assert X.rad_member(f) == sat.is_unit
-            a, b = asks[:2]
-            Y = AffineCell(ring, "gb", base, (a,))
-            assert Y.intersect_components([b]).F == cells._sat0(extend_basis(base, [b]), a)
-    assert routed > 10
+    routed = Counter()
+    cases = itertools.chain(*(one_dimensional_cases(p, nvars, 7 * p + nvars, 10)
+                              for nvars in (3, 4)), product_cases(p, 4, 2, 11 * p, 6))
+    for base, asks in cases:
+        if base.is_unit:
+            continue
+        ring = base.ring
+        if zerodim.at_infinity(base) is not None:
+            routed[dimension(base)] += 1
+        X = AffineCell(ring, "gb", base, ())
+        for f in asks:
+            sat = cells._sat0(base, f)
+            assert X.subtract(f).W == sat
+            assert X.rad_member(f) == sat.is_unit
+        a, b = asks[:2]
+        Y = AffineCell(ring, "gb", base, (a,))
+        assert Y.intersect_components([b]).F == cells._sat0(extend_basis(base, [b]), a)
+    assert routed[1] > 10 and routed[2] > 3 and routed[3] > 0, routed
 
 
-def test_gb_subtract_certified_at_infinity_takes_no_signature_step(monkeypatch):
-    ring = PolyRing(PrimeField(101), ("x", "y", "z"))
-    x, y, z = ring.gens()
-    base = groebner_of(ring, [x**2 + y * z - 1, y**2 - x * z + 2])
+def _count_sig_steps(monkeypatch):
     steps = []
     sig_step = groebner._sig_step
 
@@ -289,9 +289,30 @@ def test_gb_subtract_certified_at_infinity_takes_no_signature_step(monkeypatch):
         return sig_step(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_sig_step", counted)
+    return steps
+
+
+def test_gb_subtract_certified_at_infinity_takes_no_signature_step(monkeypatch):
+    ring = PolyRing(PrimeField(101), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    base = groebner_of(ring, [x**2 + y * z - 1, y**2 - x * z + 2])
+    steps = _count_sig_steps(monkeypatch)
     X = AffineCell(ring, "gb", base, ())
     assert X.subtract(x + y + z + 3).W is base  # x + y + z + 3 is regular
     assert not X.rad_member(x + y + z + 3)
+    assert steps == []
+
+
+def test_gb_dimension_two_cell_certified_at_infinity_takes_no_signature_step(monkeypatch):
+    ring = PolyRing(PrimeField(101), ("x", "y", "z", "w"))
+    x, y, z, w = ring.gens()
+    base = groebner_of(ring, [x**2 + y * z - 1, y**2 - x * w + 2])
+    assert dimension(base) == 2
+    assert str(zerodim.at_infinity(base)) == "GB{x^2 + y, y^2, z + 100, w}"
+    steps = _count_sig_steps(monkeypatch)
+    X = AffineCell(ring, "gb", base, ())
+    assert X.subtract(x + y + z + w + 3).W is base  # its top form is 1 + x + y, a unit, modulo W_inf
+    assert not X.rad_member(x + y + z + w + 3)
     assert steps == []
 
 
