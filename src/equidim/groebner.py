@@ -6,8 +6,10 @@ Reduced Groebner bases come from one of two routes:
   (JPAA 1999): Gebauer-Moeller pair elimination, and the normal
   selection, which takes every pair of the lowest lcm degree at once
   and reduces them together as one Macaulay matrix in numpy.  A degree
-  with a single pair is reduced as an S-polynomial instead.
-  ``groebner_of`` and ``ideal_intersect`` use it.
+  with a single pair is reduced as an S-polynomial instead.  The call's
+  generators keep their terms as arrays for the matrices, in its
+  reducer table; an element a matrix makes takes its arrays straight
+  from its echelon row.  ``groebner_of`` and ``ideal_intersect`` use it.
 * ``_sig_step`` extends a known reduced basis P by one polynomial f
   with signature criteria (F5C, Eder-Perry 2010; the rewrite criterion
   of Eder-Roune 2013).  ``extend_basis`` (on both cell backends, so
@@ -77,18 +79,34 @@ Macaulay columns of one degree of its separator search, and each row
 it gets back is that column's normal form.  Every echelon in
 ``zerodim`` and in the F4 rounds goes through ``_rref``.
 
+The symbolic preprocessing of ``_block_reduce`` runs on arrays of keys
+and evecs, not term by term.  It closes the set of monomials in waves:
+the rows' terms, shifted by broadcasting, are the first wave; a wave is
+deduplicated by one sort of its keys and a ``searchsorted`` against the
+monomials already numbered, and each new monomial that a reducer lead
+divides takes its first such reducer in ascending lead key from one
+broadcast guard-bit test.  Those reducer rows' terms are the next wave;
+most matrices close after two.  A ring whose packed monomials fit 63
+bits keeps its packing in int64.  A wider grevlex ring (ps(5): 8
+variables of 9 bits) repacks every exponent into 63 // n bits while
+the matrix's top degree fits them, and any other ring runs the same
+code on object arrays of Python ints.  The arrays belong to a
+``_ReducerTable``, the reducer list the heap kernel reads: a basis's,
+for ``zerodim.low_degree_colon``, or one ``buchberger`` call's.  They
+live as long as their table, and no cache outlives it.
+
 The heap kernel holds plain negated order keys in its heap and sums
 coefficients by key as plain integers, reducing one mod p only when its
 key is popped; it returns the remainder's terms in the order it pops
 them, strictly descending, so its callers build a ``Polynomial`` from
 them with no sort.  Every reduction modulo a fixed basis
-(``normal_form``, the P part of ``_sig_step`` and of its cofactors, the
-symbolic preprocessing of ``zerodim.low_degree_colon``'s columns) looks
-the divisor of a monomial up in the basis's divisor memo, which maps
-each monomial met to its first dividing reducer (or to none) and is
-filled on first use.  The memo is filled by ``_first_divisor``, a scan
-of the reducers ascending by lead key that stops at the first lead
-above the monomial.
+(``normal_form``, the P part of ``_sig_step`` and of its cofactors)
+looks the divisor of a monomial up in the basis's divisor memo, which
+maps each monomial met to its first dividing reducer (or to none) and
+is filled on first use.  The memo is filled by ``_first_divisor``, a
+scan of the reducers ascending by lead key that stops at the first
+lead above the monomial, and by ``_block_reduce`` with what its
+broadcast test finds for ``zerodim.low_degree_colon``'s columns.
 ``_interreduce`` uses the same memo and scan to find out whether a tail
 holds a term some lead divides, and sends only such a tail through the
 kernel: any other tail would come back unchanged.  On top of them:
@@ -124,7 +142,7 @@ from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -140,7 +158,8 @@ class GroebnerBasis:
     equality.  The empty tuple represents the zero ideal.
     """
 
-    __slots__ = ("ring", "gens", "_reducers", "_divisors", "_quotient", "_hilbert", "_hash")
+    __slots__ = ("ring", "gens", "_reducers", "_divisors", "_quotient", "_hilbert", "_zero_dim",
+                 "_hash")
 
     def __init__(self, ring: PolyRing, gens: tuple[Polynomial, ...]):
         self.ring = ring
@@ -151,6 +170,7 @@ class GroebnerBasis:
         self._divisors: dict = {}
         self._quotient = None  # zero-dimensional structure, filled lazily
         self._hilbert = None  # (dimension, degree), filled by hilbert_dim_degree
+        self._zero_dim = None  # filled by is_zero_dim
         self._hash = None  # filled on first use: memo keys hash a basis often
 
     @property
@@ -161,8 +181,12 @@ class GroebnerBasis:
     def is_zero_ideal(self) -> bool:
         return not self.gens
 
-    def reducers(self):
-        """Generators prepared for reduction, ascending by leading key."""
+    def reducers(self) -> "_ReducerTable":
+        """Generators prepared for reduction, ascending by leading key.
+
+        The table also holds them as arrays once a ``_block_reduce``
+        modulo this basis asks, and keeps those as long as the basis.
+        """
         if self._reducers is None:
             self._reducers = _prep_reducers(self.gens)
         return self._reducers
@@ -199,15 +223,15 @@ class GroebnerBasis:
         return ideal_member(f, self)
 
 
-def _prep_reducers(gens: Sequence[Polynomial]):
-    """[(lm_key, lm_evec, tail_terms)] sorted ascending by lm_key."""
+def _prep_reducers(gens: Sequence[Polynomial]) -> "_ReducerTable":
+    """[(lm_key, lm_evec, tail_terms)] sorted ascending by lm_key, as a ``_ReducerTable``."""
     reds = []
     for g in gens:
         k, ev, c = g.terms[0]
         assert c == 1, "reducers must be monic"
         reds.append((k, ev, g.terms[1:]))
     reds.sort(key=lambda r: r[0])
-    return reds
+    return _ReducerTable(reds)
 
 
 _UNSEEN = object()
@@ -392,7 +416,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
 
     gens: list[Polynomial] = []
     pairs: list[tuple[int, int, int, int, int]] = []  # (lcm degree, lcm key, i, j, lcm evec)
-    reducers: list = []  # _reduce_terms entries of gens, ascending by lead key
+    reducers = _ReducerTable()  # _reduce_terms entries of gens, ascending by lead key
 
     def update(h: Polynomial):
         """Gebauer-Moeller pair update with the new generator h."""
@@ -428,7 +452,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         newpairs.sort()
         pairs = newpairs
         gens.append(h)
-        insort(reducers, (hk, he, h.terms[1:]), key=lambda red: red[0])
+        reducers.add((hk, he, h.terms[1:]))
 
     # seed with the reduced inputs, smallest leading terms first
     inputs.sort(key=lambda f: f.terms[0][0])
@@ -473,7 +497,7 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
     by the basis and by each other.
     """
     pivots: dict[int, tuple] = {}  # lcm -> its pivot row
-    rest: list[tuple] = []  # (terms, dev, dk): the row x^dev * g
+    rest: list[tuple] = []  # (poly, dev, dk): the row x^dev * g
     seen: set[tuple[int, int]] = set()
     for _, lk, i, j, le in batch:
         for g in (gens[i], gens[j]):
@@ -481,7 +505,7 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
             if (ge, le) in seen:
                 continue
             seen.add((ge, le))
-            row = (g.terms, le - ge, lk - gk)
+            row = (reducers.poly(g.terms), le - ge, lk - gk)
             if le in pivots:
                 rest.append(row)
             else:
@@ -490,95 +514,332 @@ def _f4_round(ring: PolyRing, gens: list[Polynomial], reducers,
         return []
     E, mons = _block_reduce(ring, rest, reducers, pivots=list(pivots.values()))
     R, _ = _rref(E, ring.field.p)
-    return [Polynomial(ring, _row_terms(row, mons)) for row in R]
+    new = []
+    for row in R:
+        h = _row_poly(row, mons)
+        reducers.polys[h.terms[0][1]] = h  # its arrays, for the rounds that follow
+        new.append(Polynomial(ring, h.terms))
+    return new
 
 
-def _block_reduce(ring: PolyRing, rows, reducers, divisors: dict | None = None,
-                  pivots=()) -> tuple[np.ndarray, list[tuple[int, int]]]:
+class _Packing(NamedTuple):
+    """How one ``_block_reduce`` call holds keys and evecs in arrays."""
+
+    width: int  # bits of one exponent field, guard bit included
+    dtype: type  # np.int64, or object for Python ints
+    guard: int  # the guard bit of every field
+
+
+def _packing(ring: PolyRing, top: int) -> _Packing:
+    """The packing of a call whose monomials all have degree at most ``top``.
+
+    A ring whose packed monomials fit 63 bits keeps its own packing, in
+    int64.  A wider grevlex ring repacks every exponent into a field of
+    63 // n bits, if ``top`` stays below that field's guard bit: a key
+    and an evec are both vectors of fields, each at most the degree, so
+    the order and the guard-bit test carry over.  The field is the
+    widest that fits, not the narrowest for ``top``, so that arrays
+    built for one call serve every later one.  Any other ring runs on
+    object arrays of Python ints in its own packing.
+    """
+    n, w = ring.nvars, ring.width
+    if n * w <= 63:
+        return _Packing(w, np.int64, ring._evec_guard)
+    narrow = 63 // n
+    if ring.order.kind == "grevlex" and narrow >= 2 and top < 1 << (narrow - 1):
+        return _Packing(narrow, np.int64, sum(1 << (i * narrow + narrow - 1) for i in range(n)))
+    return _Packing(w, object, ring._evec_guard)
+
+
+def _relayout(values: np.ndarray, n: int, w_from: int, w_to: int) -> np.ndarray:
+    """Packed vectors of n fields moved from fields of w_from bits to w_to bits.
+
+    The values are cut into int64 pieces of whole fields, in which the
+    fields move by int64 operations; only the cutting and the joining
+    touch Python ints, once per piece.  The result is int64 when n
+    fields of w_to bits fit 63 bits, and object otherwise.
+    """
+    per = 63 // max(w_from, w_to)  # fields in one piece
+    mask = (1 << w_from) - 1
+    wide = n * w_to > 63
+    out = None
+    for j in range(0, n, per):
+        piece = ((values >> (j * w_from)) & ((1 << (per * w_from)) - 1)).astype(np.int64)
+        moved = np.zeros(len(values), dtype=np.int64)
+        for i in range(min(per, n - j)):
+            moved |= ((piece >> (i * w_from)) & mask) << (i * w_to)
+        moved = moved.astype(object) << (j * w_to) if wide else moved << (j * w_to)
+        out = moved if out is None else out | moved
+    return out
+
+
+def _to_packing(ring: PolyRing, pk: _Packing, values: list[int]) -> np.ndarray:
+    """Keys or evecs of the ring, as an array in the packing ``pk``."""
+    if pk.width == ring.width:
+        return np.array(values, dtype=pk.dtype)
+    return _relayout(np.array(values, dtype=object), ring.nvars, ring.width, pk.width)
+
+
+def _from_packing(ring: PolyRing, pk: _Packing, values: np.ndarray) -> list[int]:
+    """An array of keys or evecs in ``pk``, as the ring's Python ints."""
+    if pk.width == ring.width:
+        return values.tolist()
+    return _relayout(values, ring.nvars, pk.width, ring.width).tolist()
+
+
+class _TermArrays:
+    """A polynomial's (key, evec, coeff) terms, and the same as arrays in one packing.
+
+    The arrays are given by a caller that has them, such as an echelon
+    row on the free columns of a matrix, or built from the terms when a
+    call asks for a packing they are not in.
+    """
+
+    __slots__ = ("terms", "packing", "arrays")
+
+    def __init__(self, terms, packing: _Packing | None = None, arrays=None):
+        self.terms = terms
+        self.packing = packing
+        self.arrays = arrays
+
+    def get(self, ring: PolyRing, pk: _Packing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, evecs, coefficients) in the packing ``pk``."""
+        if self.packing != pk:
+            t = self.terms
+            self.arrays = (_to_packing(ring, pk, [k for k, _, _ in t]),
+                           _to_packing(ring, pk, [ev for _, ev, _ in t]),
+                           np.array([c for _, _, c in t], dtype=np.int64))
+            self.packing = pk
+        return self.arrays
+
+
+class _Columns(list):
+    """The (key, evec) of a matrix's free columns, and the same as arrays in its packing."""
+
+    __slots__ = ("packing", "keys", "evecs")
+
+    def __init__(self, ring: PolyRing, pk: _Packing, keys: np.ndarray, evecs: np.ndarray):
+        super().__init__(zip(_from_packing(ring, pk, keys), _from_packing(ring, pk, evecs)))
+        self.packing, self.keys, self.evecs = pk, keys, evecs
+
+
+def _row_poly(row: np.ndarray, mons: _Columns) -> _TermArrays:
+    """The polynomial of a row on the columns ``mons``, with its arrays."""
+    nz = np.flatnonzero(row)
+    arrays = (mons.keys[nz], mons.evecs[nz], row[nz])
+    return _TermArrays(_row_terms(row, mons), mons.packing, arrays)
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _segments(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices of the slices [start_i, start_i + length_i), one after another."""
+    offset = np.cumsum(length) - length
+    return np.repeat(start - offset, length) + np.arange(int(length.sum()))
+
+
+class _ReducerTable(list):
+    """Reducers (lead key, lead evec, tail), ascending by lead key, also held as arrays.
+
+    The heap kernel reads the list.  ``_block_reduce`` reads ``flat``:
+    every reducer's terms, its lead first, concatenated in the list's
+    order.  ``polys`` keeps each reducer's ``_TermArrays`` by lead evec;
+    ``buchberger`` puts an F4 element's arrays there when it has them,
+    and any other is built from its terms on first use.  The arrays live
+    as long as the table: the basis it belongs to, or one ``buchberger``
+    call.
+    """
+
+    __slots__ = ("polys", "_flat")
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self.polys: dict[int, _TermArrays] = {}
+        self._flat = None
+
+    def add(self, entry) -> None:
+        insort(self, entry, key=lambda red: red[0])
+        self._flat = None
+
+    def poly(self, terms) -> _TermArrays:
+        """The ``_TermArrays`` of the reducer whose terms these are."""
+        rec = self.polys.get(terms[0][1])
+        if rec is None:
+            rec = self.polys[terms[0][1]] = _TermArrays(terms)
+        return rec
+
+    def flat(self, ring: PolyRing, pk: _Packing):
+        """(lead keys, lead evecs, starts, lengths, keys, evecs, coeffs) in ``pk``.
+
+        A repacked table holds the reducers whose degree the packing
+        holds, a prefix of the list under grevlex; a call in that
+        packing meets no monomial of higher degree.
+        """
+        if self._flat is None or self._flat[0] != pk:
+            reds = self
+            if pk.width != ring.width:
+                top = (1 << (pk.width - 1)) - 1
+                reds = [red for red in self if ring.degree_of_key(red[0]) <= top]
+            parts = [self.poly(((k, ev, 1),) + tail).get(ring, pk) for k, ev, tail in reds]
+            length = np.array([len(c) for _, _, c in parts], dtype=np.intp)
+            start = np.cumsum(length) - length
+            keys = _concat([k for k, _, _ in parts], pk.dtype)
+            evecs = _concat([e for _, e, _ in parts], pk.dtype)
+            self._flat = (pk, keys[start], evecs[start], start, length, keys, evecs,
+                          _concat([c for _, _, c in parts], np.int64))
+        return self._flat[1:]
+
+
+def _first_divisors(evecs: np.ndarray, keys: np.ndarray, lead_keys: np.ndarray,
+                    leads: np.ndarray, guard: int) -> np.ndarray:
+    """For each monomial, its first dividing lead in ascending lead key, or -1.
+
+    One broadcast guard-bit test per block of monomials: lead divides
+    ev iff ev - lead has no guard bit set, since a negative field, and
+    so a negative difference, sets one.  Leads above the largest key
+    divide none and are left out.  This is ``_first_divisor``'s choice.
+    """
+    out = np.full(len(evecs), -1, dtype=np.intp)
+    r = int(np.searchsorted(lead_keys, keys.max(), side="right")) if len(keys) else 0
+    if not r:
+        return out
+    step = max(1, (1 << 16) // r)  # bounds the block's broadcast
+    for a in range(0, len(evecs), step):
+        ok = ((evecs[a:a + step, None] - leads[None, :r]) & guard) == 0
+        first = ok.argmax(axis=1)
+        out[a:a + step] = np.where(ok[np.arange(len(first)), first], first, -1)
+    return out
+
+
+def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict | None = None,
+                  pivots=()) -> tuple[np.ndarray, _Columns]:
     """Rows reduced by reducer multiples as one Macaulay matrix.
 
-    A row is (terms, dev, dk): the polynomial with those (key, evec,
-    coeff) terms, a ``Polynomial``'s (distinct monomials, coefficients
-    in [1, p)), times the monomial of evec dev and key dk.  ``pivots``
-    are rows with monic, distinct leads, taken as pivot rows as they
-    are.  Symbolic preprocessing gives every other monomial met that a
-    lead of ``reducers`` divides one pivot row, a multiple of its first
-    dividing reducer in ascending lead key (``_first_divisor``, through
-    the memo ``divisors`` when given), so the free columns are the
-    monomials no lead divides.  The rows are then reduced as one block
-    elimination (Faugere-Lachartre, PASCO 2010).  In the matrix
-    [A B; C D] the pivot rows come first, A on their lead columns and B
-    on the free columns; [C D] are ``rows``.  A = I + N is unit upper
-    triangular, since every pivot row is monic with its other terms
-    right of its lead.  X A = C is solved one level at a time, where a
-    pivot row's level is one above the highest level among the pivot
-    rows with a term on its lead column, so each level is one
-    ``_matmul``.
+    A row is (poly, dev, dk): the polynomial ``poly``, given by its
+    (key, evec, coeff) terms (distinct monomials, descending,
+    coefficients in [1, p)) or by a ``_TermArrays``, times the monomial
+    of evec dev and key dk.  ``pivots`` are rows with monic, distinct
+    leads, taken as pivot rows as they are.  Symbolic preprocessing
+    gives every other monomial met that a lead of ``reducers`` divides
+    one pivot row, a multiple of its first dividing reducer in ascending
+    lead key (``_first_divisor``'s choice), so the free columns are the
+    monomials no lead divides.
+
+    The preprocessing is a closure in waves on arrays of keys and evecs
+    (``_packing``).  Wave 0 is every term of the rows and pivots,
+    shifted by broadcasting; a wave's monomials are deduplicated by one
+    sort of their keys and a ``searchsorted`` against the monomials
+    already numbered, and the new ones that no given pivot leads take
+    their first dividing reducer from one broadcast guard-bit test
+    (``_first_divisors``).  The terms of those reducer rows, gathered
+    from the table's flat arrays, are the next wave.  With ``divisors``,
+    the basis's divisor memo, each monomial tested is recorded there as
+    the heap kernel would.
+
+    The rows are then reduced as one block elimination (Faugere-
+    Lachartre, PASCO 2010).  In the matrix [A B; C D] the pivot rows
+    come first, A on their lead columns and B on the free columns;
+    [C D] are ``rows``.  A = I + N is unit upper triangular, since every
+    pivot row is monic with its other terms right of its lead.  X A = C
+    is solved one level at a time, where a pivot row's level is one
+    above the highest level among the pivot rows with a term on its lead
+    column, so each level is one ``_matmul``.
 
     Returns D - X B, row i being ``rows[i]`` minus multiples of pivot
     rows, on the free columns, and those columns' (key, evec), in
-    descending order.  With ``pivots`` empty, row i is the normal form of
-    ``rows[i]`` modulo the reducers' basis.
+    descending order, also as arrays (``_Columns``).  With ``pivots``
+    empty, row i is the normal form of ``rows[i]`` modulo the reducers'
+    basis.
     """
     p = ring.field.p
-    guard = ring._evec_guard
-    memo = {} if divisors is None else divisors
-    memo_get = memo.get
-    # id of a row's terms or of a reducer -> (terms, offset, evecs, coeffs),
-    # the key of term i being terms[i - offset][0]; a reducer row's lead
-    # is the monomial that called for it, so its key is never read
-    split: dict[int, tuple] = {}
-    table = []  # (split entry, dev, dk), row by row
-    for t, dev, dk in (*rows, *pivots):
-        hit = split.get(id(t))
-        if hit is None:
-            hit = split[id(t)] = (t, 0, [ev for _, ev, _ in t], [c for _, _, c in t])
-        table.append((hit, dev, dk))
     nrest = len(rows)
-    leads = {t[0][1] + dev for t, dev, _ in pivots}
+    # the distinct row polynomials, and each row's one among them
+    polys: list[_TermArrays] = []
+    seen: dict[int, int] = {}
+    which, devs, dks = [], [], []
+    for t, dev, dk in (*rows, *pivots):
+        i = seen.get(id(t))
+        if i is None:
+            i = seen[id(t)] = len(polys)
+            polys.append(t if isinstance(t, _TermArrays) else _TermArrays(t))
+        which.append(i)
+        devs.append(dev)
+        dks.append(dk)
+    top = 0
+    if ring.nvars * ring.width > 63:
+        # _packing reads top only under grevlex, where a row's lead has
+        # its top degree
+        degree = ring.degree_of_key
+        top = max((degree(polys[i].terms[0][0] + dk) for i, dk in zip(which, dks)
+                   if polys[i].terms), default=0)
+    pk = _packing(ring, top)
+    parts = [t.get(ring, pk) for t in polys]
+    length = np.array([len(c) for _, _, c in parts], dtype=np.intp)
+    start = np.cumsum(length) - length
+    which = np.array(which, dtype=np.intp)
+    lens = length[which]
+    at = _segments(start[which], lens)
+    wk = _concat([k for k, _, _ in parts], pk.dtype)[at]
+    wk += np.repeat(_to_packing(ring, pk, dks), lens)
+    we = _concat([e for _, e, _ in parts], pk.dtype)[at]
+    we += np.repeat(_to_packing(ring, pk, devs), lens)
+    npiv = len(pivots)
+    terms_k = [wk]  # every row's terms, row after row
+    coeffs = [_concat([c for _, _, c in parts], np.int64)[at]]
+    owner = [np.repeat(np.arange(-nrest, npiv), lens)]  # pivot row, or negative in a row to reduce
+    lead_k = [wk[(np.cumsum(lens) - lens)[nrest:]]]  # pivot rows' lead keys, in pivot order
+    given = np.sort(lead_k[0])
+    red_k, red_e, red_start, red_len, tab_k, tab_e, tab_c = reducers.flat(ring, pk)
 
-    # symbolic preprocessing: every monomial met gets a number, and a
-    # pivot row when some lead divides it; the rows' terms are recorded
-    # by monomial number, row after row
-    found: list[tuple[int, int]] = []  # (key, evec) by monomial number
-    number: dict[int, int] = {}
-    terms: list[int] = []
-    coeffs: list[int] = []
-    for (kt, off, evecs, cs), dev, dk in table:  # table grows as pivot rows are added
-        evs = [ev + dev for ev in evecs]
-        ts = list(map(number.get, evs))
-        i = -1
-        for _ in range(ts.count(None)):
-            i = ts.index(None, i + 1)
-            ev, k = evs[i], kt[i - off][0] + dk
-            ts[i] = number[ev] = len(found)
-            found.append((k, ev))
-            if ev not in leads:
-                red = memo_get(ev, _UNSEEN)
-                if red is _UNSEEN:
-                    red = _first_divisor(reducers, guard, k, ev)
-                    if divisors is not None:
-                        memo[ev] = red
-                if red is not None:
-                    leads.add(ev)
-                    hit = split.get(id(red))
-                    if hit is None:
-                        tail = red[2]
-                        hit = split[id(red)] = (tail, 1, [red[1]] + [e for _, e, _ in tail],
-                                                [1] + [c for _, _, c in tail])
-                    table.append((hit, ev - red[1], k - red[0]))
-        terms += ts
-        coeffs += cs
+    # symbolic preprocessing: a wave's new monomials are numbered, and
+    # those a reducer lead divides bring that reducer's row, whose terms
+    # are the next wave
+    known = np.zeros(0, dtype=pk.dtype)  # keys numbered so far, ascending
+    new_k, new_e = [], []
+    while len(wk):
+        order = np.argsort(wk)
+        wk, we = wk[order], we[order]
+        fresh = np.ones(len(wk), dtype=bool)
+        fresh[1:] = wk[1:] != wk[:-1]
+        if len(known):
+            pos = np.minimum(np.searchsorted(known, wk), len(known) - 1)
+            fresh &= known[pos] != wk
+        wk, we = wk[fresh], we[fresh]
+        if not len(wk):
+            break
+        new_k.append(wk)
+        new_e.append(we)
+        known = np.sort(np.concatenate((known, wk)))
+        if len(given):
+            pos = np.minimum(np.searchsorted(given, wk), len(given) - 1)
+            lead = given[pos] == wk
+            wk, we = wk[~lead], we[~lead]
+        red = _first_divisors(we, wk, red_k, red_e, pk.guard)
+        if divisors is not None:
+            divisors.update(zip(_from_packing(ring, pk, we),
+                                [reducers[j] if j >= 0 else None for j in red.tolist()]))
+        hit = red >= 0
+        red, wk, we = red[hit], wk[hit], we[hit]
+        lens = red_len[red]
+        at = _segments(red_start[red], lens)
+        lead_k.append(wk)
+        owner.append(np.repeat(np.arange(npiv, npiv + len(red)), lens))
+        npiv += len(red)
+        coeffs.append(tab_c[at])
+        wk = tab_k[at] + np.repeat(wk - red_k[red], lens)
+        we = tab_e[at] + np.repeat(we - red_e[red], lens)
+        terms_k.append(wk)
 
-    npiv, ncols = len(table) - nrest, len(found)
-    order = sorted(range(ncols), key=lambda t: found[t][0], reverse=True)
-    col_of = np.empty(ncols, dtype=np.intp)  # columns by descending monomial
-    col_of[order] = np.arange(ncols)
-    lengths = np.array([len(t[2]) for t, _, _ in table], dtype=np.intp)
-    # the pivot row of each term, or a negative number in a row to reduce
-    pivot_of = np.repeat(np.arange(-nrest, npiv), lengths)
-    cols = col_of[np.array(terms, dtype=np.intp)]
-    lead_cols = cols[(np.cumsum(lengths) - lengths)[nrest:]]
+    # columns by descending monomial
+    col_k, col_e = _concat(new_k, pk.dtype), _concat(new_e, pk.dtype)
+    order = np.argsort(col_k)
+    ascending = col_k[order]
+    ncols = len(order)
+    pivot_of = np.concatenate(owner)
+    cols = ncols - 1 - np.searchsorted(ascending, _concat(terms_k, pk.dtype))
+    lead_cols = ncols - 1 - np.searchsorted(ascending, _concat(lead_k, pk.dtype))
     slot = np.full(ncols, -1, dtype=np.intp)  # the pivot row of each lead column
     slot[lead_cols] = np.arange(npiv)
     # level of a pivot row: the longest chain of pivot rows, each with a
@@ -605,14 +866,15 @@ def _block_reduce(ring: PolyRing, rows, reducers, divisors: dict | None = None,
     col_at[lead_cols[by_level]] = np.arange(npiv)
     col_at[free] = np.arange(npiv, ncols)
     M = np.zeros((npiv + nrest, ncols), dtype=np.int64)
-    M[row_at[pivot_of + nrest], col_at[cols]] = coeffs
+    M[row_at[pivot_of + nrest], col_at[cols]] = np.concatenate(coeffs)
     A, B, C, D = M[:npiv, :npiv], M[:npiv, npiv:], M[npiv:, :npiv], M[npiv:, npiv:]
     # X A = C: each level depends only on the levels before it, whose
     # X overwrites C
     ends = np.cumsum(np.bincount(level)).tolist()
     for a, b in zip(ends, ends[1:]):
         C[:, a:b] = (C[:, a:b] - _matmul(C[:, :a], A[:a, a:b], p)) % p
-    return (D - _matmul(C, B, p)) % p, [found[order[c]] for c in free.tolist()]
+    keep = order[::-1][free]
+    return (D - _matmul(C, B, p)) % p, _Columns(ring, pk, col_k[keep], col_e[keep])
 
 
 def _row_terms(row: np.ndarray, mons: list[tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
@@ -1273,18 +1535,20 @@ def is_zero_dim(basis: GroebnerBasis) -> bool:
     """Finitely many points: every variable has a pure power among the leads.
 
     Cheaper than the Hilbert series; the unit ideal is not zero-dimensional.
+    The verdict depends on the leads alone, so it is computed once per
+    basis object and kept on it.
     """
-    if basis.is_unit:
-        return False
-    ring = basis.ring
-    w = ring.width
-    mask = (1 << w) - 1
-    pure = set()
-    for ev in basis.lead_evecs():
-        slots = [i for i in range(ring.nvars) if (ev >> (i * w)) & mask]
-        if len(slots) == 1:
-            pure.add(slots[0])
-    return len(pure) == ring.nvars
+    if basis._zero_dim is None:
+        ring = basis.ring
+        w = ring.width
+        mask = (1 << w) - 1
+        pure = set()
+        for ev in basis.lead_evecs():
+            slots = [i for i in range(ring.nvars) if (ev >> (i * w)) & mask]
+            if len(slots) == 1:
+                pure.add(slots[0])
+        basis._zero_dim = not basis.is_unit and len(pure) == ring.nvars
+    return basis._zero_dim
 
 
 def quotient_degree(basis: GroebnerBasis) -> int:

@@ -291,11 +291,12 @@ def mono_cmp(ring: PolyRing, exps_a: Sequence[int], exps_b: Sequence[int]) -> in
 class Polynomial:
     """Immutable sparse polynomial; terms sorted strictly descending."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: tuple[tuple[int, int, int], ...]):
         self.ring = ring
         self.terms = terms  # ((key, evec, coeff), ...) descending by key
+        self._hash = None  # filled on first use: memo keys hash a polynomial often
 
     # -- basic queries -----------------------------------------------------
 
@@ -453,7 +454,9 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.field.p, self.ring.names, self.terms))
+        if self._hash is None:
+            self._hash = hash((self.ring.field.p, self.ring.names, self.terms))
+        return self._hash
 
     # -- calculus / maps ----------------------------------------------------
 

@@ -45,9 +45,10 @@ NF(x_i * NF(m' * f^k)), the parent column's terms shifted by one
 variable (packed exponents and order keys both add).  All of one
 degree's new columns are reduced together, as the rows of one
 ``groebner._block_reduce``: its symbolic preprocessing gives every
-monomial a lead divides one reducer row (through the basis's divisor
-memo), and its block elimination leaves each row on the free columns,
-the standard monomials, so each row is its column's normal form.
+monomial a lead divides one reducer row (from the basis's reducer
+table, whose arrays stay with the basis), and its block elimination
+leaves each row on the free columns, the standard monomials, so each
+row is its column's normal form.
 At each degree ``_rref`` echelonises the earlier degrees' pivot
 columns together with the new columns; every earlier free column lies
 in the span of those pivots, so leaving it out changes neither the
@@ -77,7 +78,7 @@ import numpy as np
 from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
-    GroebnerBasis, _block_reduce, _matmul, _matvec, _memoized, _reduce_terms, _row_terms, _rref,
+    GroebnerBasis, _block_reduce, _matmul, _matvec, _memoized, _reduce_terms, _row_poly, _rref,
     _top_form, dimension, extend_basis, is_zero_dim, standard_monomials,
 )
 
@@ -205,9 +206,13 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
     complete saturation.
 
     Each degree's new columns NF(x_i * NF(m' * f^k)) are computed
-    together, as one ``_block_reduce`` through the basis's divisor memo;
-    normal forms modulo a reduced basis are unique, so this gives the
-    columns that reducing each one alone would.
+    together, as one ``_block_reduce``; normal forms modulo a reduced
+    basis are unique, so this gives the columns that reducing each one
+    alone would.  Its reducer rows come from the basis's reducer table,
+    whose arrays are built on the first search modulo that basis and
+    kept with it, and it fills the basis's divisor memo for the heap
+    kernel.  A parent column enters as the echelon row it came out as,
+    with its arrays, so they are not built from its terms again.
     """
     ring = basis.ring
     p = ring.field.p
@@ -226,10 +231,10 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
         # a-monomials (key, evec) in degree-by-degree order; one degree's
         # new Macaulay columns NF(m * f^k) are the rows of one
         # _block_reduce, and the frontier keeps the last degree's as
-        # (key, evec, coeff) terms, for the next degree's shifts; degree
-        # 1 also takes the column of m = 1, and shifts f^k itself
+        # echelon rows with their arrays, for the next degree's shifts;
+        # degree 1 also takes the column of m = 1, and shifts f^k itself
         monos = [(0, 0)]
-        batch = [(fk.terms, 0, 0)]  # (terms, dev, dk): this degree's columns
+        batch = [(fk.terms, 0, 0)]  # (poly, dev, dk): this degree's columns
         frontier = [(0, 0, fk.terms)]
         seen = {0}
         rows: dict[int, int] = {}  # evec -> row of the Macaulay matrix
@@ -250,7 +255,7 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
                         batch.append((col, dev, dk))
             E, mons = _block_reduce(ring, batch, reducers, divisors)
             fresh = monos[start:]
-            frontier = [(*m, _row_terms(row, mons))
+            frontier = [(*m, _row_poly(row, mons))
                         for m, row in zip(fresh, E[len(E) - len(fresh):])]
             used = np.flatnonzero(E.any(axis=0))  # the free columns some row meets
             at = np.array([rows.setdefault(mons[c][1], len(rows)) for c in used.tolist()],

@@ -452,6 +452,168 @@ def test_block_reduce_rows_are_normal_forms(p):
     assert all(seen.values()), seen
 
 
+def _block_reduce_reference(ring, rows, reducers, divisors=None, pivots=()):
+    """_block_reduce as it was with a Python loop per term: every monomial
+    met is numbered in a dict, and its first dividing reducer found by
+    _first_divisor, through the memo ``divisors``."""
+    p = ring.field.p
+    guard = ring._evec_guard
+    memo = {} if divisors is None else divisors
+    memo_get = memo.get
+    split: dict[int, tuple] = {}
+    table = []
+    for t, dev, dk in (*rows, *pivots):
+        hit = split.get(id(t))
+        if hit is None:
+            hit = split[id(t)] = (t, 0, [ev for _, ev, _ in t], [c for _, _, c in t])
+        table.append((hit, dev, dk))
+    nrest = len(rows)
+    leads = {t[0][1] + dev for t, dev, _ in pivots}
+    found: list[tuple[int, int]] = []
+    number: dict[int, int] = {}
+    terms: list[int] = []
+    coeffs: list[int] = []
+    for (kt, off, evecs, cs), dev, dk in table:
+        evs = [ev + dev for ev in evecs]
+        ts = list(map(number.get, evs))
+        i = -1
+        for _ in range(ts.count(None)):
+            i = ts.index(None, i + 1)
+            ev, k = evs[i], kt[i - off][0] + dk
+            ts[i] = number[ev] = len(found)
+            found.append((k, ev))
+            if ev not in leads:
+                red = memo_get(ev, groebner._UNSEEN)
+                if red is groebner._UNSEEN:
+                    red = groebner._first_divisor(reducers, guard, k, ev)
+                    if divisors is not None:
+                        memo[ev] = red
+                if red is not None:
+                    leads.add(ev)
+                    hit = split.get(id(red))
+                    if hit is None:
+                        tail = red[2]
+                        hit = split[id(red)] = (tail, 1, [red[1]] + [e for _, e, _ in tail],
+                                                [1] + [c for _, _, c in tail])
+                    table.append((hit, ev - red[1], k - red[0]))
+        terms += ts
+        coeffs += cs
+    npiv, ncols = len(table) - nrest, len(found)
+    order = sorted(range(ncols), key=lambda t: found[t][0], reverse=True)
+    col_of = np.empty(ncols, dtype=np.intp)
+    col_of[order] = np.arange(ncols)
+    lengths = np.array([len(t[2]) for t, _, _ in table], dtype=np.intp)
+    pivot_of = np.repeat(np.arange(-nrest, npiv), lengths)
+    cols = col_of[np.array(terms, dtype=np.intp)]
+    lead_cols = cols[(np.cumsum(lengths) - lengths)[nrest:]]
+    slot = np.full(ncols, -1, dtype=np.intp)
+    slot[lead_cols] = np.arange(npiv)
+    edge = (pivot_of >= 0) & (slot[cols] >= 0) & (slot[cols] != pivot_of)
+    src, dst = pivot_of[edge], slot[cols[edge]]
+    level = np.zeros(npiv, dtype=np.intp)
+    while True:
+        nxt = np.zeros(npiv, dtype=np.intp)
+        np.maximum.at(nxt, dst, level[src] + 1)
+        if np.array_equal(nxt, level):
+            break
+        level = nxt
+    by_level = np.argsort(level, kind="stable")
+    free = np.flatnonzero(slot < 0)
+    row_at = np.empty(nrest + npiv, dtype=np.intp)
+    row_at[nrest + by_level] = np.arange(npiv)
+    row_at[:nrest] = np.arange(npiv, npiv + nrest)
+    col_at = np.empty(ncols, dtype=np.intp)
+    col_at[lead_cols[by_level]] = np.arange(npiv)
+    col_at[free] = np.arange(npiv, ncols)
+    M = np.zeros((npiv + nrest, ncols), dtype=np.int64)
+    M[row_at[pivot_of + nrest], col_at[cols]] = coeffs
+    A, B, C, D = M[:npiv, :npiv], M[:npiv, npiv:], M[npiv:, :npiv], M[npiv:, npiv:]
+    ends = np.cumsum(np.bincount(level)).tolist()
+    for a, b in zip(ends, ends[1:]):
+        C[:, a:b] = (C[:, a:b] - groebner._matmul(C[:, :a], A[:a, a:b], p)) % p
+    return (D - groebner._matmul(C, B, p)) % p, [found[order[c]] for c in free.tolist()]
+
+
+def _shift(ring, rng, lift):
+    """A random monomial of degree 0 to 2 times the first variable to the power ``lift``."""
+    exps = [0] * ring.nvars
+    exps[0] = lift
+    for _ in range(rng.randrange(3)):
+        exps[rng.randrange(ring.nvars)] += 1
+    ev = ring.pack_evec(exps)
+    return ev, ring.key_of_evec(ev)
+
+
+# (variables, lift, elimination order, packing): 3 and 7 variables fit
+# int64 as they are; 8 and 10 are repacked into 7- and 6-bit fields;
+# a lift of 30 takes 10 variables past the degree 31 that 6-bit fields
+# hold, and an elimination order is never repacked, so both run on
+# object arrays
+_PACKING_CASES = [
+    (3, 0, False, "int64"),
+    (7, 0, False, "int64"),
+    (8, 0, False, "repacked"),
+    (10, 0, False, "repacked"),
+    (10, 30, False, "object"),
+    (7, 0, True, "object"),
+]
+
+
+@pytest.mark.parametrize("p", [5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("nvars, lift, elim, kind", _PACKING_CASES)
+def test_block_reduce_matches_reference(p, nvars, lift, elim, kind):
+    """The array preprocessing against the per-term loop it replaced: equal
+    matrices, free columns and divisor memos on random rows, pivot rows
+    and reducers, in every packing."""
+    names = [f"x{i}" for i in range(nvars)]
+    ring = PolyRing(PrimeField(p), names)
+    if elim:
+        ring = ring.extend_elim()
+    width = {"int64": ring.width, "repacked": 63 // ring.nvars, "object": ring.width}[kind]
+    rng = random.Random(p + 100 * nvars + lift)
+    reduced = 0
+    for trial in range(12):
+        # monic reducers with distinct leads of degree 1 to 3, so that
+        # many monomials met have a divisor and the closure takes waves
+        gens, leads = [], set()
+        for _ in range(2 + trial % 4):
+            f = random_poly(ring, rng, 3, 3)
+            if f.is_constant() or f.terms[0][1] in leads:
+                continue
+            leads.add(f.terms[0][1])
+            gens.append(f.monic())
+        if not gens:
+            continue
+        reducers = groebner._prep_reducers(gens)
+        polys = [random_poly(ring, rng, 4, 3) for _ in range(5)] + [ring.zero()]
+        rows = []
+        for f in polys:
+            for _ in range(2):
+                ev, k = _shift(ring, rng, lift)
+                rows.append((f.terms, ev, k))
+        rows += rows[:2]
+        pivots, lead_evs = [], set()
+        for g in gens + [random_poly(ring, rng, 3, 3).monic() for _ in range(2)]:
+            if g.is_zero():
+                continue
+            ev, k = _shift(ring, rng, lift)
+            if g.terms[0][1] + ev not in lead_evs:
+                lead_evs.add(g.terms[0][1] + ev)
+                pivots.append((g.terms, ev, k))
+        if trial % 2:
+            pivots = []
+        memo, memo_ref = {}, {}
+        E, mons = _block_reduce(ring, rows, reducers, memo if trial % 3 else None, pivots)
+        E_ref, mons_ref = _block_reduce_reference(ring, rows, list(reducers),
+                                                  memo_ref if trial % 3 else None, pivots)
+        assert np.array_equal(E, E_ref) and E.dtype == E_ref.dtype
+        assert mons == mons_ref
+        assert memo == memo_ref
+        assert mons.packing[:2] == (width, object if kind == "object" else np.int64)
+        reduced += any(red is not None for red in memo_ref.values())
+    assert reduced
+
+
 def _rref_reference(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Gaussian elimination on Python integers: the loop that _rref vectorises."""
     m = [[v % p for v in row] for row in rows]
@@ -1325,6 +1487,25 @@ def test_hilbert_dim_degree_is_kept_per_basis(ring_xyz):
     fresh = groebner_of(ring_xyz, polys)
     assert fresh is not kept
     assert hilbert_dim_degree(kept) == cached == hilbert_dim_degree(fresh) == (1, 3)
+
+
+@pytest.mark.parametrize("nvars, dim", [(3, 0), (3, 1), (4, 0), (4, 2)])
+def test_is_zero_dim_is_kept_per_basis(nvars, dim):
+    """The kept verdict is the pure-power scan's, on a basis built as
+    another object too, and a second call reads it back."""
+    seen = set()
+    for basis, _ in product_cases(7, nvars, dim, 11 * nvars + dim, 8):
+        ring = basis.ring
+        supports = [[i for i, e in enumerate(ring.unpack_evec(ev)) if e]
+                    for ev in basis.lead_evecs()]
+        pure = {s[0] for s in supports if len(s) == 1}
+        scan = not basis.is_unit and len(pure) == ring.nvars
+        assert basis._zero_dim is None
+        assert is_zero_dim(basis) == scan == is_zero_dim(GroebnerBasis(ring, basis.gens))
+        assert basis._zero_dim == scan and is_zero_dim(basis) == scan
+        seen.add(scan)
+    assert seen == ({True, False} if dim == 0 else {False})
+    assert not is_zero_dim(buchberger([ring.one()]))
 
 
 @pytest.mark.parametrize("p", [5, 7, 101, 65521])

@@ -161,6 +161,21 @@ def test_hash_agrees_with_equality_across_field_objects():
     assert len({a, b}) == 1
 
 
+def test_hash_is_kept_per_polynomial(ring_xyz, rng):
+    # memo keys hash polynomials often; the first hash is kept on the object
+    for _ in range(20):
+        f = random_poly(ring_xyz, rng)
+        if f.is_zero():
+            continue  # its terms are the one empty tuple
+        g = (f + ring_xyz.one()) - ring_xyz.one()  # the same value, built anew
+        assert f is not g and f.terms is not g.terms and f == g
+        assert f._hash is None
+        assert hash(f) == hash(g) == hash((ring_xyz.field.p, ring_xyz.names, f.terms))
+        assert f._hash == hash(f)
+        f._hash = 17  # a second hash reads the slot, not the terms
+        assert hash(f) == 17
+
+
 def test_add_sub_examples(ring_xy):
     x, y = ring_xy.gens()
     assert (x + y) + (x - y) == 2 * x
