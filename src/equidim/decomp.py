@@ -191,8 +191,9 @@ def _remove_classic(X: AffineCell, H: list[Polynomial], ctx: _Ctx) -> list[Affin
 
 def _remove_prime(X: AffineCell, H: list[Polynomial], ctx: _Ctx) -> list[AffineCell]:
     out = []
-    for i, hi in enumerate(H):
-        Xi = X.subtract(hi)
+    # subtracting draws no random numbers, so asking for every X minus
+    # V(h_i) here leaves the draws of the proper cuts below in order
+    for i, Xi in enumerate(X.subtract_each(H)):
         if Xi.is_empty():
             continue
         deferred: list[Polynomial] = []

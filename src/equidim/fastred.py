@@ -2,9 +2,8 @@
 
 Nothing in the package calls them: Buchberger reduces with
 ``groebner._reduce_terms``.  They remain because the benchmark's tracer
-wraps these five methods and reports their ``fastred.*`` metrics, like
-the ``zerodim.extended`` stub; they go in the benchmark change that
-drops the ``fastred`` layer.
+wraps these five methods and reports their ``fastred.*`` metrics; they
+go in the benchmark change that drops the ``fastred`` layer.
 """
 
 from __future__ import annotations

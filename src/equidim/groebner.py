@@ -12,11 +12,12 @@ Reduced Groebner bases come from one of two routes:
   from its echelon row.  ``groebner_of`` and ``ideal_intersect`` use it.
 * ``_sig_step`` extends a known reduced basis P by one polynomial f
   with signature criteria (F5C, Eder-Perry 2010; the rewrite criterion
-  of Eder-Roune 2013).  ``extend_basis`` (on both cell backends, so
-  also for zero-dimensional witness slices), the certificate and the
-  colon ideals behind ``saturate`` and ``radical_member`` use it; the
-  Koszul criterion drops every pair whose signature lies in LM(P) when
-  the pair is made, so such a pair never enters the step's queue.
+  of Eder-Roune 2013).  ``extend_basis`` (on the gb backend; witness
+  slices are extended in their quotient by ``zerodim.extended``), the
+  certificate and the colon ideals behind ``saturate`` and
+  ``radical_member`` use it; the Koszul criterion drops every pair
+  whose signature lies in LM(P) when the pair is made, so such a pair
+  never enters the step's queue.
   From the zero ideal ``extend_basis`` takes no step: {f / lc(f)} is
   already the reduced basis of <f>.
   The step returns its new elements without interreducing them, and

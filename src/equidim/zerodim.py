@@ -21,8 +21,22 @@ Groebner basis comes off the same echelon: the pivot columns are the
 new staircase, each free column gives a new basis element, and the old
 generators' tails are reduced modulo K by one matrix product.  Reduced
 bases are unique, so it agrees bit-for-bit with ``groebner.saturate``.
-Adding generators to W has no route here: ``extend_basis`` does it in
-every dimension.
+
+Many polynomials share one quotient, so ``QuotientStructure.matrices_of``
+builds their matrices as one stack, with one product per staircase
+monomial for all of them, and two questions read the stack whole:
+
+* ``saturations`` asks which of several f are units modulo W with one
+  forward elimination of all their matrices in lockstep; a unit's
+  saturation is W itself with no echelon, and only the others take the
+  kernel read above.
+* ``extended`` adds generators H to W inside A, the FGLM idea
+  (Faugere, Gianni, Lazard and Mora, JSC 16, 1993): <W> + <H> is the
+  preimage of the ideal J that H generates in A, which is the column
+  space of the stack.  One reduced echelon of those columns, with the
+  monomials in descending order, has J's leads as its pivots, and its
+  rows and the old generators' tails reduced modulo J give the reduced
+  basis, the one ``extend_basis`` computes with signature steps.
 
 A basis of dimension d >= 1 whose last d variables divide no lead has
 a zero-dimensional ideal of points at infinity, W_inf, read off its top
@@ -61,7 +75,9 @@ Matrix products, row echelon forms and the block elimination come from
 ``groebner._matmul``, ``groebner._rref`` and ``groebner._block_reduce``,
 the linear-algebra core that the F4 rounds of ``buchberger`` share.
 Every product is exact on float64 BLAS, split into 16-bit limbs where
-one float64 product could round.
+one float64 product could round.  A quotient keeps its vectors and
+matrices in float64 where D * (p - 1)^2 < 2^53, so that their products
+need no conversion, and in int64 for the limbs elsewhere.
 
 Within one ``memo_scope`` (one ``decomp.equidim`` call) a quotient is
 built once per basis value: equal bases reached as separate objects,
@@ -79,7 +95,7 @@ from .gf import ContractViolation
 from .rings import DegreeOverflow, Polynomial
 from .groebner import (
     GroebnerBasis, _block_reduce, _matmul, _matvec, _memoized, _reduce_terms, _row_poly, _rref,
-    _top_form, dimension, extend_basis, is_zero_dim, standard_monomials,
+    _top_form, dimension, is_zero_dim, standard_monomials,
 )
 
 
@@ -89,10 +105,17 @@ class QuotientStructure:
     The basis holds its structure, so the structure keeps no reference
     to the basis, only the basis's reducers and divisor memo: a cycle
     would leave every basis with a quotient to the cyclic collector.
+
+    Vectors and matrices on the staircase have ``dtype`` float64 when
+    D * (p - 1)^2 < 2^53.  A product Y of two of them is then exact in
+    one BLAS call, and so is Y - p * floor(Y / p): Y / p is correctly
+    rounded, so its error is below Y * 2^-53 / p < 1 / p, which moves it
+    neither across an integer nor off one.  Otherwise they are int64,
+    and every product runs ``_matmul``'s 16-bit limbs.
     """
 
-    __slots__ = ("ring", "p", "reducers", "divisors", "monomials", "index", "D", "mul",
-                 "saturated")
+    __slots__ = ("ring", "p", "reducers", "divisors", "monomials", "index", "D", "dtype",
+                 "mul", "steps", "saturated")
 
     def __init__(self, basis: GroebnerBasis):
         self.ring = basis.ring
@@ -102,9 +125,27 @@ class QuotientStructure:
         self.monomials = standard_monomials(basis)  # ascending evecs
         self.index = {ev: i for i, ev in enumerate(self.monomials)}
         self.D = len(self.monomials)
+        self.dtype = np.float64 if self.D * (self.p - 1) ** 2 < 2**53 else np.int64
         self.mul = self._build_mul_matrices()
+        # m_j = x_k * m_i for each staircase monomial m_j past 1, as (k, i)
+        w, mask = self.ring.width, (1 << self.ring.width) - 1
+        self.steps = []
+        for ev in self.monomials[1:]:
+            k = next(k for k in range(self.ring.nvars) if (ev >> (k * w)) & mask)
+            self.steps.append((k, self.index[ev - (1 << (k * w))]))
         # f -> <W> : f^inf, or None where that is <W> itself
         self.saturated: dict[Polynomial, GroebnerBasis | None] = {}
+
+    def product(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A @ B mod p for staircase arrays (B a matrix or a vector)."""
+        if self.dtype is np.float64:
+            Y = A @ B
+            Y -= self.p * np.floor(Y / self.p)
+            return Y
+        return _matmul(A, B, self.p) if B.ndim == 2 else _matvec(A, B, self.p)
+
+    def zeros(self, *shape: int) -> np.ndarray:
+        return np.zeros(shape, dtype=self.dtype)
 
     def _build_mul_matrices(self) -> list[np.ndarray]:
         ring, p, D = self.ring, self.p, self.D
@@ -113,7 +154,7 @@ class QuotientStructure:
         key = ring.key_of_evec
         index = self.index
         tails = {ev: tail for _, ev, tail in self.reducers}
-        mats = [np.zeros((D, D), dtype=np.int64) for _ in range(n)]
+        mats = [self.zeros(D, D) for _ in range(n)]
         # normal-form vectors of staircase-and-border monomials, in
         # increasing order; every monomial u has u/x_k in the same set
         vec: dict[int, np.ndarray] = {}
@@ -124,10 +165,10 @@ class QuotientStructure:
         for u in sorted(needed, key=key):
             iu = index.get(u)
             if iu is not None:
-                vu = np.zeros(D, dtype=np.int64)
+                vu = self.zeros(D)
                 vu[iu] = 1
             elif u in tails:
-                vu = np.zeros(D, dtype=np.int64)
+                vu = self.zeros(D)
                 for _, ev, c in tails[u]:
                     vu[index[ev]] = -c % p
             else:
@@ -141,7 +182,7 @@ class QuotientStructure:
                     vc = vec.get(c_ev)
                     if vc is None:
                         continue
-                    vu = _matvec(mats[k], vc, p)
+                    vu = self.product(mats[k], vc)
                     break
                 assert vu is not None, "border recursion failed"
             vec[u] = vu
@@ -162,30 +203,29 @@ class QuotientStructure:
         if f.ring != self.ring:
             raise ContractViolation("polynomial and basis from different rings")
         nf = _reduce_terms(self.ring, f.terms, self.reducers, self.divisors)
-        v = np.zeros(self.D, dtype=np.int64)
+        v = self.zeros(self.D)
         for _, ev, c in nf:
             v[self.index[ev]] = c
         return v
 
-    def matrix_of(self, f: Polynomial) -> np.ndarray:
-        """Multiplication-by-f matrix, built column by column.
+    def matrices_of(self, polys: Sequence[Polynomial]) -> np.ndarray:
+        """The multiplication matrices of several polynomials, as one (k, D, D) stack.
 
-        Column j is vec(f * m_j); each staircase monomial is one
-        variable away from an earlier one, so columns follow by a
-        single matrix-vector product.
+        Column j of M_f is vec(f * m_j).  Each staircase monomial m_j
+        past 1 is x_k times an earlier one, m_i, so column j of every
+        matrix is M_(x_k) times column i: one product per staircase
+        monomial serves all k polynomials.
         """
-        ring, p, D = self.ring, self.p, self.D
-        w = ring.width
-        M = np.zeros((D, D), dtype=np.int64)
-        M[:, 0] = self.vector_of(f)
-        for j in range(1, D):
-            ev = self.monomials[j]
-            for k in range(ring.nvars):
-                if (ev >> (k * w)) & ((1 << w) - 1):
-                    prev = self.index[ev - (1 << (k * w))]
-                    M[:, j] = _matvec(self.mul[k], M[:, prev], p)
-                    break
-        return M
+        cols = self.zeros(self.D, self.D, len(polys))  # cols[j]: column j of every matrix
+        for t, f in enumerate(polys):
+            cols[0, :, t] = self.vector_of(f)
+        for j, (k, i) in enumerate(self.steps, 1):
+            cols[j] = self.product(self.mul[k], cols[i])
+        return cols.transpose(2, 1, 0)
+
+    def matrix_of(self, f: Polynomial) -> np.ndarray:
+        """Multiplication-by-f matrix: ``matrices_of`` for one polynomial."""
+        return self.matrices_of([f])[0]
 
 
 # the separator search tries the multipliers a of degree <= MAX_DEG
@@ -395,18 +435,71 @@ def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     """
     q = quotient(basis)
     if f not in q.saturated:
-        q.saturated[f] = _kernel_preimage(q, basis, f)
+        q.saturated[f] = _kernel_preimage(q, basis, q.matrix_of(f))
     sat = q.saturated[f]
     return basis if sat is None else sat
 
 
+def saturations(basis: GroebnerBasis, polys: Sequence[Polynomial]) -> list[GroebnerBasis]:
+    """``saturation`` of one zero-dimensional basis by each of several polynomials.
+
+    The polynomials not yet in the memo get their matrices as one
+    ``matrices_of`` stack, and one forward elimination of the whole
+    stack in lockstep (``_units``) finds those that are units modulo
+    the basis: M_f is invertible, so the saturation is ``basis``
+    itself, and the memo records that with no power of M_f and no
+    echelon.  Each of the others takes ``saturation``'s kernel read of
+    the matrix already built.  The answers are ``saturation``'s; only
+    the work is shared.
+    """
+    q = quotient(basis)
+    todo = [f for f in dict.fromkeys(polys) if f not in q.saturated]
+    if todo:
+        stack = q.matrices_of(todo)
+        for f, M, unit in zip(todo, stack, _units(stack, q.p)):
+            q.saturated[f] = None if unit else _kernel_preimage(q, basis, M)
+    return [saturation(basis, f) for f in polys]
+
+
+def _units(stack: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a (k, D, D) stack are invertible mod p.
+
+    One forward elimination of all k in lockstep.  At column c each
+    matrix takes its first row from c on with a nonzero entry there,
+    swaps it to row c, and clears column c below it with
+    row_r := piv * row_r - m[r, c] * row_c, which needs no inverse and
+    keeps the rank.  A matrix with no such row is singular and leaves
+    the stack.  Entries stay in [0, p) with p < 2^31, so each product
+    is below 2^62 and exact in int64.
+    """
+    m = stack.astype(np.int64)
+    live = np.arange(len(m))
+    for c in range(m.shape[1]):
+        nz = m[:, c:, c] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            live, m, nz = live[has], m[has], nz[has]
+            if not live.size:
+                break
+        at = np.arange(len(m))
+        pr = c + nz.argmax(axis=1)
+        top = m[at, pr, c:]  # the pivot rows; row c moves to pr, and is not read again
+        m[at, pr, c:] = m[at, c, c:]
+        below = m[:, c + 1:, c + 1:]
+        below *= top[:, None, :1]
+        below -= m[:, c + 1:, c:c + 1] * top[:, None, 1:]
+        below %= p
+    units = np.zeros(len(stack), dtype=bool)
+    units[live] = True
+    return units
+
+
 def _kernel_preimage(q: QuotientStructure, basis: GroebnerBasis,
-                     f: Polynomial) -> GroebnerBasis | None:
-    """(<basis> : f^inf), or None when that is <basis> itself."""
+                     M: np.ndarray) -> GroebnerBasis | None:
+    """(<basis> : f^inf) from M = M_f, or None when that is <basis> itself."""
     ring, p, D, mons = q.ring, q.p, q.D, q.monomials
-    M = q.matrix_of(f)
     for _ in range(max(1, (D - 1).bit_length())):
-        M = _matmul(M, M, p)
+        M = q.product(M, M)
     R, piv = _rref(M, p)
     if len(piv) == D:
         return None
@@ -441,13 +534,90 @@ def _kernel_preimage(q: QuotientStructure, basis: GroebnerBasis,
 
 
 def extended(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis:
-    """Reduced basis of <basis> + <extra>; the same as ``extend_basis``.
+    """Reduced basis of <basis> + <extra> for a zero-dimensional basis, in its quotient.
 
-    No package code calls it.  It remains only because the benchmark's
-    tracer and its ``zerodim.extended.calls`` metric name it, and it
-    goes in the benchmark change that drops the ``fastred`` layer.
+    The same basis as ``extend_basis``, since reduced bases are unique,
+    and memoized under the same key, with no signature step.  The ideal
+    <basis> + <extra> is the preimage of J, the ideal that the extras
+    generate in A = R/<basis>, and J is the column space of their
+    matrices: column j of M_h is the class of h * m_j.  The reduced
+    echelon form R of those columns as rows, with the monomials in
+    descending order (``_row_echelon``), has J's leads as its pivot
+    columns, and the new staircase is the old one
+    without them (the lead of a polynomial whose lead is standard is the
+    lead of its class).  A lead u of J whose quotients u / x_k are not
+    leads of J gives its echelon row, u plus a tail on the new
+    staircase; an old generator u + t whose quotients u / x_k are not
+    leads of J gives u + t', with t' = t - t[piv] R, t reduced modulo J.
+    Those of minimal lead form the reduced basis; rank 0 is ``basis``
+    itself and rank D is <1>.
     """
-    return extend_basis(basis, extra)
+    extra = tuple(f for f in extra if not f.is_zero())
+    if not extra or basis.is_unit:
+        return basis
+    return _memoized(("extend", basis, extra), lambda: _image_preimage(quotient(basis), basis, extra))
+
+
+def _row_echelon(blocks: Sequence[np.ndarray], p: int) -> tuple[np.ndarray, list[int]]:
+    """``_rref`` of the blocks' rows stacked, taken one block at a time.
+
+    With R the echelon so far, pivots piv, a block B first loses its
+    part in R's row space, B - B[:, piv] R, in one product; only what is
+    left takes ``_rref`` pivot steps, and its rows F, pivots new, clear
+    their columns from R with R - R[:, new] F.  The rows of both, sorted
+    by pivot, are the reduced echelon form of everything so far, so the
+    pivot steps number the rank, not the blocks times the rank.
+    """
+    R, piv = _rref(blocks[0], p)
+    for B in blocks[1:]:
+        if len(piv) == R.shape[1]:
+            break
+        B = np.asarray(B, dtype=np.int64)
+        if piv:
+            B = (B - _matmul(B[:, piv], R, p)) % p
+        F, new = _rref(B, p)
+        if new:
+            R = np.concatenate(((R - _matmul(R[:, new], F, p)) % p, F))
+            order = np.argsort(piv + new)
+            R, piv = R[order], sorted(piv + new)
+    return R, piv
+
+
+def _image_preimage(q: QuotientStructure, basis: GroebnerBasis,
+                    extra: tuple[Polynomial, ...]) -> GroebnerBasis:
+    ring, p, D = q.ring, q.p, q.D
+    desc = q.monomials[::-1]
+    stack = q.matrices_of(extra)
+    R, piv = _row_echelon([M.T[:, ::-1] for M in stack], p)
+    if not piv:
+        return basis
+    if len(piv) == D:
+        return GroebnerBasis(ring, (ring.one(),))
+    w, mask = ring.width, (1 << ring.width) - 1
+    leads = {desc[c]: i for i, c in enumerate(piv)}  # J's leads -> their rows of R
+    pivset = set(piv)
+    free = [c for c in range(D) if c not in pivset]
+    free_terms = [(ring.key_of_evec(desc[c]), desc[c]) for c in free]
+
+    def minimal(ev: int) -> bool:
+        return not any((ev >> (k * w)) & mask and ev - (1 << (k * w)) in leads
+                       for k in range(ring.nvars))
+
+    def element(lead: tuple, coeffs: np.ndarray) -> Polynomial:
+        tail = tuple((k, ev, int(c)) for (k, ev), c in zip(free_terms, coeffs) if c)
+        return Polynomial(ring, (lead,) + tail)
+
+    old = [g for g in basis.gens if minimal(g.terms[0][1])]
+    T = np.zeros((len(old), D), dtype=np.int64)
+    for j, g in enumerate(old):
+        for _, ev, c in g.terms[1:]:
+            T[j, D - 1 - q.index[ev]] = c
+    T = (T - _matmul(T[:, piv], R, p)) % p
+    gens = [element(g.terms[0], T[j, free]) for j, g in enumerate(old)]
+    gens += [element((ring.key_of_evec(ev), ev, 1), R[i, free])
+             for ev, i in leads.items() if minimal(ev)]
+    gens.sort(key=lambda g: g.terms[0][0], reverse=True)
+    return GroebnerBasis(ring, tuple(gens))
 
 
 def radical_membership(basis: GroebnerBasis, f: Polynomial) -> bool:
@@ -455,7 +625,7 @@ def radical_membership(basis: GroebnerBasis, f: Polynomial) -> bool:
 
     No package code calls it: cells read ``saturation`` directly.  It
     remains only because the benchmark's tracer and its
-    ``zerodim.radical_membership.calls`` metric name it, like ``extended``.
+    ``zerodim.radical_membership.calls`` metric name it.
     """
     return saturation(basis, f).is_unit
 
@@ -465,6 +635,6 @@ def properness(basis: GroebnerBasis, f: Polynomial) -> bool:
 
     No package code calls it: cells read ``saturation`` directly.  It
     remains only because the benchmark's tracer and its
-    ``zerodim.properness.calls`` metric name it, like ``extended``.
+    ``zerodim.properness.calls`` metric name it, like ``radical_membership``.
     """
     return saturation(basis, f) == basis
