@@ -8,17 +8,19 @@ import random
 from equidim import PolyRing, PrimeField, mono_cmp, parse_polynomial, random_affine_forms
 
 # Arithmetic happens in a prime field chosen at runtime; 65521 is the
-# default characteristic everywhere in this package.
+# default characteristic everywhere in this package.  Field elements are
+# plain residues in [0, p), and PrimeField.inv inverts one.
 F = PrimeField(65521)
-a = F(12345)
-b = F(54321)
-print("a + b      =", a + b)
-print("a * b      =", a * b)
-print("a / b      =", a / b)
-print("b * (a/b)  =", b * (a / b), "(back to a)")
+p = F.p
+a, b = 12345, 54321
+quotient = a * F.inv(b) % p
+print("a + b      =", (a + b) % p)
+print("a * b      =", a * b % p)
+print("a / b      =", quotient)
+print("b * (a/b)  =", b * quotient % p, "(back to a)")
 
-# Polynomials are sparse and live in a ring with named variables and a
-# fixed monomial order (graded reverse lexicographic by default).
+# Polynomials are sparse and live in a ring with named variables,
+# ordered by the graded reverse lexicographic order.
 R = PolyRing(F, ("x", "y", "z"))
 x, y, z = R.gens()
 f = (x + y) * (x - y) + z**2

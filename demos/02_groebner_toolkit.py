@@ -8,7 +8,6 @@ from equidim import (
     PrimeField,
     buchberger,
     dimension,
-    ideal_intersect,
     ideal_member,
     normal_form,
     quotient_degree,
@@ -40,8 +39,7 @@ print("x   in rad<x^2, z>:", radical_member(x, G))
 print("\nsat(<x*y>, x) =", saturate([x * y], x))
 print("sat(<x^2>, x) =", saturate([x**2], x), "(nothing survives)")
 
-# Intersections, dimension, degree:
-print("\n<x> meet <y> =", ideal_intersect(buchberger([x]), buchberger([y])))
-print("dim V(xy, xz) =", dimension(buchberger([x * y, x * z])))
+# Dimension and degree:
+print("\ndim V(xy, xz) =", dimension(buchberger([x * y, x * z])))
 pts = buchberger([x**2 - 1, y**2 - 1, z])
 print("degree of the four points V(x^2-1, y^2-1, z):", quotient_degree(pts))

@@ -15,9 +15,8 @@ whose output does not depend on the seed, and reports it in
 ``DecompositionOutput.backend``.
 """
 
-from .gf import ContractViolation, FieldElement, PrimeField, DEFAULT_CHAR
+from .gf import ContractViolation, PrimeField, DEFAULT_CHAR
 from .rings import (
-    MonomialOrder,
     ParseError,
     PolyRing,
     Polynomial,
@@ -31,7 +30,6 @@ from .groebner import (
     buchberger,
     dimension,
     groebner_of,
-    ideal_intersect,
     ideal_member,
     normal_form,
     quotient_degree,
@@ -76,11 +74,9 @@ __all__ = [
     "DecompositionOutput",
     "DEFAULT_CHAR",
     "FacetDecomposition",
-    "FieldElement",
     "GB_BACKEND",
     "GCache",
     "GroebnerBasis",
-    "MonomialOrder",
     "NonGenericSlice",
     "ParseError",
     "PartitionReport",
@@ -100,7 +96,6 @@ __all__ = [
     "gen_ps",
     "gen_sos",
     "groebner_of",
-    "ideal_intersect",
     "ideal_member",
     "make_witness",
     "mono_cmp",

@@ -1,9 +1,9 @@
-"""Arithmetic in the prime field GF(p) for a runtime-chosen odd word-size prime.
+"""The prime field GF(p) for a runtime-chosen odd word-size prime.
 
-The modulus is carried by a shared, immutable ``PrimeField`` context.  All
-elements created from the same context can be combined freely; mixing
-contexts is a contract violation.  The default characteristic is 65521,
-the largest prime below 2^16.
+Field elements are raw residues, plain ints in [0, p); the immutable
+``PrimeField`` context carries the modulus and the one inverse,
+``PrimeField.inv``.  The default characteristic is 65521, the largest
+prime below 2^16.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class PrimeField:
             raise ContractViolation(f"characteristic must be prime: {p}")
         self.p = p
 
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -77,12 +74,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
 
     def inv(self, value: int) -> int:
         """Inverse of a raw residue, by extended Euclid."""
@@ -93,82 +84,3 @@ class PrimeField:
         assert g == 1
         return u % self.p
 
-
-class FieldElement:
-    """A residue in [0, p), tied to its ``PrimeField`` context."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ContractViolation("mixed field contexts")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other % self.field.p, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value + other.value) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value - other.value) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return FieldElement(pow(self.value, e, self.field.p), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.p))
-
-    def __repr__(self) -> str:
-        return f"{self.value}"

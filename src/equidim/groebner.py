@@ -9,7 +9,7 @@ Reduced Groebner bases come from one of two routes:
   with a single pair is reduced as an S-polynomial instead.  The call's
   generators keep their terms as arrays for the matrices, in its
   reducer table; an element a matrix makes takes its arrays straight
-  from its echelon row.  ``groebner_of`` and ``ideal_intersect`` use it.
+  from its echelon row.  ``groebner_of`` uses it.
 * ``_sig_step`` extends a known reduced basis P by one polynomial f
   with signature criteria (F5C, Eder-Perry 2010; the rewrite criterion
   of Eder-Roune 2013).  ``extend_basis`` (on the gb backend; witness
@@ -26,11 +26,11 @@ Reduced Groebner bases come from one of two routes:
   <P>, which with P form a Groebner basis of (<P> : f).
 
 A saturation (I : g^inf) first tries a certificate that g is a
-nonzerodivisor modulo I, which makes the answer I itself.  Under grevlex the
-top-degree forms of the reduced basis of I are the reduced basis of
-I*, the ideal of top forms, with LM(I*) = LM(I).  If the top form g* is a
-nonzerodivisor modulo I*, so is g modulo I (Kreuzer-Robbiano,
-Computational Commutative Algebra 2, 4.3).  One ``_sig_step`` of I* by
+nonzerodivisor modulo I, which makes the answer I itself.  Under grevlex,
+the package's one order, the top-degree forms of the reduced basis of I
+are the reduced basis of I*, the ideal of top forms, with LM(I*) =
+LM(I).  If the top form g* is a nonzerodivisor modulo I*, so is g modulo
+I (Kreuzer-Robbiano, Computational Commutative Algebra 2, 4.3).  One ``_sig_step`` of I* by
 g* decides it from its own syzygies: a regular reduction to zero proves
 g* a zero divisor and ends the step at once, and a step that processes
 every pair signature without one proves g* a nonzerodivisor.  Once all
@@ -88,10 +88,10 @@ monomials already numbered, and each new monomial that a reducer lead
 divides takes its first such reducer in ascending lead key from one
 broadcast guard-bit test.  Those reducer rows' terms are the next wave;
 most matrices close after two.  A ring whose packed monomials fit 63
-bits keeps its packing in int64.  A wider grevlex ring (ps(5): 8
-variables of 9 bits) repacks every exponent into 63 // n bits while
-the matrix's top degree fits them, and any other ring runs the same
-code on object arrays of Python ints.  The arrays belong to a
+bits keeps its packing in int64.  A wider ring (ps(5): 8 variables of
+9 bits) repacks every exponent into 63 // n bits while the matrix's top
+degree fits them, and otherwise runs the same code on object arrays of
+Python ints.  The arrays belong to a
 ``_ReducerTable``, the reducer list the heap kernel reads: a basis's,
 for ``zerodim.low_degree_colon``, or one ``buchberger`` call's.  They
 live as long as their table, and no cache outlives it.
@@ -112,8 +112,7 @@ broadcast test finds for ``zerodim.low_degree_colon``'s columns.
 holds a term some lead divides, and sends only such a tail through the
 kernel: any other tail would come back unchanged.  On top of them:
 normal forms, ideal membership, saturation by a polynomial (colon
-ideals), radical membership (a saturation that is <1>) and ideal
-intersection (elimination with an auxiliary variable ranked first).
+ideals) and radical membership (a saturation that is <1>).
 
 Dimension, degree and staircase are read off the packed lead monomials
 alone.  ``hilbert_dim_degree`` computes the first two from the Hilbert
@@ -133,8 +132,8 @@ Inside ``memo_scope()`` (one ``decomp.equidim`` call) ``groebner_of``,
 ``extend_basis``, the saturation shared by ``saturate`` and
 ``radical_member``, and ``zerodim.quotient`` are computed once per
 distinct input value; the memo is dropped when the scope ends, and it
-cannot change a result because a reduced basis is unique for its ideal
-and order, and a quotient is a function of its basis.
+cannot change a result because a reduced basis is unique for its ideal,
+and a quotient is a function of its basis.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ from .rings import DegreeOverflow, PolyRing, Polynomial
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis; unique per (ideal, order).
+    """Reduced Groebner basis; unique per ideal.
 
     Generators are monic, inter-reduced and stored in descending
     leading-monomial order, so structural equality decides ideal
@@ -219,9 +218,6 @@ class GroebnerBasis:
 
     def __repr__(self) -> str:
         return "GB{" + ", ".join(map(str, self.gens)) + "}"
-
-    def contains(self, f: Polynomial) -> bool:
-        return ideal_member(f, self)
 
 
 def _prep_reducers(gens: Sequence[Polynomial]) -> "_ReducerTable":
@@ -535,19 +531,19 @@ def _packing(ring: PolyRing, top: int) -> _Packing:
     """The packing of a call whose monomials all have degree at most ``top``.
 
     A ring whose packed monomials fit 63 bits keeps its own packing, in
-    int64.  A wider grevlex ring repacks every exponent into a field of
-    63 // n bits, if ``top`` stays below that field's guard bit: a key
-    and an evec are both vectors of fields, each at most the degree, so
-    the order and the guard-bit test carry over.  The field is the
+    int64.  A wider ring repacks every exponent into a field of 63 // n
+    bits, if ``top`` stays below that field's guard bit: a key and an
+    evec are both vectors of fields, each at most the degree, so the
+    order and the guard-bit test carry over.  The field is the
     widest that fits, not the narrowest for ``top``, so that arrays
-    built for one call serve every later one.  Any other ring runs on
-    object arrays of Python ints in its own packing.
+    built for one call serve every later one.  Any other call runs on
+    object arrays of Python ints in the ring's own packing.
     """
     n, w = ring.nvars, ring.width
     if n * w <= 63:
         return _Packing(w, np.int64, ring._evec_guard)
     narrow = 63 // n
-    if ring.order.kind == "grevlex" and narrow >= 2 and top < 1 << (narrow - 1):
+    if narrow >= 2 and top < 1 << (narrow - 1):
         return _Packing(narrow, np.int64, sum(1 << (i * narrow + narrow - 1) for i in range(n)))
     return _Packing(w, object, ring._evec_guard)
 
@@ -675,8 +671,8 @@ class _ReducerTable(list):
         """(lead keys, lead evecs, starts, lengths, keys, evecs, coeffs) in ``pk``.
 
         A repacked table holds the reducers whose degree the packing
-        holds, a prefix of the list under grevlex; a call in that
-        packing meets no monomial of higher degree.
+        holds, a prefix of the list; a call in that packing meets no
+        monomial of higher degree.
         """
         if self._flat is None or self._flat[0] != pk:
             reds = self
@@ -770,8 +766,7 @@ def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict 
         dks.append(dk)
     top = 0
     if ring.nvars * ring.width > 63:
-        # _packing reads top only under grevlex, where a row's lead has
-        # its top degree
+        # a row's lead has its top degree
         degree = ring.degree_of_key
         top = max((degree(polys[i].terms[0][0] + dk) for i, dk in zip(which, dks)
                    if polys[i].terms), default=0)
@@ -1224,27 +1219,8 @@ def ideal_member(f: Polynomial, basis: GroebnerBasis) -> bool:
     return normal_form(f, basis).is_zero()
 
 
-def _embed(ext: PolyRing, polys: Iterable[Polynomial]) -> list[Polynomial]:
-    # a t-free term keeps its packed exponents and its key in ext
-    return [Polynomial(ext, f.terms) for f in polys]
-
-
-def _restrict_tfree(ring: PolyRing, ext: PolyRing, gens: Iterable[Polynomial]) -> GroebnerBasis:
-    """Reduced basis of the elements free of the auxiliary last variable.
-
-    For a Groebner basis ``gens`` under the order that eliminates t, a
-    t-free monomial is divisible only by t-free leads, and an element
-    with a t-free lead is t-free; so the t-free elements form a
-    Groebner basis of the elimination ideal, and interreducing them
-    alone gives its reduced basis.
-    """
-    tshift = (ext.nvars - 1) * ext.width
-    return GroebnerBasis(ring, _interreduce(ring, [
-        Polynomial(ring, g.terms) for g in gens if not g.terms[0][1] >> tshift]))
-
-
 def _top_form(f: Polynomial) -> Polynomial:
-    """The homogeneous part of top degree; a prefix of the terms under grevlex."""
+    """The homogeneous part of top degree, a prefix of the terms."""
     degree = f.ring.degree_of_key
     e = degree(f.terms[0][0])
     n = 1
@@ -1265,11 +1241,11 @@ def _hilbert_numerator(ring: PolyRing, gens: Iterable[Polynomial]) -> list[int]:
 
 
 def _regular_at_infinity(basis: GroebnerBasis, g: Polynomial) -> bool:
-    """A certificate that g is a nonzerodivisor modulo <basis> (grevlex).
+    """A certificate that g is a nonzerodivisor modulo <basis>.
 
-    Under a graded order the top-degree forms of the reduced basis are
-    the reduced basis of I*, the ideal of top forms of I; LM(I*) =
-    LM(I).  One ``_sig_step`` of I* by g* = top(g) decides whether g* is
+    Under grevlex, a graded order, the top-degree forms of the reduced
+    basis are the reduced basis of I*, the ideal of top forms of I;
+    LM(I*) = LM(I).  One ``_sig_step`` of I* by g* = top(g) decides whether g* is
     a nonzerodivisor modulo I*, from the step's own syzygies.  It stops
     at its first regular reduction to zero, which proves g* a zero
     divisor, and it returns no element when g* lies in I*.  A step that
@@ -1305,11 +1281,8 @@ def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     colon mode, with no extra variable.  The chain stops when a step
     finds no syzygy (g is a nonzerodivisor modulo I_k), when it reaches
     {1}, or when the certificate accepts I_k, which it is tried on
-    before every further step.  The certificate reads top-degree forms
-    and so needs grevlex.  The answer is one reduced basis either way.
+    before every further step.  The answer is one reduced basis either way.
     """
-    if basis.ring.order.kind != "grevlex":
-        raise ContractViolation("saturation needs a grevlex ring")
     return _memoized(("saturation", basis, g),
                      lambda: basis if _regular_at_infinity(basis, g) else _colon_chain(basis, g))
 
@@ -1403,26 +1376,6 @@ def radical_member(f: Polynomial, basis: GroebnerBasis) -> bool:
     return _saturation(basis, f).is_unit
 
 
-def ideal_intersect(G1: GroebnerBasis, G2: GroebnerBasis) -> GroebnerBasis:
-    """Reduced basis of <G1> meet <G2> via one auxiliary variable."""
-    ring = G1.ring
-    if G2.ring != ring:
-        raise ContractViolation("ideals from different rings")
-    if G1.is_unit:
-        return G2
-    if G2.is_unit:
-        return G1
-    if G1.is_zero_ideal or G2.is_zero_ideal:
-        return GroebnerBasis(ring, ())
-    ext = ring.extend_elim()
-    t = ext.var(ext.nvars - 1)
-    one_minus_t = ext.one() - t
-    ext_gens = [t * g for g in _embed(ext, G1.gens)]
-    ext_gens += [one_minus_t * g for g in _embed(ext, G2.gens)]
-    eb = buchberger(ext_gens, ring=ext)
-    return _restrict_tfree(ring, ext, eb)
-
-
 def _numerator(leads: list[tuple[int, int]], guard: int, w: int) -> list[int]:
     """Numerator N(t) of the Hilbert series of R/<leads>, lowest power first.
 
@@ -1505,9 +1458,8 @@ def hilbert_dim_degree(basis: GroebnerBasis) -> tuple[int, int]:
     Algebra 119, 1997): it pivots on the variable found in the most
     minimal generators until no two of them share a variable.  N is then
     divided by (1 - t) while N(1) = 0.  The dimension is n minus the
-    number of divisions and the degree is the final N(1).  The dimension
-    holds for any order; the degree is that of the affine variety,
-    counted with multiplicity, under a graded order such as grevlex.
+    number of divisions and the degree is the final N(1), that of the
+    affine variety counted with multiplicity, since grevlex is graded.
 
     The pair depends on the generators alone, so it is computed once per
     basis object and kept on it; the unit ideal raises on every call.

@@ -5,16 +5,12 @@ Monomials are stored as two plain integers:
 * ``evec`` packs the raw exponent vector, one fixed-width field per
   variable (variable 0 in the lowest bits).  Products are integer
   additions; divisibility is a subtraction plus a guard-bit mask test.
-* ``key`` packs the comparison key of the ambient monomial order so that
-  ``key(a) < key(b)`` iff ``a < b``.  Keys are additive as well: the key
-  of a product is the sum of keys.
+* ``key`` packs the comparison key of grevlex, the one monomial order,
+  so that ``key(a) < key(b)`` iff ``a < b``.  Keys are additive as
+  well: the key of a product is the sum of keys.
 
-For grevlex the key fields are the front partial sums of the exponent
-vector, total degree in the top field.  The one elimination order,
-which ``PolyRing.extend_elim`` builds, ranks the last variable first
-and breaks ties by grevlex on the others: its key is the grevlex key of
-the other variables with the last variable's exponent in the top field.
-Both layouts make comparison a single int comparison.
+The key fields are the front partial sums of the exponent vector, total
+degree in the top field, so comparison is a single int comparison.
 
 Exponents are capped (default 255 per monomial degree); overflow is a
 hard error rather than silent wraparound.
@@ -45,57 +41,18 @@ class DegreeOverflow(_Located, ContractViolation):
     """
 
 
-class MonomialOrder:
-    """Total multiplicative well-order on monomials.
-
-    ``grevlex()`` is the graded reverse lexicographic order.
-    ``elim_block()`` ranks the last variable first and breaks ties by
-    grevlex on the other variables; ``PolyRing.extend_elim`` builds it.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        if kind not in ("grevlex", "elim"):
-            raise ContractViolation(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    @staticmethod
-    def grevlex() -> "MonomialOrder":
-        return MonomialOrder("grevlex")
-
-    @staticmethod
-    def elim_block() -> "MonomialOrder":
-        return MonomialOrder("elim")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self) -> int:
-        return hash(self.kind)
-
-    def __repr__(self) -> str:
-        return "grevlex" if self.kind == "grevlex" else "elim_block()"
-
-
 DEFAULT_DEGREE_CAP = 255
 
 
 class PolyRing:
-    """GF(p)[x_1, ..., x_n] with a fixed monomial order and degree cap."""
+    """GF(p)[x_1, ..., x_n] under grevlex, with a degree cap."""
 
     __slots__ = (
-        "field", "names", "order", "nvars", "cap", "width",
+        "field", "names", "nvars", "cap", "width",
         "_evec_guard", "_key_mult", "_key_mask",
     )
 
-    def __init__(
-        self,
-        field: PrimeField,
-        names: Sequence[str],
-        order: MonomialOrder | None = None,
-        cap: int = DEFAULT_DEGREE_CAP,
-    ):
+    def __init__(self, field: PrimeField, names: Sequence[str], cap: int = DEFAULT_DEGREE_CAP):
         names = tuple(names)
         if len(names) != len(set(names)):
             raise ContractViolation("variable names must be distinct")
@@ -103,7 +60,6 @@ class PolyRing:
             raise ContractViolation("need at least one variable")
         self.field = field
         self.names = names
-        self.order = order if order is not None else MonomialOrder.grevlex()
         self.nvars = len(names)
         self.cap = cap
         width = cap.bit_length() + 1  # one guard bit per field
@@ -111,12 +67,7 @@ class PolyRing:
         n = self.nvars
         self._evec_guard = sum(1 << (i * width + width - 1) for i in range(n))
         self._key_mult = sum(1 << (i * width) for i in range(n))
-        # the key fields kept from the prefix-sum product: all of them
-        # for grevlex, all but the top one under elim; see key_of_evec
-        kept = n if self.order.kind == "grevlex" else n - 1
-        if kept < 1:
-            raise ContractViolation("elimination order needs a variable besides the last")
-        self._key_mask = (1 << (kept * width)) - 1
+        self._key_mask = (1 << (n * width)) - 1
 
     # -- packing ---------------------------------------------------------
 
@@ -139,32 +90,21 @@ class PolyRing:
         return tuple((evec >> (i * w)) & mask for i in range(self.nvars))
 
     def key_of_evec(self, evec: int) -> int:
-        """Order key of a packed monomial: one int, compared as an int.
+        """Grevlex key of a packed monomial: one int, compared as an int.
 
-        Under grevlex, field j holds the front partial sum
-        s_j = e_0 + ... + e_j, so the top field is the total degree.
-        Multiplying the evec by 1 + 2^w + ... + 2^((n-1)w) puts s_j in
-        field j, and masking to n fields gives the key in one multiply.
-        The multiply is exact: a field of the product holds a sum of
-        exponents of one monomial, at most its total degree, which stays
-        below the guard bit, so no field carries into the next.
-
-        Under elim the top field holds the last variable's exponent
-        instead of s_(n-1); that exponent already sits in the evec's top
-        field, so it is kept from the evec and the rest from the product.
+        Field j holds the front partial sum s_j = e_0 + ... + e_j, so the
+        top field is the total degree.  Multiplying the evec by
+        1 + 2^w + ... + 2^((n-1)w) puts s_j in field j, and masking to n
+        fields gives the key in one multiply.  The multiply is exact: a
+        field of the product holds a sum of exponents of one monomial,
+        at most its total degree, which stays below the guard bit, so no
+        field carries into the next.
         """
-        mask = self._key_mask
-        return ((evec * self._key_mult) & mask) | (evec & ~mask)
+        return (evec * self._key_mult) & self._key_mask
 
     def degree_of_key(self, key: int) -> int:
-        """Total degree: the top field, plus the next one under elim."""
-        w = self.width
-        f = (1 << w) - 1
-        shift = (self.nvars - 1) * w
-        deg = (key >> shift) & f
-        if self.order.kind == "elim":
-            deg += (key >> (shift - w)) & f
-        return deg
+        """Total degree: the top field of the key."""
+        return key >> ((self.nvars - 1) * self.width)
 
     def divides(self, evec_a: int, evec_b: int) -> bool:
         """True when monomial a divides monomial b."""
@@ -243,44 +183,23 @@ class PolyRing:
             terms.append((0, const))
         return self.from_terms(terms)
 
-    # -- ring derivations --------------------------------------------------
-
-    def extend_elim(self, tname: str = "@t") -> "PolyRing":
-        """Append an auxiliary variable as the last slot, ranked first.
-
-        The returned ring carries the elimination order: the new
-        variable ranks first, with ties broken by grevlex on the
-        original variables; user variables keep their slots.
-        Only a grevlex ring may be extended: then the order restricted
-        to monomials free of the new variable is this ring's own order,
-        and such a monomial has the same packed exponents and key in
-        both rings.
-        """
-        if self.order.kind != "grevlex":
-            raise ContractViolation("elimination extension needs a grevlex ring")
-        name = tname
-        while name in self.names:
-            name += "_"
-        return PolyRing(self.field, self.names + (name,), MonomialOrder.elim_block(), self.cap)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.names == other.names
-            and self.order == other.order
             and self.cap == other.cap
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.names, self.order, self.cap))
+        return hash((self.field.p, self.names, self.cap))
 
     def __repr__(self) -> str:
-        return f"{self.field}[{', '.join(self.names)}; {self.order}]"
+        return f"{self.field}[{', '.join(self.names)}; grevlex]"
 
 
 def mono_cmp(ring: PolyRing, exps_a: Sequence[int], exps_b: Sequence[int]) -> int:
-    """Compare two exponent vectors in the ring's order; returns negative/zero/positive."""
+    """Compare two exponent vectors under grevlex; returns negative/zero/positive."""
     if len(exps_a) != len(exps_b) or len(exps_a) != ring.nvars:
         raise ContractViolation("exponent vector length mismatch")
     ka = ring.key_of_evec(ring.pack_evec(exps_a))
@@ -313,13 +232,10 @@ class Polynomial:
         return len(self.terms)
 
     def total_degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
+        """Degree of the polynomial, that of its lead; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        r = self.ring
-        if r.order.kind == "grevlex":
-            return r.degree_of_key(self.terms[0][0])
-        return max(r.degree_of_key(k) for k, _, _ in self.terms)
+        return self.ring.degree_of_key(self.terms[0][0])
 
     def lead_term(self) -> tuple[int, int, int]:
         if not self.terms:
@@ -396,8 +312,7 @@ class Polynomial:
         p = ring.field.p
         if not self.terms or not other.terms:
             return ring.zero()
-        # the product's degree is the sum of the factors' degrees; under
-        # grevlex that is the lead terms', under elim total_degree scans.
+        # the product's degree is the sum of the factors' lead degrees
         maxdeg = self.total_degree() + other.total_degree()
         if maxdeg > ring.cap:
             raise DegreeOverflow(f"product degree {maxdeg} exceeds cap {ring.cap}")

@@ -348,8 +348,8 @@ _NO_INFINITY = object()  # "W_inf does not apply" in the memo, where None is a m
 def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
     """W_inf, the points at infinity of a positive-dimensional basis; or None.
 
-    It applies when the ring is grevlex, <basis> has dimension d >= 1
-    and its last d variables divide no lead; write y for the first of
+    It applies when <basis> has dimension d >= 1 and its last d
+    variables divide no lead; write y for the first of
     them and z for the other d - 1.  W_inf is each generator's top form
     with the terms that hold a z dropped and y set to 1, plus y - 1 and
     each z.  Its staircase is the deg I monomials in the variables
@@ -392,7 +392,7 @@ def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
 
 def _points_at_infinity(basis: GroebnerBasis) -> GroebnerBasis:
     ring = basis.ring
-    if ring.order.kind != "grevlex" or basis.is_unit or is_zero_dim(basis):
+    if basis.is_unit or is_zero_dim(basis):
         return _NO_INFINITY
     k = ring.nvars - dimension(basis)  # y is x_k, counting from 0; the z's follow it
     shift = k * ring.width  # y's field of a packed exponent

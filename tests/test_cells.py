@@ -17,6 +17,7 @@ from equidim import (
     gen_ps,
     gen_sos,
     groebner_of,
+    ideal_member,
     make_witness,
     parse_polynomial,
     quotient_degree,
@@ -549,7 +550,7 @@ def test_ideal_growth_under_subtract(R2):
     X = gb_cell(R2, [x * y])
     Y = X.subtract(x)
     for f in X.basis():
-        assert Y.basis().contains(f)
+        assert ideal_member(f, Y.basis())
 
 
 def test_witness_leaf_basis_matches_gb_after_a_chain(R3):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from equidim import ContractViolation, FieldElement, PrimeField
+from equidim import ContractViolation, PrimeField
 
 
 def test_default_char_is_65521():
@@ -15,60 +15,29 @@ def test_rejects_non_prime_and_even():
             PrimeField(bad)
 
 
-def test_add_mod_5():
-    F = PrimeField(5)
-    assert F(3) + F(4) == F(2)
-
-
-def test_mul_absorbing():
-    F = PrimeField(5)
-    assert F(0) * F(4) == F(0)
-
-
-def test_neg_of_one_is_p_minus_one():
-    F = PrimeField(65521)
-    assert -F(1) == F(65520)
-
-
 def test_inv_examples():
     F = PrimeField(5)
-    assert F(1).inv() == F(1)
-    assert F(2).inv() == F(3)
+    assert F.inv(1) == 1
+    assert F.inv(2) == 3
+    assert F.inv(-3) == 3  # a residue is read mod p first
     G = PrimeField(65521)
-    assert G(65520).inv() == G(65520)
+    assert G.inv(65520) == 65520
 
 
 def test_inv_of_zero_raises():
     F = PrimeField(5)
-    with pytest.raises(ZeroDivisionError):
-        F(0).inv()
-
-
-def test_mixed_contexts_rejected():
-    a = PrimeField(5)(2)
-    b = PrimeField(7)(2)
-    with pytest.raises(ContractViolation):
-        a + b
+    for zero in (0, 5, -10):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(zero)
 
 
 def test_field_properties_random():
+    # the inverse against its definition, at the largest characteristic too
     rng = random.Random(7)
-    F = PrimeField(65521)
-    for _ in range(200):
-        a, b, c = (F(rng.randrange(65521)) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert -(-a) == a
-        assert a - b == a + (-b)
-        if a != 0:
-            assert a * a.inv() == F(1)
-            assert a ** -1 == a.inv()
-
-
-def test_pow_and_div():
-    F = PrimeField(13)
-    a = F(6)
-    assert a ** 3 == F(6 * 6 * 6 % 13)
-    assert (a / F(2)) * F(2) == a
+    for p in (65521, 2**31 - 1):
+        F = PrimeField(p)
+        for _ in range(200):
+            a = rng.randrange(1, p)
+            b = F.inv(a)
+            assert 0 < b < p and a * b % p == 1
+            assert F.inv(b) == a

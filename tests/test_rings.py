@@ -6,7 +6,6 @@ import pytest
 
 from equidim import (
     ContractViolation,
-    MonomialOrder,
     ParseError,
     PolyRing,
     PrimeField,
@@ -20,7 +19,7 @@ from equidim.rings import DegreeOverflow, Polynomial
 from conftest import random_poly
 
 
-# -- monomial orders ---------------------------------------------------------
+# -- the monomial order -----------------------------------------------------
 
 def test_grevlex_spec_examples(ring_xy):
     # equal degree: tie broken on the last variable
@@ -63,46 +62,16 @@ def test_transitivity_random(ring_xyz, rng):
         assert mono_cmp(ring_xyz, trip[0], trip[2]) <= 0
 
 
-def test_elim_block_eliminates(gf5):
-    ring = PolyRing(gf5, ("x", "y")).extend_elim()
-    # any monomial with positive t beats any t-free one
-    assert mono_cmp(ring, (0, 0, 1), (3, 3, 0)) > 0
-    assert mono_cmp(ring, (0, 0, 2), (5, 5, 1)) > 0
-    # within t-free monomials the order is grevlex on the rest
-    assert mono_cmp(ring, (2, 0, 0), (1, 1, 0)) > 0
-    assert mono_cmp(ring, (1, 0, 0), (0, 2, 0)) < 0
-
-
 def test_order_repr_names_each_kind():
-    assert repr(MonomialOrder.grevlex()) == "grevlex"
-    assert repr(MonomialOrder.elim_block()) == "elim_block()"
-    ring = PolyRing(PrimeField(5), ("x", "y")).extend_elim()
-    assert repr(ring) == "GF(5)[x, y, @t; elim_block()]"
-
-
-def test_extend_elim_keeps_tfree_terms(rng):
-    # elimination code moves polynomials between the two rings by their
-    # terms alone, which is valid only because of this
-    ring = PolyRing(PrimeField(65521), ("x", "y", "z"))
-    ext = ring.extend_elim()
-    for _ in range(200):
-        f = random_poly(ring, rng, terms=6, max_deg=5)
-        for k, ev, _ in Polynomial(ext, f.terms).terms:
-            assert ext.key_of_evec(ev) == k
-    with pytest.raises(ContractViolation):
-        ext.extend_elim()
+    # grevlex is the one order, and the repr still names it
+    assert repr(PolyRing(PrimeField(5), ("x", "y"))) == "GF(5)[x, y; grevlex]"
 
 
 def _reference_key(ring, evec):
-    """The order key by its definition, one field per entry, most
-    significant first.  Grevlex: the front partial sums of the exponents,
-    the total degree on top.  Elim: the last variable's exponent on top,
-    then the grevlex fields of the other variables."""
-    exps = ring.unpack_evec(evec)
-    if ring.order == MonomialOrder.grevlex():
-        fields = list(itertools.accumulate(exps))
-    else:
-        fields = list(itertools.accumulate(exps[:-1])) + [exps[-1]]
+    """The grevlex key by its definition, one field per entry, most
+    significant first: the front partial sums of the exponents, the
+    total degree on top."""
+    fields = list(itertools.accumulate(ring.unpack_evec(evec)))
     key = 0
     for s in reversed(fields):
         key = (key << ring.width) | s
@@ -119,14 +88,10 @@ def _random_exps(rng, n, cap):
     return exps
 
 
-@pytest.mark.parametrize("order", ["grevlex", "extend_elim"])
 @pytest.mark.parametrize("cap", [1, 7, 255])
-def test_closed_form_key_and_lcm_match_reference(order, cap, rng):
+def test_closed_form_key_and_lcm_match_reference(cap, rng):
     for names in (("a",), ("a", "b", "c")):
-        ring = PolyRing(PrimeField(7), names, cap=cap)
-        if order == "extend_elim":
-            ring = ring.extend_elim()
-        _check_key_and_lcm(ring, rng)
+        _check_key_and_lcm(PolyRing(PrimeField(7), names, cap=cap), rng)
 
 
 def _check_key_and_lcm(ring, rng):
