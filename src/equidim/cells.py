@@ -14,10 +14,12 @@ form G, a query basis W, and one of two backends:
   or zero-dimensional; a positive-dimensional basis is only computed
   when forced, from the cell's own F and G, as sat(<F>, g1*...*gr).
 
-Every query reads one saturation (W : f^inf), routed by ``_sat0``:
-``rad_member`` asks whether it is <1>, and ``subtract`` makes it the
-new W.  ``is_proper`` keeps one method per backend, each measured the
-faster on its own workload.
+Every query reads one saturation (W : f^inf): ``rad_member`` asks
+whether it is <1>, and ``subtract`` makes it the new W.  ``is_proper``
+keeps one method per backend, each measured the faster on its own
+workload.  The route rule: a cell's queries use ``_sat_exact``; a basis
+saturated once, a witness slice in ``make_witness`` or a forced
+``basis()``, uses ``_sat0``.
 
 Where W is zero-dimensional, a witness slice or a gb cell's I(X), the
 answers are read in the quotient R/<W> (``zerodim``), and two of them
@@ -33,18 +35,15 @@ the one ``extend_basis`` would compute, since a reduced basis is unique
 for its ideal.  Neither route draws random numbers, so the draws, and
 with them the output, stay as they were.
 
-A gb cell asks many questions of one basis, so a positive-dimensional
-I(X) whose last d = dim I(X) variables divide no lead first reads its
-points at infinity: ``zerodim.at_infinity`` builds their
-zero-dimensional ideal W_inf once per basis value.  ``_sat_exact``,
-behind ``subtract`` and the saturations of ``intersect_proper`` and
-``intersect_components``, returns I(X) itself when top(f) is a unit
-modulo W_inf.  Otherwise it starts the colon chain at once when d = 1,
-where that verdict is exact, and runs ``_sat0`` when d >= 2, where it
-is one-sided.  ``rad_member`` answers False when top(f) is not
-nilpotent modulo W_inf, in every dimension.  Witness cells keep
-``_sat0``: their positive-dimensional bases are each saturated once,
-so a W_inf built for them would not pay for itself.
+A cell asks many questions of one basis, so a positive-dimensional
+W, which only a gb cell has, whose last d = dim W variables divide no
+lead first reads its points at infinity: ``zerodim.at_infinity``
+builds their zero-dimensional ideal W_inf once per basis value, and
+answers None for a witness slice.  ``_sat_exact`` returns W itself
+when top(f) is a unit modulo W_inf, and otherwise runs ``_sat0``.
+``rad_member`` answers False when top(f) is not nilpotent modulo
+W_inf, in every dimension.  ``_sat0`` reads no W_inf: a W_inf built
+for a basis saturated once would not pay for itself.
 
 A witness slice is only valid when it is generic.  ``slices_generic``
 is the one rule that decides, from the equations and p alone, whether
@@ -70,7 +69,6 @@ from .gf import ContractViolation
 from .rings import PolyRing, Polynomial, random_affine_forms
 from .groebner import (
     GroebnerBasis,
-    _colon_saturation,
     _top_form,
     dimension,
     extend_basis,
@@ -110,7 +108,7 @@ def _sat0(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
 
     The basis itself when it is <1> or g is a nonzero constant.
     ``zerodim.saturation`` records why that route is kept beside the
-    certificate and colon ideals of ``saturate``.
+    colon ideals of ``saturate``.
     """
     if basis.is_unit or g.is_constant():
         return basis
@@ -120,22 +118,15 @@ def _sat0(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
 
 
 def _sat_exact(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """``_sat0`` on a gb cell's I(X), asking its points at infinity first.
+    """``_sat0`` for a cell's queries, asking the points at infinity first.
 
     Where ``zerodim.at_infinity`` gives W_inf, top(g) a unit modulo W_inf
-    certifies g a nonzerodivisor modulo I(X), and I(X) itself is the
-    answer.  On a one-dimensional I(X) a decline is exact: the
-    signature-step certificate, which asks the same question, would
-    decline too, so the colon chain starts at once.  In higher
-    dimension a decline proves nothing, and ``_sat0`` runs the
-    certificate and then the chain.
+    certifies g a nonzerodivisor modulo <basis>, and ``basis`` itself is
+    the answer.  Otherwise ``_sat0`` decides, for either backend.
     """
     W = None if g.is_constant() else zerodim.at_infinity(basis)
-    if W is not None:
-        if zerodim.saturation(W, _top_form(g)) is W:
-            return basis
-        if dimension(basis) == 1:
-            return _colon_saturation(basis, g)
+    if W is not None and zerodim.saturation(W, _top_form(g)) is W:
+        return basis
     return _sat0(basis, g)
 
 
@@ -245,15 +236,13 @@ class AffineCell:
     def rad_member(self, f: Polynomial) -> bool:
         """f in rad I(X), that is (W : f^inf) = <1>; probabilistic on witness.
 
-        A gb cell with points at infinity W_inf, of any dimension, first
-        reads top(f) modulo W_inf: unless it is nilpotent there, f is not
-        in the radical, since f^k in I(X) puts top(f)^k in the ideal of
+        A W with points at infinity W_inf, of any dimension, first reads
+        top(f) modulo W_inf: unless it is nilpotent there, f is not in
+        the radical, since f^k in I(X) puts top(f)^k in the ideal of
         top forms.
         """
-        if f.is_zero():
-            return True
-        if self.backend == WITNESS_BACKEND or f.is_constant():
-            return _sat0(self.W, f).is_unit
+        if f.is_constant():
+            return f.is_zero() or self.is_empty()
         W = zerodim.at_infinity(self.W)
         if W is not None and not zerodim.saturation(W, _top_form(f)).is_unit:
             return False
@@ -278,7 +267,7 @@ class AffineCell:
         if f.is_zero():
             return self.is_empty()
         if self.backend == WITNESS_BACKEND:
-            return _sat0(self.W, f) == self.W
+            return _sat_exact(self.W, f) == self.W
         ext = extend_basis(self.F, [f])
         return ext.is_unit or dimension(ext) < dimension(self.F)
 
@@ -340,9 +329,8 @@ class AffineCell:
         """
         if f.is_zero():
             raise ContractViolation("cannot remove the zero hypersurface")
-        sat = _sat_exact if self.backend == GB_BACKEND else _sat0
         return AffineCell(self.ring, self.backend, self.F, self.G + (f,),
-                          sat(self.W, f), self.d, self.witness_forms)
+                          _sat_exact(self.W, f), self.d, self.witness_forms)
 
     def subtract_each(self, H: Sequence[Polynomial]) -> list["AffineCell"]:
         """[X minus V(h) for h in H], the zero-dimensional unit tests as one batch.
@@ -354,10 +342,9 @@ class AffineCell:
         by each top(h).
         """
         W, polys = self.W, [h for h in H if not h.is_constant()]
-        if self.backend == GB_BACKEND and polys:
-            W_inf = zerodim.at_infinity(W)
-            if W_inf is not None:
-                W, polys = W_inf, [_top_form(h) for h in polys]
+        W_inf = zerodim.at_infinity(W) if polys else None
+        if W_inf is not None:
+            W, polys = W_inf, [_top_form(h) for h in polys]
         if polys and is_zero_dim(W):
             zerodim.saturations(W, polys)
         return [self.subtract(h) for h in H]

@@ -25,45 +25,36 @@ Reduced Groebner bases come from one of two routes:
   returns instead the cofactors u of its reductions to zero, u * f in
   <P>, which with P form a Groebner basis of (<P> : f).
 
-A saturation (I : g^inf) first tries a certificate that g is a
-nonzerodivisor modulo I, which makes the answer I itself.  Under grevlex,
-the package's one order, the top-degree forms of the reduced basis of I
-are the reduced basis of I*, the ideal of top forms, with LM(I*) =
-LM(I).  If the top form g* is a nonzerodivisor modulo I*, so is g modulo
-I (Kreuzer-Robbiano, Computational Commutative Algebra 2, 4.3).  One ``_sig_step`` of I* by
-g* decides it from its own syzygies: a regular reduction to zero proves
-g* a zero divisor and ends the step at once, and a step that processes
-every pair signature without one proves g* a nonzerodivisor.  Once all
-pairs are processed, the signatures of the reductions to zero together
-with the Koszul signatures LM(I*) generate the lead module of the
-syzygies (Eder and Faugere, "A survey on signature-based algorithms",
-JSC 80, 2017), whose signatures are the leads of I* : g*; with no
-reduction to zero LM(I* : g*) = LM(I*), so I* : g* = I*.  The test is
-one-sided.  g may be regular modulo I while g* is a zero
-divisor modulo I*, as g = x is a unit modulo <x*y - 1>; the colon steps
-then run, so a declined certificate costs time and never correctness.
-The gb cells ask the same question of a basis of any positive
-dimension d without a signature step: where ``zerodim.at_infinity``
-applies, g* a unit in the artinian ring of the points at infinity
-proves g* a nonzerodivisor modulo I*, so the certificate is one
-quotient query.  15 of the 16 subtractions of ps(5) on the gb backend
-are certified so.  For d = 1 the query is exact, and where it declines
-``_colon_saturation`` starts the chain below with a colon step, since
-the certificate on I itself would decline too.  For d >= 2 it is
-one-sided, and a decline runs the certificate.
+A saturation (I : g^inf) is the union of the chain of colon ideals
+I_0 = I, I_(k+1) = I_k : g, with no auxiliary variable.  Each colon
+ideal comes from one ``_sig_step`` of I_k by g in colon mode: every
+element h it makes has a cofactor u with h = u * g modulo I_k, and a
+regular reduction to zero at signature s leaves a u with u * g in I_k
+and LM(u) = s outside LM(I_k).  Those u and I_k's basis form a Groebner
+basis of I_k : g (Gao, Volny and Wang, Math. Comp. 85, 2016), and
+``_interreduce`` makes it reduced.  The chain ends when a step finds no
+syzygy, which proves g a nonzerodivisor modulo I_k, or reaches {1}; a
+first step with no syzygy returns the basis of I itself.  The chain is
+cheaper than eliminating t from I + <t*g - 1>: over the saturations of
+one families-gb benchmark pass the elimination took about 1.8 times as
+long.
 
-Past a declined certificate the saturation is the union of the chain of
-colon ideals I_0 = I, I_(k+1) = I_k : g, with no auxiliary variable.
-Each colon ideal comes from one ``_sig_step`` of I_k by g in colon
-mode: every element h it makes has a cofactor u with h = u * g modulo
-I_k, and a regular reduction to zero at signature s leaves a u with
-u * g in I_k and LM(u) = s outside LM(I_k).  Those u and I_k's basis
-form a Groebner basis of I_k : g (Gao, Volny and Wang, Math. Comp. 85,
-2016), and ``_interreduce`` makes it reduced.  The certificate is tried
-again on every I_k before the next step; the chain also ends when a
-step finds no syzygy or reaches {1}.  The chain is cheaper than
-eliminating t from I + <t*g - 1>: over the saturations of one
-families-gb benchmark pass the elimination took about 1.8 times as long.
+After each step that grows the ideal, a certificate may stop the chain:
+if the top form g* is a nonzerodivisor modulo I_k*, the ideal of top
+forms, g is one modulo I_k, and I_k is the answer.  Under grevlex, the
+package's one order, the top forms of the reduced basis of I_k are the
+reduced basis of I_k*, with LM(I_k*) = LM(I_k) (Kreuzer-Robbiano,
+Computational Commutative Algebra 2, 4.3).  One ``_sig_step`` of I_k*
+by g* decides it from its own syzygies (see ``_regular_at_infinity``).
+The test is one-sided: g = x is a unit modulo <x*y - 1>, yet x is a
+zero divisor modulo <x*y>; a decline costs time, never correctness.  It
+is not asked of I_0, where a colon step with no syzygy gives the same
+answer: on the benchmark families it declined on every I_0, while
+between steps it accepted 13 times on sos(3,6) gb.  The gb cells ask
+it of I_0 without a signature step: where ``zerodim.at_infinity``
+applies, g* a unit in the artinian ring of the points at infinity
+proves g* a nonzerodivisor modulo I*, one quotient query.  15 of the
+16 subtractions of ps(5) on the gb backend are certified so.
 
 Polynomials are reduced one at a time by the heap kernel
 ``_reduce_terms``, and many at once by ``_block_reduce``.  The exact
@@ -1241,7 +1232,7 @@ def _hilbert_numerator(ring: PolyRing, gens: Iterable[Polynomial]) -> list[int]:
 
 
 def _regular_at_infinity(basis: GroebnerBasis, g: Polynomial) -> bool:
-    """A certificate that g is a nonzerodivisor modulo <basis>.
+    """A certificate that g is a nonzerodivisor modulo <basis>, which ends the colon chain.
 
     Under grevlex, a graded order, the top-degree forms of the reduced
     basis are the reduced basis of I*, the ideal of top forms of I;
@@ -1261,68 +1252,43 @@ def _regular_at_infinity(basis: GroebnerBasis, g: Polynomial) -> bool:
     in LM(I*) = LM(I), a contradiction.  Hence (I : g^inf) = I.  The
     test is one-sided: g = x is a unit modulo <x*y - 1> and so regular,
     yet its top form is a zero divisor modulo <x*y>; then the answer is
-    False and the caller takes colon steps.
+    False and the chain takes another colon step.
     """
     top = GroebnerBasis(basis.ring, tuple(_top_form(h) for h in basis.gens))
     return bool(_sig_step(top, _top_form(g), stop_at_syzygy=True))
 
 
 def _saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """(<basis> : g^inf); {1} iff g is in the radical.
+    """(<basis> : g^inf) by the colon chain; {1} iff g is in the radical.
 
-    ``basis`` itself when ``_regular_at_infinity`` certifies g a
-    nonzerodivisor modulo I = <basis>, by a signature step of the top
-    forms that finds no syzygy: then u * g in I forces u in I,
-    so (I : g^inf) = I.  The certificate only looks at top-degree forms,
-    where a g regular modulo I can still be a zero divisor, so a decline
-    proves nothing.  Then the saturation is the union of the chain
-    I = I_0, I_1 = I_0 : g, I_2 = I_1 : g, ..., each colon ideal the
-    reduced basis of I_k and the cofactors of one ``_sig_step`` in
-    colon mode, with no extra variable.  The chain stops when a step
-    finds no syzygy (g is a nonzerodivisor modulo I_k), when it reaches
-    {1}, or when the certificate accepts I_k, which it is tried on
-    before every further step.  The answer is one reduced basis either way.
+    I_0 = <basis>, I_(k+1) = I_k : g, each colon ideal the reduced basis
+    of I_k and the cofactors of one ``_sig_step`` in colon mode.  The
+    chain stops when a step finds no syzygy (g is a nonzerodivisor
+    modulo I_k; on I_0 the answer is ``basis`` itself), when it reaches
+    {1}, or when ``_regular_at_infinity`` accepts the I_k it has just
+    grown.
     """
-    return _memoized(("saturation", basis, g),
-                     lambda: basis if _regular_at_infinity(basis, g) else _colon_chain(basis, g))
 
+    def chain() -> GroebnerBasis:
+        sat = basis
+        while True:
+            cofactors = _sig_step(sat, g, colon=True)
+            if not cofactors:
+                return sat  # g is a nonzerodivisor modulo <sat>
+            sat = GroebnerBasis(sat.ring, _interreduce(sat.ring, list(sat.gens) + cofactors))
+            if sat.is_unit or _regular_at_infinity(sat, g):
+                return sat
 
-def _colon_saturation(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """``_saturation`` for a caller that knows the certificate declines on I_0.
-
-    The chain starts with a colon step.  ``cells`` calls it once the
-    points at infinity of a one-dimensional basis show g* a zero divisor
-    modulo I*, the same question the certificate asks, so the certificate
-    on I_0 would only repeat that verdict.  On a basis of dimension 2 or
-    more the points at infinity can decline where the certificate
-    accepts, so ``cells`` does not call it there.  It shares ``_saturation``'s
-    memo entry: both compute the one reduced basis of (<basis> : g^inf).
-    """
-    return _memoized(("saturation", basis, g), lambda: _colon_chain(basis, g))
-
-
-def _colon_chain(basis: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """I_0 = basis, I_(k+1) = I_k : g, from a colon step on I_0, until it stops growing."""
-    sat = basis
-    while True:
-        cofactors = _sig_step(sat, g, colon=True)
-        if not cofactors:
-            return sat  # g is a nonzerodivisor modulo <sat>
-        sat = GroebnerBasis(sat.ring, _interreduce(sat.ring, list(sat.gens) + cofactors))
-        if sat.is_unit or _regular_at_infinity(sat, g):
-            return sat
+    return _memoized(("saturation", basis, g), chain)
 
 
 def saturate(F: "GroebnerBasis | Sequence[Polynomial]", g: Polynomial) -> GroebnerBasis:
-    """Reduced basis of (<F> : g^inf), by a certificate or by colon ideals.
+    """Reduced basis of (<F> : g^inf), by colon ideals.
 
-    Both read the syzygies of signature steps by g.  When one step of the
-    top forms of <F> by the top form of g finds none, that top form is a
-    nonzerodivisor modulo the ideal of top forms, so g is one modulo
-    <F>, and the basis of <F> is returned itself.  That test is
-    one-sided (see ``_regular_at_infinity``), and otherwise the colon
-    ideals <F> : g, (<F> : g) : g, ... are read off the syzygies of
-    colon steps by g until they stop growing (see ``_saturation``).
+    The colon ideals <F> : g, (<F> : g) : g, ... are read off the
+    syzygies of signature steps by g until they stop growing (see
+    ``_saturation``).  When the first step finds none, g is a
+    nonzerodivisor modulo <F>, and the basis of <F> is returned itself.
     """
     ring = F.ring if isinstance(F, GroebnerBasis) else g.ring
     if g.ring != ring:
@@ -1359,20 +1325,14 @@ def saturate_seq(F: "GroebnerBasis | Sequence[Polynomial]",
 def radical_member(f: Polynomial, basis: GroebnerBasis) -> bool:
     """f vanishes on V(<basis>): (<basis> : f^inf) is <1>.
 
-    The saturation is the one ``saturate`` computes.  A certified
-    nonzerodivisor f, one whose top form's signature step finds no
-    syzygy, gives <basis> itself, so f is not in the radical of a
-    proper ideal without any colon step; a declined certificate only
-    means the colon ideals decide.
+    The saturation is the one ``saturate`` computes.  Its first colon
+    step reduces f modulo the basis: f in <basis> gives the cofactor 1,
+    so <1>, and a nonzero constant gives no syzygy, so <basis> itself.
     """
     if f.ring != basis.ring:
         raise ContractViolation("polynomial and basis from different rings")
     if basis.is_unit or f.is_zero():
         return True
-    if ideal_member(f, basis):
-        return True
-    if f.is_constant():
-        return False  # nonzero constant vanishes nowhere; V is nonempty here
     return _saturation(basis, f).is_unit
 
 

@@ -256,10 +256,10 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
     """
     ring = basis.ring
     p = ring.field.p
-    if basis.is_unit or f.is_zero():
-        return []
     if f.ring != ring:
         raise ContractViolation("polynomials from different rings")
+    if basis.is_unit or f.is_zero():
+        return []
     if basis.is_zero_ideal:
         return []  # R is a domain: a * f^k = 0 forces a = 0
     reducers, divisors = basis.reducers(), basis._divisors
@@ -377,7 +377,8 @@ def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
       M / lM, then g* is one on M (take g* m = 0 with m of least
       degree; then m = l m' and g* m' = 0).  So (I : g^inf) = I with no
       signature step.  For d = 1 the test is exact, the verdict of
-      ``groebner._regular_at_infinity``.  For d >= 2 it is one-sided:
+      ``groebner._regular_at_infinity``, which the colon chain asks
+      only between its steps.  For d >= 2 it is one-sided:
       I = <x^2> in GF(p)[x, y, z] has W_inf = <x^2, y - 1, z>, and
       z is regular modulo I but 0 modulo W_inf.
     * If ``saturation(W_inf, f*)`` is not <1>, f is not in rad <basis>:
@@ -429,9 +430,10 @@ def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     lead form the reduced basis.
 
     Kept beside ``groebner.saturate``: routing zero-dimensional
-    saturations through its certificate and colon ideals instead took
-    sos(3,4) from 0.12 to 0.34 s and ps(5) from 6.1 to 14.6 s (witness
-    backend, generator seed 0, in-process runs on a 2-vCPU host).
+    saturations through its colon chain instead took sos(3,4) from 0.12
+    to 0.34 s and ps(5) from 6.1 to 14.6 s (witness backend, generator
+    seed 0, in-process runs on a 2-vCPU host, while a certificate still
+    preceded the chain).
     """
     q = quotient(basis)
     if f not in q.saturated:
@@ -553,6 +555,8 @@ def extended(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis
     itself and rank D is <1>.
     """
     extra = tuple(f for f in extra if not f.is_zero())
+    if any(f.ring != basis.ring for f in extra):
+        raise ContractViolation("polynomial and basis from different rings")
     if not extra or basis.is_unit:
         return basis
     return _memoized(("extend", basis, extra), lambda: _image_preimage(quotient(basis), basis, extra))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from equidim import (
+    AffineCell,
     ContractViolation,
     DecompConfig,
     GroebnerBasis,
@@ -1285,6 +1286,43 @@ def test_colon_saturation_matches_scratch(p, monkeypatch):
         assert counts["colon"] == steps
 
 
+@pytest.mark.parametrize("p", [5, 7, 65521, 2**31 - 1])
+def test_saturation_starts_with_a_colon_step(p, monkeypatch):
+    """The certificate is never asked of the basis being saturated, only of
+    the colon ideals the chain has grown, by ``saturate`` and by a gb cell
+    whose points at infinity decline."""
+    asked = []
+    certificate = groebner._regular_at_infinity
+
+    def recorded(basis, g):
+        asked.append(basis)
+        return certificate(basis, g)
+
+    monkeypatch.setattr(groebner, "_regular_at_infinity", recorded)
+    inputs = []
+    cases = itertools.chain(*(one_dimensional_cases(p, nvars, 3 * p + nvars, 4)
+                              for nvars in (3, 4)),
+                            *(product_cases(p, nvars, dim, 5 * p + nvars + dim, 4)
+                              for nvars, dim in ((3, 2), (4, 2), (4, 3))))
+    for base, asks in cases:
+        for g in asks:
+            if g.is_constant():
+                continue
+            inputs.append(base)
+            assert_saturation(base, g, saturate(base, g))
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    double = groebner_of(ring, [x**2])
+    W = zerodim.at_infinity(double)
+    X = AffineCell(ring, "gb", double, ())
+    for g in (x + z, z):
+        assert zerodim.saturation(W, groebner._top_form(g)) is not W  # W_inf declines
+        inputs.append(double)
+        assert_saturation(double, g, X.subtract(g).W)
+    assert asked
+    assert not any(basis == base for basis in asked for base in inputs)
+
+
 # -- membership -------------------------------------------------------------------
 
 def test_ideal_member_examples(ring_xy):
@@ -1300,6 +1338,14 @@ def test_radical_member_examples(ring_xy):
     assert radical_member(x, buchberger([x**2]))
     assert not radical_member(y, buchberger([x]))
     assert radical_member(x + y, buchberger([x**2, y**2]))
+    # the first colon step decides these: a nonzero constant gives no
+    # syzygy, and a member of the ideal gives the cofactor 1
+    zero = GroebnerBasis(ring_xy, ())
+    three = ring_xy.one() * 3
+    assert not radical_member(three, buchberger([x]))
+    assert not radical_member(three, zero)
+    assert not radical_member(x, zero)
+    assert radical_member(x * y, buchberger([x]))
 
 
 @pytest.mark.parametrize("shortcut, member", [

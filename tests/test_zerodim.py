@@ -344,3 +344,16 @@ def test_low_degree_colon_errors():
     other = PolyRing(PrimeField(7), ("u", "v"))
     with pytest.raises(ContractViolation):
         zerodim.low_degree_colon(basis, other.var(0))
+    # the ring is compared before the unit basis answers
+    u = PolyRing(PrimeField(11), ("u", "v")).var(0)
+    with pytest.raises(ContractViolation):
+        zerodim.low_degree_colon(buchberger([small.one()]), u)
+
+
+def test_extended_rejects_another_ring():
+    ring = PolyRing(PrimeField(7), ("x", "y"))
+    x, y = ring.gens()
+    u = PolyRing(PrimeField(11), ("u", "v")).var(0)
+    for basis in (buchberger([x**2 - 1, y - 2]), buchberger([ring.one()])):
+        with pytest.raises(ContractViolation, match="different rings"):
+            zerodim.extended(basis, [u])
