@@ -25,14 +25,14 @@ Where W is zero-dimensional, a witness slice or a gb cell's I(X), the
 answers are read in the quotient R/<W> (``zerodim``), and two of them
 for many polynomials at once.  ``subtract_each``, which ``remove'``
 asks for every h in H before it cuts, tests all the h for units
-modulo W, or all the top(h) modulo W_inf, in one lockstep elimination
-of their stacked matrices (``zerodim.saturations``); a unit leaves W
-as it is, which is the saturation, so only the others take a kernel
-read.  ``intersect_components`` extends a zero-dimensional slice by H
-in its quotient (``zerodim.extended``): <W> + <H> is the preimage of
-the column space of H's matrices, and the reduced basis read off it is
-the one ``extend_basis`` would compute, since a reduced basis is unique
-for its ideal.  Neither route draws random numbers, so the draws, and
+modulo W, or all the top(h) modulo W_inf, by the rank of their stacked
+matrices' product (``zerodim.saturations``); a unit leaves W as it is,
+which is the saturation, so only the others take a kernel read.
+``intersect_components`` extends a zero-dimensional slice by H in its
+quotient (``zerodim.extended``): <W> + <H> is the preimage of the
+column space of H's matrices, and the reduced basis read off it is the
+one ``extend_basis`` would compute, since a reduced basis is unique for
+its ideal.  Neither route draws random numbers, so the draws, and
 with them the output, stay as they were.
 
 A cell asks many questions of one basis, so a positive-dimensional
@@ -337,9 +337,10 @@ class AffineCell:
 
         Each cell is ``subtract``'s.  Where ``subtract`` would read its
         saturations in one zero-dimensional quotient, ``zerodim.saturations``
-        reads them first, all in one stack: the witness slice W by each h,
-        a gb cell's zero-dimensional I(X) by each h, or a gb cell's W_inf
-        by each top(h).
+        reads them first, all in one stack, whose units one rank test of
+        a product finds: the witness slice W by each h, a gb cell's
+        zero-dimensional I(X) by each h, or a gb cell's W_inf by each
+        top(h).
         """
         W, polys = self.W, [h for h in H if not h.is_constant()]
         W_inf = zerodim.at_infinity(W) if polys else None

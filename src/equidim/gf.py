@@ -41,19 +41,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_r, old_u, old_v
-
-
 class PrimeField:
     """The field GF(p), p an odd prime below 2^31."""
 
@@ -76,11 +63,9 @@ class PrimeField:
         return f"GF({self.p})"
 
     def inv(self, value: int) -> int:
-        """Inverse of a raw residue, by extended Euclid."""
+        """Inverse of a raw residue."""
         value %= self.p
         if value == 0:
             raise ZeroDivisionError("0 has no inverse in GF(p)")
-        g, u, _ = xgcd(value, self.p)
-        assert g == 1
-        return u % self.p
+        return pow(value, -1, self.p)
 

@@ -701,6 +701,11 @@ def _first_divisors(evecs: np.ndarray, keys: np.ndarray, lead_keys: np.ndarray,
     return out
 
 
+# the most entries of the dense Macaulay matrix ``_block_reduce``
+# allocates: 1 GiB of int64
+MAX_MATRIX_ENTRIES = 2**27
+
+
 def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict | None = None,
                   pivots=()) -> tuple[np.ndarray, _Columns]:
     """Rows reduced by reducer multiples as one Macaulay matrix.
@@ -734,6 +739,9 @@ def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict 
     is solved one level at a time, where a pivot row's level is one
     above the highest level among the pivot rows with a term on its lead
     column, so each level is one ``_matmul``.
+
+    A matrix of more than ``MAX_MATRIX_ENTRIES`` entries raises
+    ``ContractViolation`` before it is allocated.
 
     Returns D - X B, row i being ``rows[i]`` minus multiples of pivot
     rows, on the free columns, and those columns' (key, evec), in
@@ -824,6 +832,10 @@ def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict 
     order = np.argsort(col_k)
     ascending = col_k[order]
     ncols = len(order)
+    if (npiv + nrest) * ncols > MAX_MATRIX_ENTRIES:
+        top = int(ascending[-1]) >> ((ring.nvars - 1) * pk.width)  # a key's top field
+        raise ContractViolation(f"Macaulay matrix {npiv + nrest} x {ncols} over {ring} up to "
+                                f"degree {top} exceeds {MAX_MATRIX_ENTRIES} entries")
     pivot_of = np.concatenate(owner)
     cols = ncols - 1 - np.searchsorted(ascending, _concat(terms_k, pk.dtype))
     lead_cols = ncols - 1 - np.searchsorted(ascending, _concat(lead_k, pk.dtype))

@@ -16,27 +16,30 @@ M_f^(2^s) answers all three questions asked of W and f:
 ``saturation`` computes that echelon once per basis and value of f and
 keeps the result on the quotient.  ``cells.AffineCell`` asks every one
 of these questions through it, on a witness slice or on a gb cell's
-zero-dimensional I(X).  The saturation's reduced
-Groebner basis comes off the same echelon: the pivot columns are the
-new staircase, each free column gives a new basis element, and the old
-generators' tails are reduced modulo K by one matrix product.  Reduced
-bases are unique, so it agrees bit-for-bit with ``groebner.saturate``.
+zero-dimensional I(X).
 
 Many polynomials share one quotient, so ``QuotientStructure.matrices_of``
 builds their matrices as one stack, with one product per staircase
 monomial for all of them, and two questions read the stack whole:
 
-* ``saturations`` asks which of several f are units modulo W with one
-  forward elimination of all their matrices in lockstep; a unit's
-  saturation is W itself with no echelon, and only the others take the
-  kernel read above.
+* ``saturations`` asks which of several f are units modulo W: a
+  product of matrices is invertible exactly when each factor is, so
+  one rank test of the stack's product clears a set of units, and a
+  singular product is split in halves.  A unit's saturation is W
+  itself with no echelon, and only the others take the kernel read
+  above.
 * ``extended`` adds generators H to W inside A, the FGLM idea
   (Faugere, Gianni, Lazard and Mora, JSC 16, 1993): <W> + <H> is the
   preimage of the ideal J that H generates in A, which is the column
-  space of the stack.  One reduced echelon of those columns, with the
-  monomials in descending order, has J's leads as its pivots, and its
-  rows and the old generators' tails reduced modulo J give the reduced
-  basis, the one ``extend_basis`` computes with signature steps.
+  space of the stack.
+
+Both answers are preimages of an ideal J of A, K or the column space,
+and ``_preimage`` reads the reduced Groebner basis of either off J's
+reduced echelon on the staircase: J's leads leave the staircase, each
+minimal lead gives its echelon row as a new basis element, and the old
+generators' tails are reduced modulo J by one matrix product.  Reduced
+bases are unique, so the saturation agrees bit-for-bit with
+``groebner.saturate``, and the extension with ``extend_basis``.
 
 A basis of dimension d >= 1 whose last d variables divide no lead has
 a zero-dimensional ideal of points at infinity, W_inf, read off its top
@@ -418,16 +421,11 @@ def saturation(basis: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
 
     Computed once per basis and value of f and kept on the quotient, so
     a cell's properness, radical-membership and subtraction queries for
-    one f read the same echelon: the saturation is ``basis`` itself
-    exactly when f is a unit modulo it, and <1> exactly when f lies in
-    its radical.  It is the preimage of K = ker(M_f^D), read off the
-    echelon R of M_f^(2^s), 2^s >= D: ``basis`` itself when M_f is
-    invertible (K = 0), and <1> when the monomial 1 lies in K.  The
-    staircase ascends, so the pivot columns are the first monomials
-    independent modulo K: the new staircase.  A free column c gives
-    m_c - sum_i R[i, c] * m_(piv_i), and an old generator u + t gives
-    u + sum_i (R t)_i * m_(piv_i), t reduced modulo K; those of minimal
-    lead form the reduced basis.
+    one f read the same echelon R of M_f^(2^s), 2^s >= D: the saturation
+    is ``basis`` itself exactly when f is a unit modulo it (K = 0), and
+    <1> exactly when f lies in its radical (K = A).  Otherwise it is
+    ``_preimage`` of K, whose reduced echelon comes off R: a free column
+    c gives m_c - sum_i R[i, c] * m_(piv_i).
 
     Kept beside ``groebner.saturate``: routing zero-dimensional
     saturations through its colon chain instead took sos(3,4) from 0.12
@@ -446,13 +444,12 @@ def saturations(basis: GroebnerBasis, polys: Sequence[Polynomial]) -> list[Groeb
     """``saturation`` of one zero-dimensional basis by each of several polynomials.
 
     The polynomials not yet in the memo get their matrices as one
-    ``matrices_of`` stack, and one forward elimination of the whole
-    stack in lockstep (``_units``) finds those that are units modulo
-    the basis: M_f is invertible, so the saturation is ``basis``
+    ``matrices_of`` stack, and ``_units`` finds those that are units
+    modulo the basis: M_f is invertible, so the saturation is ``basis``
     itself, and the memo records that with no power of M_f and no
-    echelon.  Each of the others takes ``saturation``'s kernel read of
-    the matrix already built.  The answers are ``saturation``'s; only
-    the work is shared.
+    echelon of its own.  Each of the others takes ``saturation``'s
+    kernel read of the matrix already built.  The answers are
+    ``saturation``'s; only the work is shared.
     """
     q = quotient(basis)
     todo = [f for f in dict.fromkeys(polys) if f not in q.saturated]
@@ -466,73 +463,95 @@ def saturations(basis: GroebnerBasis, polys: Sequence[Polynomial]) -> list[Groeb
 def _units(stack: np.ndarray, p: int) -> np.ndarray:
     """Which matrices of a (k, D, D) stack are invertible mod p.
 
-    One forward elimination of all k in lockstep.  At column c each
-    matrix takes its first row from c on with a nonzero entry there,
-    swaps it to row c, and clears column c below it with
-    row_r := piv * row_r - m[r, c] * row_c, which needs no inverse and
-    keeps the rank.  A matrix with no such row is singular and leaves
-    the stack.  Entries stay in [0, p) with p < 2^31, so each product
-    is below 2^62 and exact in int64.
+    A product is invertible exactly when each factor is, so a set of
+    matrices whose ``_matmul`` product has rank D under ``_rref`` is
+    all units.  A singular product splits its set in halves, each
+    tested the same way, until a singular single matrix is a non-unit:
+    when all k are units that is k - 1 products and one echelon.  The
+    sets wait on a work list; a recursive closure would refer to itself
+    and leave a reference cycle behind on every call.
     """
-    m = stack.astype(np.int64)
-    live = np.arange(len(m))
-    for c in range(m.shape[1]):
-        nz = m[:, c:, c] != 0
-        has = nz.any(axis=1)
-        if not has.all():
-            live, m, nz = live[has], m[has], nz[has]
-            if not live.size:
-                break
-        at = np.arange(len(m))
-        pr = c + nz.argmax(axis=1)
-        top = m[at, pr, c:]  # the pivot rows; row c moves to pr, and is not read again
-        m[at, pr, c:] = m[at, c, c:]
-        below = m[:, c + 1:, c + 1:]
-        below *= top[:, None, :1]
-        below -= m[:, c + 1:, c:c + 1] * top[:, None, 1:]
-        below %= p
-    units = np.zeros(len(stack), dtype=bool)
-    units[live] = True
+    units = np.ones(len(stack), dtype=bool)
+    todo = [(0, len(stack))] if len(stack) else []
+    while todo:
+        lo, hi = todo.pop()
+        P = stack[lo]
+        for M in stack[lo + 1:hi]:
+            P = _matmul(P, M, p)
+        if len(_rref(P, p)[1]) == len(P):
+            continue
+        if hi - lo == 1:
+            units[lo] = False
+        else:
+            mid = (lo + hi) // 2
+            todo += [(lo, mid), (mid, hi)]
     return units
+
+
+def _preimage(q: QuotientStructure, basis: GroebnerBasis, leads: Sequence[int],
+              N: np.ndarray) -> GroebnerBasis:
+    """Reduced basis of the preimage in R of an ideal J of A = R/<basis>.
+
+    J is given by its reduced echelon on the staircase: row i of N has a
+    1 at ``leads[i]``, its largest monomial, and a 0 on every other
+    lead.  J's leads are the leads of J's preimage that lie on the
+    staircase (the lead of a polynomial whose lead is standard is the
+    lead of its class), so the new staircase is the old one without
+    them.  A lead u of J whose quotients u / x_k are not leads of J
+    gives its row, u plus a tail on the new staircase; an old generator
+    u + t whose quotients u / x_k are not leads of J gives u + t', with
+    t' = t - t[leads] N, t reduced modulo J.  Those of minimal lead form
+    the reduced basis.  No leads give ``basis`` itself, and a lead on
+    every staircase monomial gives <1>.
+    """
+    ring, p, D, mons = q.ring, q.p, q.D, q.monomials
+    if not leads:
+        return basis
+    if len(leads) == D:
+        return GroebnerBasis(ring, (ring.one(),))
+    w, mask = ring.width, (1 << ring.width) - 1
+    lead_evs = {mons[c] for c in leads}
+    rest = [c for c in range(D - 1, -1, -1) if mons[c] not in lead_evs]  # descending
+    rest_terms = [(ring.key_of_evec(mons[c]), mons[c]) for c in rest]
+
+    def minimal(ev: int) -> bool:
+        return not any((ev >> (k * w)) & mask and ev - (1 << (k * w)) in lead_evs
+                       for k in range(ring.nvars))
+
+    def element(lead: tuple, coeffs: np.ndarray) -> Polynomial:
+        tail = tuple((k, ev, c) for (k, ev), c in zip(rest_terms, coeffs.tolist()) if c)
+        return Polynomial(ring, (lead,) + tail)
+
+    old = [g for g in basis.gens if minimal(g.terms[0][1])]
+    T = np.zeros((len(old), D), dtype=np.int64)
+    for j, g in enumerate(old):
+        for _, ev, c in g.terms[1:]:
+            T[j, q.index[ev]] = c
+    T = (T - _matmul(T[:, leads], N, p)) % p
+    gens = [element(g.terms[0], T[j, rest]) for j, g in enumerate(old)]
+    gens += [element((ring.key_of_evec(mons[c]), mons[c], 1), N[i, rest])
+             for i, c in enumerate(leads) if minimal(mons[c])]
+    gens.sort(key=lambda g: g.terms[0][0], reverse=True)
+    return GroebnerBasis(ring, tuple(gens))
 
 
 def _kernel_preimage(q: QuotientStructure, basis: GroebnerBasis,
                      M: np.ndarray) -> GroebnerBasis | None:
     """(<basis> : f^inf) from M = M_f, or None when that is <basis> itself."""
-    ring, p, D, mons = q.ring, q.p, q.D, q.monomials
+    p, D = q.p, q.D
     for _ in range(max(1, (D - 1).bit_length())):
         M = q.product(M, M)
     R, piv = _rref(M, p)
     if len(piv) == D:
         return None
-    if not piv or piv[0] != 0:  # the monomial 1 lies in K
-        return GroebnerBasis(ring, (ring.one(),))
-    w, mask = ring.width, (1 << ring.width) - 1
     pivset = set(piv)
-    free = {mons[c]: c for c in range(D) if c not in pivset}
-    # K is an ideal, so the free monomials are closed upward in the
-    # staircase, and a lead is minimal unless one step down is free
-    def minimal(ev: int) -> bool:
-        return not any((ev >> (k * w)) & mask and ev - (1 << (k * w)) in free
-                       for k in range(ring.nvars))
-
-    pivot_terms = [(ring.key_of_evec(mons[c]), mons[c]) for c in piv]
-
-    def element(lead: tuple, coeffs: np.ndarray) -> Polynomial:
-        tail = tuple((k, ev, int(c)) for (k, ev), c in zip(pivot_terms[::-1], coeffs[::-1]) if c)
-        return Polynomial(ring, (lead,) + tail)
-
-    old = [g for g in basis.gens if minimal(g.terms[0][1])]
-    T = np.zeros((D, len(old)), dtype=np.int64)
-    for j, g in enumerate(old):
-        for _, ev, c in g.terms[1:]:
-            T[q.index[ev], j] = c
-    tails = _matmul(R, T, p)
-    gens = [element(g.terms[0], tails[:, j]) for j, g in enumerate(old)]
-    gens += [element((ring.key_of_evec(ev), ev, 1), -R[:, c] % p)
-             for ev, c in free.items() if minimal(ev)]
-    gens.sort(key=lambda g: g.terms[0][0], reverse=True)
-    return GroebnerBasis(ring, tuple(gens))
+    free = [c for c in range(D) if c not in pivset]
+    # K's rows e_c - sum_i R[i, c] * e_(piv_i), c free: R[i, c] is 0
+    # unless piv_i < c, so m_c is the largest monomial of its row
+    N = np.zeros((len(free), D), dtype=np.int64)
+    N[range(len(free)), free] = 1
+    N[:, piv] = -R[:, free].T % p
+    return _preimage(q, basis, free, N)
 
 
 def extended(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis:
@@ -540,19 +559,11 @@ def extended(basis: GroebnerBasis, extra: Sequence[Polynomial]) -> GroebnerBasis
 
     The same basis as ``extend_basis``, since reduced bases are unique,
     and memoized under the same key, with no signature step.  The ideal
-    <basis> + <extra> is the preimage of J, the ideal that the extras
+    <basis> + <extra> is ``_preimage`` of J, the ideal that the extras
     generate in A = R/<basis>, and J is the column space of their
     matrices: column j of M_h is the class of h * m_j.  The reduced
-    echelon form R of those columns as rows, with the monomials in
-    descending order (``_row_echelon``), has J's leads as its pivot
-    columns, and the new staircase is the old one
-    without them (the lead of a polynomial whose lead is standard is the
-    lead of its class).  A lead u of J whose quotients u / x_k are not
-    leads of J gives its echelon row, u plus a tail on the new
-    staircase; an old generator u + t whose quotients u / x_k are not
-    leads of J gives u + t', with t' = t - t[piv] R, t reduced modulo J.
-    Those of minimal lead form the reduced basis; rank 0 is ``basis``
-    itself and rank D is <1>.
+    echelon of those columns as rows, with the monomials in descending
+    order (``_row_echelon``), read in reverse, is J's reduced echelon.
     """
     extra = tuple(f for f in extra if not f.is_zero())
     if any(f.ring != basis.ring for f in extra):
@@ -589,39 +600,8 @@ def _row_echelon(blocks: Sequence[np.ndarray], p: int) -> tuple[np.ndarray, list
 
 def _image_preimage(q: QuotientStructure, basis: GroebnerBasis,
                     extra: tuple[Polynomial, ...]) -> GroebnerBasis:
-    ring, p, D = q.ring, q.p, q.D
-    desc = q.monomials[::-1]
-    stack = q.matrices_of(extra)
-    R, piv = _row_echelon([M.T[:, ::-1] for M in stack], p)
-    if not piv:
-        return basis
-    if len(piv) == D:
-        return GroebnerBasis(ring, (ring.one(),))
-    w, mask = ring.width, (1 << ring.width) - 1
-    leads = {desc[c]: i for i, c in enumerate(piv)}  # J's leads -> their rows of R
-    pivset = set(piv)
-    free = [c for c in range(D) if c not in pivset]
-    free_terms = [(ring.key_of_evec(desc[c]), desc[c]) for c in free]
-
-    def minimal(ev: int) -> bool:
-        return not any((ev >> (k * w)) & mask and ev - (1 << (k * w)) in leads
-                       for k in range(ring.nvars))
-
-    def element(lead: tuple, coeffs: np.ndarray) -> Polynomial:
-        tail = tuple((k, ev, int(c)) for (k, ev), c in zip(free_terms, coeffs) if c)
-        return Polynomial(ring, (lead,) + tail)
-
-    old = [g for g in basis.gens if minimal(g.terms[0][1])]
-    T = np.zeros((len(old), D), dtype=np.int64)
-    for j, g in enumerate(old):
-        for _, ev, c in g.terms[1:]:
-            T[j, D - 1 - q.index[ev]] = c
-    T = (T - _matmul(T[:, piv], R, p)) % p
-    gens = [element(g.terms[0], T[j, free]) for j, g in enumerate(old)]
-    gens += [element((ring.key_of_evec(ev), ev, 1), R[i, free])
-             for ev, i in leads.items() if minimal(ev)]
-    gens.sort(key=lambda g: g.terms[0][0], reverse=True)
-    return GroebnerBasis(ring, tuple(gens))
+    R, piv = _row_echelon([M.T[:, ::-1] for M in q.matrices_of(extra)], q.p)
+    return _preimage(q, basis, [q.D - 1 - c for c in piv], R[:, ::-1])
 
 
 def radical_membership(basis: GroebnerBasis, f: Polynomial) -> bool:

@@ -605,6 +605,26 @@ def test_block_reduce_matches_reference(p, nvars, lift, kind):
     assert reduced
 
 
+@pytest.mark.parametrize("nvars", [3, 8, 32])
+def test_block_reduce_refuses_a_matrix_past_its_bound(nvars, monkeypatch):
+    """x0^2 * z^3 modulo x0 - 1, z the last variable, brings the pivot
+    rows x0 * z^3 * (x0 - 1) and z^3 * (x0 - 1): a 3 x 3 matrix with
+    its top monomial in degree 5, in a ring that fits int64, one that
+    is repacked and one on Python ints."""
+    ring = PolyRing(PrimeField(65521), tuple(f"x{i}" for i in range(nvars)))
+    x = ring.gens()
+    basis = groebner_of(ring, [x[0] - 1, x[1] - 2])
+    z3 = ring.pack_evec([0] * (nvars - 1) + [3])
+    rows = [((x[0] ** 2).terms, z3, ring.key_of_evec(z3))]
+    monkeypatch.setattr(groebner, "MAX_MATRIX_ENTRIES", 8)
+    with pytest.raises(ContractViolation) as exc:
+        _block_reduce(ring, rows, basis.reducers())
+    assert str(exc.value) == f"Macaulay matrix 3 x 3 over {ring} up to degree 5 exceeds 8 entries"
+    monkeypatch.setattr(groebner, "MAX_MATRIX_ENTRIES", 9)
+    E, mons = _block_reduce(ring, rows, basis.reducers())
+    assert Polynomial(ring, _row_terms(E[0], mons)) == x[-1] ** 3
+
+
 def _rref_reference(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Gaussian elimination on Python integers: the loop that _rref vectorises."""
     m = [[v % p for v in row] for row in rows]

@@ -185,7 +185,30 @@ def test_batched_unit_verdicts_match_saturation(p):
         assert zerodim.saturations(W, polys) == single
         # the batch fills the memo: a unit is recorded as W itself
         assert [zerodim.saturation(W, f) is W for f in polys] == units.tolist()
+        ref = fresh(W)
+        for stack, known in bisection_cases(polys, units.tolist(), rng):
+            assert [zerodim.saturation(ref, f) == W for f in stack] == known, (W, stack)
+            assert zerodim._units(q.matrices_of(stack), p).tolist() == known, (W, stack)
     assert verdicts == {True, False}
+
+
+def bisection_cases(polys, units, rng):
+    """Stacks that take ``_units``'s bisection to its ends: every matrix
+    singular; one non-unit among 8 units, so the split goes at least 3
+    levels deep; and one matrix alone, a unit or not.  Products of units
+    are units and multiples of non-units are non-units, so each stack
+    comes with its verdicts, known from those of ``polys``."""
+    unit = [f for f, u in zip(polys, units) if u]
+    other = [f for f, u in zip(polys, units) if not u]
+    mixed = [rng.choice(unit) * rng.choice(unit) for _ in range(8)]
+    at = rng.randrange(9)
+    mixed.insert(at, rng.choice(other))
+    return [
+        ([rng.choice(other) * rng.choice(polys) for _ in range(6)], [False] * 6),
+        (mixed, [i != at for i in range(9)]),
+        ([rng.choice(unit)], [True]),
+        ([rng.choice(other)], [False]),
+    ]
 
 
 def family_systems(seed=1):
@@ -208,8 +231,8 @@ def family_systems(seed=1):
 def test_family_pass_reads_slices_in_their_quotients(monkeypatch):
     # on one families-witness pass, extending a zero-dimensional slice
     # takes no signature step, and remove' sends its units through one
-    # lockstep elimination instead of a kernel read each (118 reads
-    # when every subtraction took one)
+    # batched unit test, a rank test of their matrices' product, instead
+    # of a kernel read each (118 reads when every subtraction took one)
     steps = []
     in_slices = []
     reads = []
