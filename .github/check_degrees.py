@@ -2,8 +2,10 @@
 
     equidim gen-ps 5 | equidim run - | python .github/check_degrees.py witness "ps(5)" 1:16 0:176
 
-Asserts that the run used BACKEND and that the degrees of its cells,
-summed per dimension, are exactly the DIM:DEGREE pairs given.
+Asserts that the run used BACKEND, that the degrees of its cells,
+summed per dimension, are exactly the DIM:DEGREE pairs given, and,
+when the run was verified (``--verify fast`` or ``full``), that its
+verification passed.
 """
 
 import json
@@ -17,4 +19,6 @@ degs = {}
 for cell in doc["cells"]:
     degs[cell["dimension"]] = degs.get(cell["dimension"], 0) + cell["degree"]
 assert degs == expected, degs
+if doc["verification"] is not None:
+    assert doc["verification"]["passed"], doc["verification"]
 print(f"{label} degrees by dimension:", backend, degs)

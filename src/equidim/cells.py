@@ -11,8 +11,9 @@ form G, a query basis W, and one of two backends:
 * ``witness``: F is a plain generator list, and W is the witness ideal
   I(X meet L), L a random affine subspace of complementary dimension d:
   the reduced basis of F plus d affine forms, saturated by G.  W is {1}
-  or zero-dimensional; a positive-dimensional basis is only computed
-  when forced, from the cell's own F and G, as sat(<F>, g1*...*gr).
+  or zero-dimensional; at d = 0 it is the cell's basis, and in any
+  other dimension that basis is only computed when forced, from the
+  cell's own F and G, as sat(<F>, g1*...*gr).
 
 Every query reads one saturation (W : f^inf): ``rad_member`` asks
 whether it is <1>, and ``subtract`` makes it the new W.  ``is_proper``
@@ -196,7 +197,7 @@ class AffineCell:
             if not (W.is_unit or is_zero_dim(W)):
                 raise NonGenericSlice(
                     f"witness slice of dimension {dimension(W)} for a cell of dimension {d}")
-            self._basis = None
+            self._basis = W if d == 0 else None
             witness_forms = witness_forms or ()
         self.F = F
         self.W = W
@@ -224,9 +225,14 @@ class AffineCell:
     def basis(self) -> GroebnerBasis:
         """Reduced basis of the distinguished ideal I(X) = sat(<F>, g1*...*gr).
 
-        The gb backend stores it.  The witness backend computes it on
-        first use as the basis of <F>, saturated factor by factor by G,
-        and keeps it on the cell.
+        The gb backend stores it.  A zero-dimensional witness cell's
+        basis is its slice W: ``make_witness`` draws no forms at d = 0,
+        so W = sat(<F>, G); ``subtract`` keeps that identity; and
+        ``intersect_components`` gives W + <H>, whose saturation by G is
+        itself, since V(W) misses V(G) and every factor of G is a unit
+        modulo W + <H>.  Any other witness cell computes it on first use
+        as the basis of <F>, saturated factor by factor by G, and keeps
+        it on the cell.
         """
         if self._basis is None:
             F = [f for f in self.F if not f.is_zero()]

@@ -5,11 +5,11 @@ Reduced Groebner bases come from one of two routes:
 * ``buchberger`` computes a basis from scratch with Faugere's F4
   (JPAA 1999): Gebauer-Moeller pair elimination, and the normal
   selection, which takes every pair of the lowest lcm degree at once
-  and reduces them together as one Macaulay matrix in numpy.  A degree
-  with a single pair is reduced as an S-polynomial instead.  The call's
-  generators keep their terms as arrays for the matrices, in its
-  reducer table; an element a matrix makes takes its arrays straight
-  from its echelon row.  ``groebner_of`` uses it.
+  and reduces them together as one Macaulay matrix in numpy, a degree
+  with a single pair included.  The call's generators keep their terms
+  as arrays for the matrices, in its reducer table; an element a matrix
+  makes takes its arrays straight from its echelon row.  ``groebner_of``
+  uses it.
 * ``_sig_step`` extends a known reduced basis P by one polynomial f
   with signature criteria (F5C, Eder-Perry 2010; the rewrite criterion
   of Eder-Roune 2013).  ``extend_basis`` (on the gb backend; witness
@@ -95,10 +95,11 @@ them with no sort.  Every reduction modulo a fixed basis
 (``normal_form``, the P part of ``_sig_step`` and of its cofactors)
 looks the divisor of a monomial up in the basis's divisor memo, which
 maps each monomial met to its first dividing reducer (or to none) and
-is filled on first use.  The memo is filled by ``_first_divisor``, a
-scan of the reducers ascending by lead key that stops at the first
-lead above the monomial, and by ``_block_reduce`` with what its
-broadcast test finds for ``zerodim.low_degree_colon``'s columns.
+is filled on first use.  Only the heap kernel writes the memo, with
+``_first_divisor``, a scan of the reducers ascending by lead key that
+stops at the first lead above the monomial; ``_block_reduce`` finds its
+divisors by its own broadcast test and shares only the reducer table
+with the kernel.
 ``_interreduce`` uses the same memo and scan to find out whether a tail
 holds a term some lead divides, and sends only such a tail through the
 kernel: any other tail would come back unchanged.  On top of them:
@@ -222,7 +223,7 @@ def _prep_reducers(gens: Sequence[Polynomial]) -> "_ReducerTable":
     return _ReducerTable(reds)
 
 
-_UNSEEN = object()
+_UNSEEN = object()  # a memo miss: None is a stored answer
 
 
 def _first_divisor(reducers, guard: int, k: int, ev: int):
@@ -351,17 +352,6 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") ->
     return Polynomial(ring, tuple(_reduce_terms(ring, f.terms, reducers)))
 
 
-def _spoly_terms(ring: PolyRing, f: Polynomial, g: Polynomial, lcm_ev: int):
-    """Term stream of the S-polynomial of two monic polynomials."""
-    kl = ring.key_of_evec(lcm_ev)
-    fk, fe, _ = f.terms[0]
-    gk, ge, _ = g.terms[0]
-    p = ring.field.p
-    stream = [(k + kl - fk, ev + lcm_ev - fe, c) for k, ev, c in f.terms[1:]]
-    stream += [(k + kl - gk, ev + lcm_ev - ge, (-c) % p) for k, ev, c in g.terms[1:]]
-    return stream
-
-
 def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``polys``, from scratch.
 
@@ -370,10 +360,12 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
 
     Faugere's F4 (JPAA 1999) with Gebauer-Moeller pair elimination and
     the normal selection: each round takes every pair whose lcm has
-    the lowest total degree.  A round of several pairs builds one
-    Macaulay matrix and reduces it by block elimination (``_f4_round``).
-    A round of one pair reduces its S-polynomial with the heap kernel
-    ``_reduce_terms``, which skips the matrix's symbolic preprocessing.
+    the lowest total degree.  Every round builds one Macaulay matrix
+    and reduces it by block elimination (``_f4_round``); a round of one
+    pair has one pivot row for its lcm and one row to reduce.  The
+    inputs enter through the heap kernel ``_reduce_terms``, smallest
+    lead first, each reduced by those before it: the rounds' row
+    de-duplication and reducer table need distinct leads.
 
     This is the route for bases with no known part; ``extend_basis``
     adds generators to a basis already known.  Building a basis from
@@ -458,14 +450,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         while cut < len(pairs) and pairs[cut][0] == d:
             cut += 1
         batch, pairs = pairs[:cut], pairs[cut:]
-        if cut == 1:
-            _, _, i, j, le = batch[0]
-            stream = _spoly_terms(ring, gens[i], gens[j], le)
-            r = Polynomial(ring, tuple(_reduce_terms(ring, stream, reducers)))
-            new = [r.monic()] if not r.is_zero() else []
-        else:
-            new = _f4_round(ring, gens, reducers, batch)
-        for h in new:
+        for h in _f4_round(ring, gens, reducers, batch):
             if h.is_constant():
                 return unit
             update(h)
@@ -706,7 +691,7 @@ def _first_divisors(evecs: np.ndarray, keys: np.ndarray, lead_keys: np.ndarray,
 MAX_MATRIX_ENTRIES = 2**27
 
 
-def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict | None = None,
+def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable,
                   pivots=()) -> tuple[np.ndarray, _Columns]:
     """Rows reduced by reducer multiples as one Macaulay matrix.
 
@@ -727,9 +712,9 @@ def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict 
     already numbered, and the new ones that no given pivot leads take
     their first dividing reducer from one broadcast guard-bit test
     (``_first_divisors``).  The terms of those reducer rows, gathered
-    from the table's flat arrays, are the next wave.  With ``divisors``,
-    the basis's divisor memo, each monomial tested is recorded there as
-    the heap kernel would.
+    from the table's flat arrays, are the next wave.  It writes no
+    divisor memo: the heap kernel fills a basis's memo on its own
+    lookups.
 
     The rows are then reduced as one block elimination (Faugere-
     Lachartre, PASCO 2010).  In the matrix [A B; C D] the pivot rows
@@ -812,9 +797,6 @@ def _block_reduce(ring: PolyRing, rows, reducers: _ReducerTable, divisors: dict 
             lead = given[pos] == wk
             wk, we = wk[~lead], we[~lead]
         red = _first_divisors(we, wk, red_k, red_e, pk.guard)
-        if divisors is not None:
-            divisors.update(zip(_from_packing(ring, pk, we),
-                                [reducers[j] if j >= 0 else None for j in red.tolist()]))
         hit = red >= 0
         red, wk, we = red[hit], wk[hit], we[hit]
         lens = red_len[red]
@@ -1167,8 +1149,8 @@ def _memoized(key: tuple, compute: Callable[[], _T]) -> _T:
     memo = _MEMO.get()
     if memo is None:
         return compute()
-    hit = memo.get(key)
-    if hit is None:
+    hit = memo.get(key, _UNSEEN)
+    if hit is _UNSEEN:
         hit = memo[key] = compute()
     return hit
 

@@ -253,9 +253,8 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
     basis are unique, so this gives the columns that reducing each one
     alone would.  Its reducer rows come from the basis's reducer table,
     whose arrays are built on the first search modulo that basis and
-    kept with it, and it fills the basis's divisor memo for the heap
-    kernel.  A parent column enters as the echelon row it came out as,
-    with its arrays, so they are not built from its terms again.
+    kept with it.  A parent column enters as the echelon row it came out
+    as, with its arrays, so they are not built from its terms again.
     """
     ring = basis.ring
     p = ring.field.p
@@ -265,7 +264,7 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
         return []
     if basis.is_zero_ideal:
         return []  # R is a domain: a * f^k = 0 forces a = 0
-    reducers, divisors = basis.reducers(), basis._divisors
+    reducers = basis.reducers()
     w = ring.width
     shifts = [(ring.key_of_evec(1 << (i * w)), 1 << (i * w)) for i in range(ring.nvars)]
     fk = f
@@ -296,7 +295,7 @@ def low_degree_colon(basis: GroebnerBasis, f: Polynomial) -> list[Polynomial]:
                         monos.append((mk + dk, ev))
                         # NF(x_i * m' * f^k) = NF(x_i * NF(m' * f^k))
                         batch.append((col, dev, dk))
-            E, mons = _block_reduce(ring, batch, reducers, divisors)
+            E, mons = _block_reduce(ring, batch, reducers)
             fresh = monos[start:]
             frontier = [(*m, _row_poly(row, mons))
                         for m, row in zip(fresh, E[len(E) - len(fresh):])]
@@ -345,9 +344,6 @@ def quotient(basis: GroebnerBasis) -> QuotientStructure:
     return q
 
 
-_NO_INFINITY = object()  # "W_inf does not apply" in the memo, where None is a miss
-
-
 def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
     """W_inf, the points at infinity of a positive-dimensional basis; or None.
 
@@ -387,21 +383,21 @@ def at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
     * If ``saturation(W_inf, f*)`` is not <1>, f is not in rad <basis>:
       f^k in I gives (f*)^k in I*, in every dimension.
 
-    Built once per basis value in a ``memo_scope``.  A zero-dimensional
-    basis is refused before its Hilbert series is read.
+    Built once per basis value in a ``memo_scope``, a refusal (None)
+    included.  A zero-dimensional basis is refused before its Hilbert
+    series is read.
     """
-    W = _memoized(("infinity", basis), lambda: _points_at_infinity(basis))
-    return None if W is _NO_INFINITY else W
+    return _memoized(("infinity", basis), lambda: _points_at_infinity(basis))
 
 
-def _points_at_infinity(basis: GroebnerBasis) -> GroebnerBasis:
+def _points_at_infinity(basis: GroebnerBasis) -> GroebnerBasis | None:
     ring = basis.ring
     if basis.is_unit or is_zero_dim(basis):
-        return _NO_INFINITY
+        return None
     k = ring.nvars - dimension(basis)  # y is x_k, counting from 0; the z's follow it
     shift = k * ring.width  # y's field of a packed exponent
     if any(ev >> shift for ev in basis.lead_evecs()):
-        return _NO_INFINITY
+        return None
     low = (1 << shift) - 1
     zs = shift + ring.width  # the z's fields
     key = ring.key_of_evec

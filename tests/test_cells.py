@@ -570,3 +570,33 @@ def test_witness_leaf_basis_matches_gb_after_a_chain(R3):
     assert wit_leaf.G == gb_leaf.G == (x, R3.const(3))
     assert wit_leaf.basis() == gb_leaf.basis()
     assert wit_leaf.basis() == groebner_of(R3, [y - 1, z - 1])
+    # one more proper cut, to the point (2, 1, 1): a zero-dimensional
+    # witness cell's basis is its slice, with nothing recomputed
+    gb_point, wit_point = (X.intersect_proper(x - 2, random.Random(47)) for X in leaves)
+    assert wit_point.d == 0 and wit_point.basis() is wit_point.W
+    assert wit_point.basis() == gb_point.basis() == groebner_of(R3, [x - 2, y - 1, z - 1])
+
+
+@pytest.mark.parametrize("family", ["ps4", "sos34"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zero_dimensional_witness_cells_keep_their_slice_as_basis(family, seed, monkeypatch):
+    """Every d = 0 witness cell made while decomposing has its slice W
+    as its basis, equal to sat(<F>, G) computed from scratch."""
+    rng = random.Random(seed)
+    system = gen_ps(4, rng) if family == "ps4" else gen_sos(3, 4, rng)
+    ring = system.ring()
+    made = []
+    init = AffineCell.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(AffineCell, "__init__", recording)
+    out = equidim(system.polynomials(ring), ring, DecompConfig(backend="witness"))
+    assert out.backend == "witness" and any(c.d == 0 for c in out.cells)
+    for c in made:
+        if c.d == 0:
+            F = [f for f in c.F if not f.is_zero()]
+            assert c.basis() is c.W
+            assert c.W == cells._sat_chain(groebner_of(ring, F), c.G)

@@ -40,7 +40,6 @@ from equidim.groebner import (
     _row_terms,
     _saturation,
     _sig_step,
-    _spoly_terms,
     extend_basis,
     hilbert_dim_degree,
     is_zero_dim,
@@ -69,6 +68,17 @@ def _is_reduced_gb(gb):
             _reduce_terms(ring, _spoly_terms(ring, f, g, lcm), gb.reducers())))
         assert s.is_zero()
     return True
+
+
+def _spoly_terms(ring, f, g, lcm_ev):
+    """Term stream of the S-polynomial of two monic polynomials."""
+    kl = ring.key_of_evec(lcm_ev)
+    fk, fe, _ = f.terms[0]
+    gk, ge, _ = g.terms[0]
+    p = ring.field.p
+    stream = [(k + kl - fk, ev + lcm_ev - fe, c) for k, ev, c in f.terms[1:]]
+    stream += [(k + kl - gk, ev + lcm_ev - ge, (-c) % p) for k, ev, c in g.terms[1:]]
+    return stream
 
 
 # -- normal form ---------------------------------------------------------------
@@ -254,23 +264,18 @@ def test_gb_unique_under_permutation(ring_xyz, rng):
 
 
 def _count_rounds(monkeypatch):
-    """Count F4 rounds by kind, and matrix rounds that produced a constant."""
+    """Count F4 rounds, those of one pair, and rounds that produced a constant."""
     counts = {"single": 0, "matrix": 0, "matrix_unit": 0}
     f4_round = groebner._f4_round
-    spoly = groebner._spoly_terms
 
-    def counting_round(*args):
-        out = f4_round(*args)
+    def counting_round(ring, gens, reducers, batch):
+        out = f4_round(ring, gens, reducers, batch)
         counts["matrix"] += 1
+        counts["single"] += len(batch) == 1
         counts["matrix_unit"] += any(h.is_constant() for h in out)
         return out
 
-    def counting_spoly(*args):
-        counts["single"] += 1
-        return spoly(*args)
-
     monkeypatch.setattr(groebner, "_f4_round", counting_round)
-    monkeypatch.setattr(groebner, "_spoly_terms", counting_spoly)
     return counts
 
 
@@ -288,7 +293,8 @@ def test_f4_matches_signature_route(p, monkeypatch):
             continue
         gb = buchberger(polys, ring=ring)
         assert gb == extend_basis(GroebnerBasis(ring, ()), polys)
-    assert counts["single"] > 0 and counts["matrix"] > 0
+    # one-pair degrees are matrix rounds too, beside rounds of many pairs
+    assert 0 < counts["single"] < counts["matrix"]
 
 
 def test_f4_unit_inside_matrix_round(monkeypatch):
@@ -408,8 +414,7 @@ def test_block_reduce_rows_are_normal_forms(p):
     normal form of its input row on the free columns, the monomials no
     lead divides.  The rows are random polynomials at random shifts, so
     many rows share monomials; some are repeated, some are zero and some
-    are already reduced.  Half the calls fill the basis's divisor memo,
-    which must then hold what the heap kernel's scan would."""
+    are already reduced."""
     ring = PolyRing(PrimeField(p), ("x", "y", "z"))
     rng = random.Random(p)
     seen = {"zero": 0, "unchanged": 0, "reduced": 0}
@@ -426,8 +431,7 @@ def test_block_reduce_rows_are_normal_forms(p):
                 ev = ring.pack_evec([rng.randrange(2) for _ in range(3)])
                 rows.append((f.terms, ev, ring.key_of_evec(ev)))
         rows += rows[:3]
-        memo = basis._divisors if trial % 2 else None
-        E, mons = _block_reduce(ring, rows, basis.reducers(), memo)
+        E, mons = _block_reduce(ring, rows, basis.reducers())
         assert E.shape == (len(rows), len(mons))
         assert all(k > k2 for (k, _), (k2, _) in zip(mons, mons[1:]))
         assert not any(ring.divides(lead, ev) for _, ev in mons for lead in basis.lead_evecs())
@@ -438,22 +442,15 @@ def test_block_reduce_rows_are_normal_forms(p):
             seen["zero"] += nf.is_zero()
             seen["unchanged"] += not f.is_zero() and nf == f
             seen["reduced"] += nf != f
-        if memo is not None:
-            guard = ring._evec_guard
-            assert all(red is groebner._first_divisor(basis.reducers(), guard,
-                                                      ring.key_of_evec(ev), ev)
-                       for ev, red in memo.items())
     assert all(seen.values()), seen
 
 
-def _block_reduce_reference(ring, rows, reducers, divisors=None, pivots=()):
+def _block_reduce_reference(ring, rows, reducers, pivots=()):
     """_block_reduce as it was with a Python loop per term: every monomial
     met is numbered in a dict, and its first dividing reducer found by
-    _first_divisor, through the memo ``divisors``."""
+    _first_divisor."""
     p = ring.field.p
     guard = ring._evec_guard
-    memo = {} if divisors is None else divisors
-    memo_get = memo.get
     split: dict[int, tuple] = {}
     table = []
     for t, dev, dk in (*rows, *pivots):
@@ -477,11 +474,7 @@ def _block_reduce_reference(ring, rows, reducers, divisors=None, pivots=()):
             ts[i] = number[ev] = len(found)
             found.append((k, ev))
             if ev not in leads:
-                red = memo_get(ev, groebner._UNSEEN)
-                if red is groebner._UNSEEN:
-                    red = groebner._first_divisor(reducers, guard, k, ev)
-                    if divisors is not None:
-                        memo[ev] = red
+                red = groebner._first_divisor(reducers, guard, k, ev)
                 if red is not None:
                     leads.add(ev)
                     hit = split.get(id(red))
@@ -557,8 +550,8 @@ _PACKING_CASES = [
 @pytest.mark.parametrize("nvars, lift, kind", _PACKING_CASES)
 def test_block_reduce_matches_reference(p, nvars, lift, kind):
     """The array preprocessing against the per-term loop it replaced: equal
-    matrices, free columns and divisor memos on random rows, pivot rows
-    and reducers, in every packing."""
+    matrices and free columns on random rows, pivot rows and reducers,
+    in every packing."""
     ring = PolyRing(PrimeField(p), [f"x{i}" for i in range(nvars)])
     width = {"int64": ring.width, "repacked": 63 // ring.nvars, "object": ring.width}[kind]
     rng = random.Random(p + 100 * nvars + lift)
@@ -593,15 +586,14 @@ def test_block_reduce_matches_reference(p, nvars, lift, kind):
                 pivots.append((g.terms, ev, k))
         if trial % 2:
             pivots = []
-        memo, memo_ref = {}, {}
-        E, mons = _block_reduce(ring, rows, reducers, memo if trial % 3 else None, pivots)
-        E_ref, mons_ref = _block_reduce_reference(ring, rows, list(reducers),
-                                                  memo_ref if trial % 3 else None, pivots)
+        E, mons = _block_reduce(ring, rows, reducers, pivots)
+        E_ref, mons_ref = _block_reduce_reference(ring, rows, list(reducers), pivots)
         assert np.array_equal(E, E_ref) and E.dtype == E_ref.dtype
         assert mons == mons_ref
-        assert memo == memo_ref
         assert mons.packing[:2] == (width, object if kind == "object" else np.int64)
-        reduced += any(red is not None for red in memo_ref.values())
+        guard = ring._evec_guard
+        reduced += any(groebner._first_divisor(reducers, guard, k + dk, ev + dev) is not None
+                       for t, dev, dk in rows for k, ev, _ in t)
     assert reduced
 
 
@@ -1134,7 +1126,7 @@ def test_points_at_infinity_by_dimension(p):
     assert rejected > 0
 
 
-def test_points_at_infinity_refused_where_the_rule_fails():
+def test_points_at_infinity_refused_where_the_rule_fails(monkeypatch):
     ring = PolyRing(PrimeField(101), ("x", "y", "z"))
     x, y, z = ring.gens()
     # dimension 2, but y, one of the last two variables, divides the lead x*y
@@ -1144,6 +1136,19 @@ def test_points_at_infinity_refused_where_the_rule_fails():
     # dimension 1, but the last variable divides the lead z^2
     zlead = groebner_of(ring, [z**2 - x, y - 1])
     assert dimension(zlead) == 1 and zerodim.at_infinity(zlead) is None
+    # a refusal is memoized like any other answer
+    calls = []
+    points = zerodim._points_at_infinity
+
+    def counting(basis):
+        calls.append(basis)
+        return points(basis)
+
+    monkeypatch.setattr(zerodim, "_points_at_infinity", counting)
+    with memo_scope():
+        assert zerodim.at_infinity(zlead) is None
+        assert zerodim.at_infinity(groebner_of(ring, [z**2 - x, y - 1])) is None
+    assert calls == [zlead]
     line = groebner_of(ring, [x - 2 * z, y + z + 1])
     W = zerodim.at_infinity(line)
     assert [str(g) for g in W] == ["x + 99", "y + 1", "z + 100"]  # x - 2, y + 1, z - 1
